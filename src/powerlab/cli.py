@@ -789,6 +789,9 @@ def main(argv=None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         sys.stderr.write(f"powerlab: error: {message}\n")
         return EXIT_USAGE
+    except RecursionError:
+        sys.stderr.write("powerlab: error: input nests too deeply to process\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

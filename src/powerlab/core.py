@@ -109,10 +109,6 @@ Outcome = Union[Converged, Diverged, FuelExhausted]
 FUEL_EXHAUSTED = FuelExhausted()
 
 
-def outcome_decided(out: Outcome) -> bool:
-    return not isinstance(out, FuelExhausted)
-
-
 @dataclass(frozen=True)
 class PartialMap:
     """A named, deterministic, fuel-monotone partial map over one domain.

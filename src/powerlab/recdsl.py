@@ -20,10 +20,15 @@ provided every earlier probe converged to something nonzero.  ``ACK``
 is the two-argument Ackermann-Peter function as a builtin.
 
 Evaluation is fuel-bounded: one unit per term node visited, one per
-search probe, one per builtin expansion step.  Within a budget the
-evaluator either converges or runs out of fuel; it never certifies
-divergence, because an unbounded search that keeps failing looks the
-same as one that is about to succeed.
+search probe, one per builtin expansion step.  Each term is compiled
+once into nested closures, which charge these units in bulk rather than
+node by node: a term's static cost on entry, and a loop body's static
+cost at each loop head.  A charge only ever covers nodes a converging
+run certainly visits, so the total is the node-by-node count and a
+budget never changes an outcome, only whether it is reached.  Within a
+budget the evaluator either converges or runs out of fuel; it never
+certifies divergence, because an unbounded search that keeps failing
+looks the same as one that is about to succeed.
 """
 
 from __future__ import annotations
@@ -62,6 +67,10 @@ class Term:
 
     def __str__(self) -> str:
         return to_text(self)
+
+    def __getstate__(self):
+        # the compiled closures cached by evaluation cannot be pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_code"}
 
 
 @dataclass(frozen=True)
@@ -288,68 +297,165 @@ class TermClass(Enum):
     GENERAL = "general"
 
 
+def _subterms(t: Term) -> tuple:
+    tt = type(t)
+    if tt is Comp:
+        return (t.f, *t.gs)
+    if tt is PrimRec:
+        return (t.base, t.step)
+    if tt is Mu:
+        return (t.body,)
+    return ()
+
+
 def classify(t: Term) -> TermClass:
     """PRIM iff the term uses neither unbounded search nor ACK."""
     stack = [t]
     while stack:
         cur = stack.pop()
-        tt = type(cur)
-        if tt in (Mu, Ack):
+        if type(cur) in (Mu, Ack):
             return TermClass.GENERAL
-        if tt is Comp:
-            stack.append(cur.f)
-            stack.extend(cur.gs)
-        elif tt is PrimRec:
-            stack.append(cur.base)
-            stack.append(cur.step)
+        stack.extend(_subterms(cur))
     return TermClass.PRIM
 
 
-def _eval(t: Term, args: list, fuel: Fuel) -> int:
-    fuel.charge()
+# ---------------------------------------------------------------------------
+# Evaluation.  A term is compiled once, on first use, into nested closures
+# (Feeley and Lapalme, "Using closures for code generation", 1987) and the
+# result is cached on the term object.  A compiled term is a triple
+# ``(cost, run, reads)``:
+#
+# - ``cost`` is the term's static cost: one unit for its own node plus the
+#   static cost of every subterm an evaluation of it always enters, which
+#   is every inner and outer term of a composition and the base of a
+#   recursion.  Loop bodies are not included.
+# - ``run(args, fuel)`` evaluates on a tuple of arguments.  The caller has
+#   already paid ``cost``, so only loop heads charge: a recursion pays
+#   ``y`` times its step's static cost before its ``y`` iterations, a
+#   search pays one unit plus its body's static cost per probe, and ACK
+#   pays one unit per rewrite.  Leaves and compositions do no fuel work.
+# - ``reads`` is the set of argument positions the term depends on when it
+#   is loop-free, else None.  A loop-free term costs exactly its static
+#   cost and cannot fail, so a recursion whose loop-free step ignores the
+#   accumulator (``pred``, for one) pays for every iteration but computes
+#   only the last.
+#
+# Every charge is for nodes that a node-by-node evaluation certainly
+# visits if it converges, so a run spends the same total as that count and
+# exhausts exactly when the total exceeds the budget.
+
+
+def _code(t: Term) -> tuple:
+    """``(cost, run, reads)`` for ``t``.  Compiles on first use, subterms
+    first and without recursion, so deep terms compile, and caches the
+    result on every term compiled."""
+    try:
+        return t._code
+    except AttributeError:
+        pass
+    stack = [t]
+    while stack:
+        cur = stack[-1]
+        todo = [s for s in _subterms(cur) if "_code" not in s.__dict__]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if "_code" not in cur.__dict__:
+            object.__setattr__(cur, "_code", _compile(cur))
+    return t._code
+
+
+def _zero(a, fuel):
+    return 0
+
+
+def _compile(t: Term) -> tuple:
     tt = type(t)
-    if tt is S:
-        return args[0] + 1
-    if tt is Proj:
-        return args[t.i - 1]
     if tt is Comp:
-        vals = [_eval(g, args, fuel) for g in t.gs]
-        return _eval(t.f, vals, fuel)
+        return _compile_comp(t)
     if tt is PrimRec:
-        y = args[-1]
-        xs = args[:-1]
-        acc = _eval(t.base, xs, fuel)
-        frame = xs + [acc, 0]
-        for c in range(y):
-            frame[-2] = acc
-            frame[-1] = c
-            acc = _eval(t.step, frame, fuel)
-        return acc
+        return _compile_rec(t)
     if tt is Mu:
-        probe = args + [0]
+        return _compile_mu(t)
+    if tt is S:
+        return 1, lambda a, fuel: a[0] + 1, frozenset((0,))
+    if tt is Proj or tt is Id:
+        i = t.i - 1 if tt is Proj else 0
+        return 1, lambda a, fuel: a[i], frozenset((i,))
+    if tt is Z:
+        return 1, _zero, frozenset()
+    if tt is ConstK:
+        k = t.k
+        return 1, lambda a, fuel: k, frozenset()
+    if tt is Ack:
+        return 1, lambda a, fuel: _ack_expand(a[0], a[1], fuel), None
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _compile_comp(t: Comp) -> tuple:
+    fcost, f, freads = _code(t.f)
+    codes = [_code(g) for g in t.gs]
+    cost = 1 + fcost + sum(c[0] for c in codes)
+    reads = None
+    if freads is not None and all(c[2] is not None for c in codes):
+        reads = frozenset().union(*(codes[j][2] for j in freads))
+    gs = [g for _, g, _ in codes]
+
+    def run(a, fuel):
+        # a loop, not a comprehension: one Python frame per nesting level
+        vals = []
+        for g in gs:
+            vals.append(g(a, fuel))
+        return f(tuple(vals), fuel)
+
+    return cost, run, reads
+
+
+def _compile_rec(t: PrimRec) -> tuple:
+    bcost, base, _ = _code(t.base)
+    scost, step, sreads = _code(t.step)
+    # a loop-free step that ignores the accumulator only needs its last
+    # iteration computed
+    last_only = sreads is not None and t.base.arity() not in sreads
+
+    def run(a, fuel):
+        xs = a[:-1]
+        y = a[-1]
+        acc = base(xs, fuel)
+        if y:
+            fuel.charge(y * scost)
+            for c in range(y - 1 if last_only else 0, y):
+                acc = step(xs + (acc, c), fuel)
+        return acc
+
+    return 1 + bcost, run, None
+
+
+def _compile_mu(t: Mu) -> tuple:
+    bcost, body, _ = _code(t.body)
+    probe_cost = 1 + bcost
+
+    def run(a, fuel):
         i = 0
         while True:
-            fuel.charge()
-            probe[-1] = i
-            if _eval(t.body, probe, fuel) == 0:
+            fuel.charge(probe_cost)
+            if body(a + (i,), fuel) == 0:
                 return i
             i += 1
-    if tt is Z:
-        return 0
-    if tt is Id:
-        return args[0]
-    if tt is ConstK:
-        return t.k
-    if tt is Ack:
-        return _ack_expand(args[0], args[1], fuel)
-    raise TypeError(f"not a term: {t!r}")
+
+    return 1, run, None
 
 
 def _ack_expand(m: int, n: int, fuel: Fuel) -> int:
     """Ackermann-Peter by literal expansion, one fuel unit per rewrite."""
+    left = fuel.left
     stack = [m]
     while stack:
-        fuel.charge()
+        left -= 1
+        if left < 0:
+            fuel.left = left
+            raise _OutOfFuel
         m = stack.pop()
         if m == 0:
             n += 1
@@ -360,7 +466,17 @@ def _ack_expand(m: int, n: int, fuel: Fuel) -> int:
             stack.append(m - 1)
             stack.append(m)
             n -= 1
+    fuel.left = left
     return n
+
+
+def _evaluate(t: Term, args: tuple, fuel: Fuel) -> Outcome:
+    cost, run, _ = _code(t)
+    try:
+        fuel.charge(cost)
+        return Converged(run(args, fuel))
+    except _OutOfFuel:
+        return FUEL_EXHAUSTED
 
 
 def eval_term(t: Term, args, fuel: int) -> Outcome:
@@ -372,12 +488,9 @@ def eval_term(t: Term, args, fuel: int) -> Outcome:
             f"{to_text(t)} takes {t.arity()} arguments, got {len(args)}"
         )
     for a in args:
-        Domain.NAT.check(a, to_text(t))
-    cell = Fuel(fuel)
-    try:
-        return Converged(_eval(t, list(args), cell))
-    except _OutOfFuel:
-        return FUEL_EXHAUSTED
+        if not Domain.NAT.contains(a):
+            Domain.NAT.check(a, to_text(t))
+    return _evaluate(t, tuple(args), Fuel(fuel))
 
 
 def compose_unary(t1: Term, t2: Term) -> Term:
@@ -432,10 +545,7 @@ class TermMap(PartialMap):
     term: Term
 
     def _run(self, x, fuel: Fuel) -> Outcome:
-        try:
-            return Converged(_eval(self.term, [x], fuel))
-        except _OutOfFuel:
-            return FUEL_EXHAUSTED
+        return _evaluate(self.term, (x,), fuel)
 
 
 def term_map(t: Term, name: Optional[str] = None) -> PartialMap:

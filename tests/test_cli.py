@@ -254,3 +254,34 @@ def test_machine_members_from_inline_lines(tmp_path):
     name, check, reports = run_scenario(doc, tmp_path)
     assert reports[0].aggregate.value == "verified"
     assert reports[0].members[0].witness == "bump"
+
+
+def _assert_one_line_usage_error(code, capsys):
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("powerlab: error:"), captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_oversized_godel_code_exits_cleanly(capsys):
+    code = main(["encode", "--scheme", "godel", "--decode", str(2**3000 - 1)])
+    _assert_one_line_usage_error(code, capsys)
+
+
+def test_deeply_nested_term_exits_cleanly(capsys, tmp_path):
+    depth = 1200
+    doc = {
+        "name": "deep",
+        "check": "closure",
+        "models": {"deep": {"kind": "dsl-terms", "members": [
+            {"name": "tower", "term": "(C S " * depth + "S" + ")" * depth}
+        ]}},
+        "model": "deep",
+        "plan": {"inputs": {"range": [0, 2]}, "fuel": 10000},
+    }
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(doc))
+    code = main(["run", str(p)])
+    _assert_one_line_usage_error(code, capsys)

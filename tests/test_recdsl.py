@@ -1,6 +1,7 @@
 """Term language: parsing, evaluation against an independent reference, fuel."""
 
 import math
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -45,9 +46,13 @@ from powerlab.terms import (
 # ---------------------------------------------------------------------------
 # Reference evaluator: direct unbounded recursion, written independently of
 # the production interpreter.  Only safe on terms known to terminate fast.
+# ``cost``, when given, is a one-element list counting fuel node by node:
+# one unit per term node visited, per search probe and per ACK rewrite.
 
 
-def ref_eval(t, args):
+def ref_eval(t, args, cost=None):
+    if cost is not None:
+        cost[0] += 1
     if isinstance(t, Z):
         return 0
     if isinstance(t, S):
@@ -59,30 +64,46 @@ def ref_eval(t, args):
     if isinstance(t, Proj):
         return args[t.i - 1]
     if isinstance(t, Ack):
-        return ref_ack(args[0], args[1])
+        value, rewrites = ref_ack_rewrites(args[0], args[1])
+        if cost is not None:
+            cost[0] += rewrites
+        return value
     if isinstance(t, Comp):
-        return ref_eval(t.f, tuple(ref_eval(g, args) for g in t.gs))
+        return ref_eval(t.f, tuple(ref_eval(g, args, cost) for g in t.gs), cost)
     if isinstance(t, PrimRec):
         head, y = args[:-1], args[-1]
-        acc = ref_eval(t.base, head)
+        acc = ref_eval(t.base, head, cost)
         for i in range(y):
-            acc = ref_eval(t.step, head + (acc, i))
+            acc = ref_eval(t.step, head + (acc, i), cost)
         return acc
     if isinstance(t, Mu):
         n = 0
-        while ref_eval(t.body, args + (n,)) != 0:
+        while True:
+            if cost is not None:
+                cost[0] += 1
+            if ref_eval(t.body, args + (n,), cost) == 0:
+                return n
             n += 1
-        return n
     raise TypeError(t)
 
 
 @lru_cache(maxsize=None)
-def ref_ack(m, n):
+def ref_ack_rewrites(m, n):
+    """(ACK(m, n), number of defining-equation rewrites to reach it)."""
     if m == 0:
-        return n + 1
+        return n + 1, 1
     if n == 0:
-        return ref_ack(m - 1, 1)
-    return ref_ack(m - 1, ref_ack(m, n - 1))
+        value, inner = ref_ack_rewrites(m - 1, 1)
+        return value, 1 + inner
+    mid, first = ref_ack_rewrites(m, n - 1)
+    value, second = ref_ack_rewrites(m - 1, mid)
+    return value, 1 + first + second
+
+
+def ref_cost(t, x):
+    cost = [0]
+    value = ref_eval(t, (x,), cost)
+    return value, cost[0]
 
 
 def run1(t, x, fuel=10**6):
@@ -229,6 +250,59 @@ def test_fuel_monotone_on_square(n, fuel):
     assert lo in (hi, FUEL_EXHAUSTED)
 
 
+def _assert_exact_fuel(t, x):
+    """The evaluator spends exactly the reference count, converges on a
+    budget of that count, and exhausts on one unit less."""
+    value, cost = ref_cost(t, x)
+    m = term_map(t)
+    assert apply_with_cost(m, x, 10**7) == (Converged(value), cost)
+    assert apply_with_cost(m, x, cost) == (Converged(value), cost)
+    if cost > 1:
+        assert apply_with_cost(m, x, cost - 1) == (FUEL_EXHAUSTED, cost - 1)
+
+
+@settings(max_examples=80)
+@given(small_terms, st.integers(0, 12))
+def test_fuel_matches_node_by_node_reference_on_random_terms(t, x):
+    _assert_exact_fuel(t, x)
+
+
+# Ternary recursion steps that read the accumulator, the counter or a
+# leading argument, raw or through a leaf.
+_steps = st.builds(
+    lambda outer, i: Comp(outer, (Proj(i, 3),)),
+    st.sampled_from([S(), Z(), ConstK(2), Id()]),
+    st.integers(1, 3),
+) | st.builds(Proj, st.integers(1, 3), st.just(3))
+
+# Unary terms with loops in every position: recursions with all kinds of
+# steps, ACK, a search, and loops inside inner terms the outer term ignores.
+loopy_terms = st.deferred(
+    lambda: st.one_of(
+        small_terms,
+        st.builds(lambda b, s: Comp(PrimRec(b, s), (Id(), Id())), loopy_terms, _steps),
+        st.builds(
+            lambda i, g, h: Comp(Proj(i, 2), (g, h)), st.integers(1, 2), loopy_terms, loopy_terms
+        ),
+        st.builds(lambda k, g: Comp(ConstK(k), (g,)), st.integers(0, 3), loopy_terms),
+        st.builds(lambda m: Comp(Ack(), (ConstK(m), Id())), st.integers(0, 2)),
+        st.just(Mu(MONUS)),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(loopy_terms, st.integers(0, 12))
+def test_fuel_matches_node_by_node_reference_on_loopy_terms(t, x):
+    _assert_exact_fuel(t, x)
+
+
+@pytest.mark.parametrize("name,term", standard_suite(), ids=[n for n, _ in standard_suite()])
+def test_fuel_matches_node_by_node_reference_on_suite(name, term):
+    for x in range(9):
+        _assert_exact_fuel(term, x)
+
+
 def test_charges_one_unit_per_node():
     t = Comp(S(), (S(),))  # three nodes
     out, spent = apply_with_cost(term_map(t), 0, 100)
@@ -247,7 +321,7 @@ def test_ack_values():
     assert ackermann(3, 10) == 8189
     for m in range(4):
         for n in range(8):
-            assert ackermann(m, n, max_n=16) == ref_ack(m, n)
+            assert ackermann(m, n, max_n=16) == ref_ack_rewrites(m, n)[0]
 
 
 def test_ack_bounds_enforced():
@@ -293,3 +367,16 @@ def test_standard_suite_shape():
 def test_term_map_requires_unary():
     with pytest.raises(ArityError):
         term_map(ADD)
+
+
+def test_terms_pickle_after_evaluation():
+    assert run1(SQUARE, 3) == Converged(9)  # compiles and caches closures
+    back = pickle.loads(pickle.dumps(SQUARE))
+    assert back == SQUARE and run1(back, 4) == Converged(16)
+
+
+def test_deeply_nested_terms_evaluate():
+    depth = 600
+    t = parse_term("(C S " * depth + "S" + ")" * depth)
+    assert eval_term(t, (0,), 10**4) == Converged(depth + 1)
+    assert apply_with_cost(term_map(t, "tower"), 5, 10**4) == (Converged(depth + 6), 2 * depth + 1)
