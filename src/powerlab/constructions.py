@@ -103,6 +103,10 @@ def _check_nat(n: int, who: str) -> None:
 def tri_f(i: int, j: int, n: int) -> int:
     for v in (i, j, n):
         _check_nat(v, "tri_f")
+    return _tri_f(i, j, n)
+
+
+def _tri_f(i: int, j: int, n: int) -> int:
     m = isqrt(n)
     return (m + i) ** 2 + j % (2 * m + 2 * i + 1)
 
@@ -110,6 +114,10 @@ def tri_f(i: int, j: int, n: int) -> int:
 def tri_g(i: int, n: int) -> int:
     for v in (i, n):
         _check_nat(v, "tri_g")
+    return _tri_g(i, n)
+
+
+def _tri_g(i: int, n: int) -> int:
     return (isqrt(n) + i) ** 2
 
 
@@ -146,16 +154,25 @@ class TriPiEncoding(Encoding):
         return TriPiEncoding(not self.inverted)
 
 
+# The maps check their indices when built.  Each input is checked before
+# it reaches a map (by ``apply``, or where it enters a check), so their
+# bodies skip the checks of tri_f and tri_g.
+
+
 def kappa_map(k: int) -> PartialMap:
+    _check_nat(k, "kappa_map")
     return BuiltinMap(f"kappa[{k}]", Domain.NAT, lambda n, _k=k: _k)
 
 
 def tri_f_map(i: int, j: int) -> PartialMap:
-    return BuiltinMap(f"f[{i},{j}]", Domain.NAT, lambda n, _i=i, _j=j: tri_f(_i, _j, n))
+    for v in (i, j):
+        _check_nat(v, "tri_f_map")
+    return BuiltinMap(f"f[{i},{j}]", Domain.NAT, lambda n, _i=i, _j=j: _tri_f(_i, _j, n))
 
 
 def tri_g_map(i: int) -> PartialMap:
-    return BuiltinMap(f"g[{i}]", Domain.NAT, lambda n, _i=i: tri_g(_i, n))
+    _check_nat(i, "tri_g_map")
+    return BuiltinMap(f"g[{i}]", Domain.NAT, lambda n, _i=i: _tri_g(_i, n))
 
 
 def _pair_diag(ix: int) -> tuple[int, int]:

@@ -170,6 +170,13 @@ def apply_with_cost(m: PartialMap, x: Value, fuel: int) -> tuple[Outcome, int]:
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     m.domain.check(x, m.name)
+    return _apply_unchecked(m, x, fuel)
+
+
+def _apply_unchecked(m: PartialMap, x: Value, fuel: int) -> tuple[Outcome, int]:
+    """One evaluation of ``m`` on an ``x`` already known to lie in its
+    domain, under a budget already known to be at least 1.  Running out
+    of fuel costs the whole budget."""
     cell = Fuel(fuel)
     try:
         out = m._run(x, cell)
@@ -410,12 +417,18 @@ class Model:
         """Listed members followed by up to ``extra`` enumerated ones.
 
         Enumerated maps whose names repeat earlier entries are dropped,
-        so the pool order is stable and duplicate-free."""
+        so the pool order is stable and duplicate-free.  Each enumerated
+        map must be over the model's domain, like the listed ones."""
         pool = list(self.members)
         if self.enumerator is not None and extra > 0:
             seen = {m.name for m in pool}
             for ix in range(extra):
                 m = self.enumerator(ix)
+                if m.domain is not self.domain:
+                    raise DomainMismatch(
+                        f"wrong domain: enumerated map {m.name} of {self.name}"
+                        f" is over {m.domain.value}"
+                    )
                 if m.name not in seen:
                     seen.add(m.name)
                     pool.append(m)

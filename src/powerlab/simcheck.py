@@ -14,6 +14,14 @@ Candidates are taken in listed order, then from the model's enumerator,
 and the first fully decided witness is the one reported.  Exhausted
 evaluations are never treated as divergence; they only taint a point as
 undecided.
+
+Values are validated once, where they enter a check, and not on every
+evaluation: the plan's inputs against the simulated side's domain, their
+encodings against the simulating side's, each intermediate value of a
+composite against the model's domain, every input of ``maps_agree``
+against both maps' domains, and each map the models enumerate against
+its model's domain.  Evaluations then run unchecked, so a value the
+checker never saw (and so never validated) must not reach a map.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from typing import Optional, Sequence
 
 from powerlab.core import (
     Converged,
+    Domain,
     DomainMismatch,
     Encoding,
     FuelExhausted,
@@ -31,10 +40,11 @@ from powerlab.core import (
     Outcome,
     PartialMap,
     Value,
-    apply_with_cost,
-    encode_outcome,
+    _apply_unchecked,
     pullback,
 )
+from powerlab.constructions import godel_decode
+from powerlab.machines import nat_to_bits
 
 
 class Verdict(Enum):
@@ -129,9 +139,16 @@ class SimReport:
 class _Runner:
     """Applies maps under one fixed budget, caching by map identity and
     input.  Within a single check the budget never changes, so caching
-    exhausted outcomes is sound too."""
+    exhausted outcomes is sound too.
+
+    Inputs are not checked here: callers pass only values validated
+    against the map's domain.  That also keeps the cache sound, since
+    equal values of one domain have one type (``True`` and ``1`` would
+    share an entry, but ``True`` never gets this far)."""
 
     def __init__(self, fuel: int):
+        if fuel < 1:
+            raise ValueError("fuel must be at least 1")
         self.fuel = fuel
         self.cache: dict = {}
         self.evaluations = 0
@@ -141,7 +158,7 @@ class _Runner:
         key = (id(m), x)
         hit = self.cache.get(key)
         if hit is None:
-            out, spent = apply_with_cost(m, x, self.fuel)
+            out, spent = _apply_unchecked(m, x, self.fuel)
             self.evaluations += 1
             self.fuel_spent += spent
             self.cache[key] = out
@@ -214,12 +231,25 @@ def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRepo
     pool = _select(a.candidates(plan.candidate_limit), plan.a_sample, a.name)
     runner = _Runner(plan.fuel)
     enc_in = {x: e.encode(x) for x in plan.inputs}
+    for y in enc_in.values():
+        a.domain.check(y, f"{e.describe()} into {a.name}")
+    # each distinct converged value of the simulated side, encoded once;
+    # the type is part of the key so that True is not taken for 1
+    encoded: dict = {}
     results = []
     for g in bs:
         lhs = []
         for x in plan.inputs:
             out = runner.run(g, x)
-            lhs.append((x, None if isinstance(out, FuelExhausted) else encode_outcome(e, out)))
+            if isinstance(out, FuelExhausted):
+                out = None
+            elif isinstance(out, Converged):
+                key = (type(out.value), out.value)
+                hit = encoded.get(key)
+                if hit is None:
+                    hit = encoded[key] = Converged(e.encode(out.value))
+                out = hit
+            lhs.append((x, out))
         results.append(_match_member(g.name, lhs, pool, enc_in.__getitem__, runner))
     return SimReport(
         claim=Claim("simulation", a.name, b.name, e.describe()),
@@ -246,6 +276,7 @@ def check_closure(model: Model, plan: TestPlan) -> SimReport:
                 if isinstance(first, FuelExhausted):
                     lhs.append((x, None))
                 elif isinstance(first, Converged):
+                    model.domain.check(first.value, f"{g.name} output, passed to {f.name}")
                     second = runner.run(f, first.value)
                     lhs.append(
                         (x, None if isinstance(second, FuelExhausted) else second)
@@ -305,6 +336,17 @@ def check_pullback_law(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRe
     )
 
 
+def _domain_prefix(domain: Domain, n: int) -> tuple:
+    """The first ``n`` values of a domain in canonical order: 0..n-1 for
+    the naturals, bit strings by length then lexicographically, and the
+    Gödel decodings of 0..n-1 for pure lists."""
+    if domain is Domain.NAT:
+        return tuple(range(n))
+    if domain is Domain.BITS:
+        return tuple(nat_to_bits(i) for i in range(n))
+    return tuple(godel_decode(i) for i in range(n))
+
+
 def check_equivalence(
     a: Model,
     b: Model,
@@ -315,7 +357,9 @@ def check_equivalence(
 ) -> SimReport:
     """Simulation both ways; ``strong`` additionally demands the
     encodings be bijections on the tested prefixes, ``isomorphism`` that
-    they invert each other there.
+    they invert each other there.  ``e_ab`` must reach each of the first
+    N values of a's domain in canonical order, N the number of planned
+    inputs, and ``e_ba`` every planned input.
 
     ``e_ab`` carries b-side values into a, ``e_ba`` the other way.  When
     the domains differ, the reverse direction is tested on the image of
@@ -338,7 +382,7 @@ def check_equivalence(
         f"backward: {bwd.aggregate.value}",
     ]
     if mode in ("strong", "isomorphism"):
-        for y in rev_inputs:
+        for y in _domain_prefix(a.domain, len(plan.inputs)):
             if e_ab.decode(y) is None:
                 notes.append(
                     f"{e_ab.describe()} misses {y!r}: not a bijection on the tested prefix"
@@ -420,6 +464,8 @@ def maps_agree(m1: PartialMap, m2: PartialMap, inputs, fuel: int) -> Agreement:
     mismatches = []
     undecided = 0
     for x in inputs:
+        m1.domain.check(x, m1.name)
+        m2.domain.check(x, m2.name)
         left = runner.run(m1, x)
         right = runner.run(m2, x)
         if isinstance(left, FuelExhausted) or isinstance(right, FuelExhausted):

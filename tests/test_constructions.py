@@ -89,6 +89,17 @@ def test_tri_frozen_values():
     assert [tri_pi(n) for n in range(9)] == [0, 2, 3, 1, 5, 6, 7, 8, 4]
 
 
+def test_tri_maps_validate_their_indices_when_built():
+    for build in (lambda: tri_f_map(-1, 1), lambda: tri_f_map(1, True),
+                  lambda: tri_g_map(True), lambda: kappa_map(-2)):
+        with pytest.raises(DomainMismatch):
+            build()
+    assert apply(tri_f_map(1, 2), 5, 10) == Converged(tri_f(1, 2, 5))
+    assert apply(tri_g_map(2), 2, 10) == Converged(tri_g(2, 2))
+    with pytest.raises(DomainMismatch):
+        apply(tri_f_map(1, 2), -5, 10)
+
+
 def test_tri_pi_matches_row_oracle():
     for n in range(200):
         assert tri_pi(n) == oracle_pi(n)

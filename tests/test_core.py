@@ -182,6 +182,15 @@ def test_model_candidates_dedup_and_order():
     assert model.candidates(0) == list(listed)
 
 
+def test_model_candidates_reject_enumerated_maps_of_another_domain():
+    model = Model(
+        "m", Domain.NAT, (), lambda ix: BuiltinMap(f"b{ix}", Domain.BITS, lambda s: s)
+    )
+    assert model.candidates(0) == []
+    with pytest.raises(DomainMismatch, match="b0"):
+        model.candidates(1)
+
+
 def test_pushforward_model_maps_members_and_enumerator():
     base = Model(
         "b", Domain.NAT, (term_map(S(), "succ"),), lambda ix: identity_map(name=f"e{ix}")

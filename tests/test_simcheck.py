@@ -3,24 +3,32 @@
 import pytest
 
 from powerlab.core import (
+    FUEL_EXHAUSTED,
+    BuiltinMap,
     Converged,
     Domain,
     DomainMismatch,
+    Encoding,
     IdentityEncoding,
     Model,
+    apply_with_cost,
     compose_encodings,
     identity_map,
 )
 from powerlab.constructions import (
+    GodelEncoding,
     TriPiEncoding,
     kappa_map,
     stripe_encoding,
     stripe_family,
     stripe_model,
+    tri_models,
 )
+from powerlab.machines import BitsEncoding
 from powerlab.recdsl import ConstK, S, parse_term, term_map
 from powerlab.simcheck import (
     TestPlan,
+    _Runner,
     Verdict,
     check_closure,
     check_equivalence,
@@ -118,8 +126,6 @@ def test_simulation_validates_shapes():
     a = stripe_model(2, 0, SUITE3, name="striped")
     with pytest.raises(DomainMismatch):
         check_simulation(a, b, stripe_encoding(2, 0), TestPlan(inputs=("01",), fuel=10))
-    from powerlab.machines import BitsEncoding
-
     with pytest.raises(DomainMismatch):
         check_simulation(a, b, BitsEncoding(), plan_over_range(0, 3, 100))
 
@@ -262,3 +268,99 @@ def test_maps_agree():
     slow = term_map(parse_term("(M (C S (P 2 2)))"), "slow")
     rep3 = maps_agree(s1, slow, range(2), 50)
     assert not rep3.equal and rep3.undecided == 2
+
+
+# ---------------------------------------------------------------------------
+# Values are validated where they enter a check; evaluations trust them.
+
+
+def _succ_and_isbig():
+    succ = term_map(S(), "succ")
+    isbig = BuiltinMap("isbig", Domain.NAT, lambda n: n > 3)
+    return Model("nat", Domain.NAT, (succ, isbig))
+
+
+@pytest.mark.parametrize("inputs", [(0, 1, 2, 5), (5,)])
+def test_closure_rejects_intermediates_outside_the_domain(inputs):
+    # isbig returns a bool; succ(True) must not be served from succ(1)
+    with pytest.raises(DomainMismatch):
+        check_closure(_succ_and_isbig(), TestPlan(inputs=inputs, fuel=100))
+
+
+def test_maps_agree_rejects_inputs_outside_either_domain():
+    succ = term_map(S(), "succ")
+    with pytest.raises(DomainMismatch):
+        maps_agree(succ, succ, [1, True], 10)
+    bits = BuiltinMap("same", Domain.BITS, lambda s: s)
+    with pytest.raises(DomainMismatch):
+        maps_agree(succ, bits, [1], 10)
+
+
+class _Negating(Encoding):
+    """Claims nat -> nat, but leaves the naturals."""
+
+    source = Domain.NAT
+    target = Domain.NAT
+
+    def _encode(self, x):
+        return -x - 1
+
+    def _decode(self, y):
+        return -y - 1
+
+    def describe(self):
+        return "negating"
+
+
+def test_simulation_rejects_encoded_inputs_outside_the_target():
+    k = Model("k0", Domain.NAT, (kappa_map(0),))
+    with pytest.raises(DomainMismatch):
+        check_simulation(k, k, _Negating(), plan_over_range(0, 3, 100))
+
+
+def test_strong_equivalence_across_domains_needs_surjectivity():
+    nat = Model("k0", Domain.NAT, (kappa_map(0),))
+    bits = Model("eps", Domain.BITS, (BuiltinMap("eps", Domain.BITS, lambda s: ""),))
+    plan = plan_over_range(0, 15, 10**4)
+    evens = compose_encodings(BitsEncoding(), stripe_encoding(2, 0))
+    assert check_equivalence(bits, nat, evens, BitsEncoding(True), plan).aggregate is V
+    strong = check_equivalence(bits, nat, evens, BitsEncoding(True), plan, mode="strong")
+    assert strong.aggregate is R
+    assert "(bits . stripe(2,0)) misses '0': not a bijection on the tested prefix" in strong.notes
+    onto = check_equivalence(bits, nat, BitsEncoding(), BitsEncoding(True), plan, mode="strong")
+    assert onto.aggregate is V
+
+
+def test_strong_equivalence_on_lists_uses_godel_prefix():
+    lists = Model("ident", Domain.LIST, (identity_map(Domain.LIST),))
+    nat = Model("ident", Domain.NAT, (identity_map(),))
+    plan = plan_over_range(0, 9, 10**4)
+    good = check_equivalence(
+        lists, nat, GodelEncoding(True), GodelEncoding(), plan, mode="isomorphism"
+    )
+    assert good.aggregate is V
+    odd = compose_encodings(GodelEncoding(True), stripe_encoding(2, 1))
+    assert check_equivalence(lists, nat, odd, GodelEncoding(), plan).aggregate is V
+    bad = check_equivalence(lists, nat, odd, GodelEncoding(), plan, mode="strong")
+    assert bad.aggregate is R
+    assert any("misses ()" in n for n in bad.notes)
+
+
+def _fuel_added(runner, m, x):
+    before = runner.fuel_spent
+    out = runner.run(m, x)
+    return out, runner.fuel_spent - before
+
+
+@pytest.mark.parametrize("fuel", [10**6, 6])
+def test_runner_matches_apply_with_cost(fuel):
+    large, _ = tri_models(3, 3, 5)  # the smaller model's members are among these
+    maps = list(large.members) + [term_map(t, n) for n, t in standard_suite()]
+    exhausted = 0
+    for m in maps:
+        runner = _Runner(fuel)
+        for x in range(41):
+            want = apply_with_cost(m, x, fuel)
+            assert _fuel_added(runner, m, x) == want, (m.name, x)
+            exhausted += want[0] == FUEL_EXHAUSTED
+    assert (exhausted > 0) == (fuel == 6)
