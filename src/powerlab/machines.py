@@ -29,7 +29,11 @@ Targets are labels or absolute instruction indices.  ``decjz`` jumps
 when the register is zero and otherwise decrements and falls through.
 Running off the end halts.  Registers hold unbounded naturals, start at
 zero except the input register, and each executed instruction costs one
-unit of fuel.
+unit of fuel.  A counting loop ``L: decjz r D; inc a1; ...; inc ak; jump
+L; D:`` (no ``ai`` equal to ``r``) runs all its iterations at once, for
+the same charge as its instructions one at a time: ``(k + 2) * v + 1``
+units when ``r`` holds ``v``.  A budget too small for the whole loop runs
+out, as the step-by-step run would inside it.
 """
 
 from __future__ import annotations
@@ -315,6 +319,44 @@ class CMProgram:
                 ok = False
             if not ok:
                 raise ProgramError(f"{self.name}: bad instruction {ins!r} at {ix}")
+        object.__setattr__(self, "_code", _build_code(self))
+
+
+def _build_code(p: CMProgram) -> tuple:
+    """The form ``CMMap`` runs: ``(code, slots, input slot, output slot)``.
+
+    Registers are renumbered densely over those the program names, so a
+    run allocates one slot for each of them and none for the rest of
+    ``n_registers``.  Each counting loop ``L: decjz r D; inc a1; ...;
+    inc ak; jump L; D:`` with no ``ai`` equal to ``r`` becomes one
+    ``("loop", r, (a1, ..., ak), D, k + 2)`` at ``L``, which does all the
+    iterations at once; every other index keeps its plain instruction,
+    so a jump into the body still runs it step by step.
+    """
+    instrs = p.instructions
+    named = {p.input_reg, p.output_reg}
+    named.update(ins[1] for ins in instrs if ins[0] in ("inc", "decjz"))
+    slot = {r: i for i, r in enumerate(sorted(named))}
+    code = []
+    for ix, ins in enumerate(instrs):
+        op = ins[0]
+        if op == "inc":
+            code.append(("inc", slot[ins[1]]))
+        elif op == "decjz":
+            r, done = ins[1], ins[2]
+            body = instrs[ix + 1 : done - 1]
+            if (
+                done >= ix + 2
+                and instrs[done - 1] == ("jump", ix)
+                and all(b[0] == "inc" and b[1] != r for b in body)
+            ):
+                incs = tuple(slot[b[1]] for b in body)
+                code.append(("loop", slot[r], incs, done, len(incs) + 2))
+            else:
+                code.append(("decjz", slot[r], done))
+        else:
+            code.append(ins)
+    return tuple(code), len(slot), slot[p.input_reg], slot[p.output_reg]
 
 
 def parse_cm(text: str, name: str = "cm") -> CMProgram:
@@ -407,20 +449,33 @@ class CMMap(PartialMap):
     program: CMProgram
 
     def _run(self, x: int, fuel: Fuel) -> Outcome:
-        p = self.program
-        regs = [0] * p.n_registers
-        regs[p.input_reg] = x
-        instrs = p.instructions
-        size = len(instrs)
+        code, slots, input_slot, output_slot = self.program._code
+        regs = [0] * slots
+        regs[input_slot] = x
+        size = len(code)
+        left = fuel.left
         pc = 0
         while pc < size:
-            try:
-                fuel.charge()
-            except _OutOfFuel:
+            left -= 1
+            if left < 0:
+                fuel.left = -1
                 return FUEL_EXHAUSTED
-            ins = instrs[pc]
+            ins = code[pc]
             op = ins[0]
-            if op == "inc":
+            if op == "loop":
+                r = ins[1]
+                v = regs[r]
+                if v:
+                    # the other (k + 2) * v steps of the loop's iterations
+                    left -= ins[4] * v
+                    if left < 0:
+                        fuel.left = -1
+                        return FUEL_EXHAUSTED
+                    for a in ins[2]:
+                        regs[a] += v
+                    regs[r] = 0
+                pc = ins[3]
+            elif op == "inc":
                 regs[ins[1]] += 1
                 pc += 1
             elif op == "decjz":
@@ -434,7 +489,8 @@ class CMMap(PartialMap):
                 pc = ins[1]
             else:
                 break
-        return Converged(regs[p.output_reg])
+        fuel.left = left
+        return Converged(regs[output_slot])
 
 
 def cm_map(p: CMProgram, name: Optional[str] = None) -> PartialMap:

@@ -167,6 +167,15 @@ def test_exec_command(capsys, tmp_path):
     assert main(["exec", "--machine", str(tm), "--input", "12"]) == EXIT_USAGE
 
 
+def test_exec_allocates_only_the_registers_a_machine_names(capsys, tmp_path):
+    body = "input 0\noutput 1\nhalt\n"
+    for declared in (2, 20_000_000_000):
+        cm = tmp_path / f"r{declared}.cm"
+        cm.write_text(f"registers {declared}\n{body}")
+        assert main(["exec", "--machine", str(cm), "--input", "5", "--fuel", "10"]) == 0
+        assert capsys.readouterr().out.strip() == "converged: 0"
+
+
 def test_value_json_round_trip():
     for v in (0, 7, "0110", "", (), ((), ()), ((), ((), ()))):
         assert json_to_value(value_to_json(v)) == v

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powerlab.core import Converged, Diverged, FUEL_EXHAUSTED, apply
+from powerlab.core import Converged, Diverged, FUEL_EXHAUSTED, Fuel, apply, apply_with_cost
 from powerlab.machines import (
     BitsEncoding,
     CMProgram,
@@ -12,6 +12,7 @@ from powerlab.machines import (
     TMProgram,
     bits_to_nat,
     cm_map,
+    compile_rec_to_cm,
     nat_to_bits,
     parse_cm,
     parse_tm,
@@ -25,6 +26,8 @@ from powerlab.machines import (
     tm_map,
     tm_witness_models,
 )
+from powerlab.recdsl import eval_term
+from powerlab.terms import standard_suite
 
 # ---------------------------------------------------------------------------
 # Bit-string bijection
@@ -217,3 +220,184 @@ def test_tm_witness_models_shape():
     m = tm_model.member("tm-succ")
     for n in range(25):
         assert apply(m, e.encode(n), 10**4) == Converged(e.encode(n + 1))
+
+
+# ---------------------------------------------------------------------------
+# Exact fuel spend against a step-by-step reference interpreter
+
+
+def ref_cm(p, x, budget):
+    """Run ``p`` on ``x`` one instruction at a time, each costing one
+    unit; running out costs the whole budget.  Returns (outcome, spent)."""
+    instrs = p.instructions
+    regs = {p.input_reg: x}
+    pc = spent = 0
+    while pc < len(instrs):
+        if spent == budget:
+            return FUEL_EXHAUSTED, budget
+        spent += 1
+        ins = instrs[pc]
+        if ins[0] == "halt":
+            break
+        if ins[0] == "inc":
+            regs[ins[1]] = regs.get(ins[1], 0) + 1
+            pc += 1
+        elif ins[0] == "decjz":
+            if regs.get(ins[1], 0) == 0:
+                pc = ins[2]
+            else:
+                regs[ins[1]] -= 1
+                pc += 1
+        else:
+            pc = ins[1]
+    return Converged(regs.get(p.output_reg, 0)), spent
+
+
+def assert_exact_spend(p, x, cap=10**6):
+    """Same outcome and spend as the reference at ``cap``; a converging
+    run converges at exactly its spend and runs out one unit below it."""
+    out, spent = ref_cm(p, x, cap)
+    m = cm_map(p)
+    assert apply_with_cost(m, x, cap) == (out, spent), (p.instructions, x)
+    if out == FUEL_EXHAUSTED:
+        return out, spent
+    if spent:
+        assert apply_with_cost(m, x, spent) == (out, spent)
+        cell = Fuel(spent - 1)
+        assert m._run(x, cell) == FUEL_EXHAUSTED
+        assert cell.left == -1
+    if spent >= 2:
+        assert apply_with_cost(m, x, spent - 1) == (FUEL_EXHAUSTED, spent - 1)
+    return out, spent
+
+
+def counting_loop(r, body, at):
+    """``at: decjz r D; inc b for b in body; jump at; D:``"""
+    done = at + len(body) + 2
+    return (("decjz", r, done),) + tuple(("inc", b) for b in body) + (("jump", at),)
+
+
+_block = st.one_of(
+    st.tuples(st.just("inc"), st.integers(0, 3)),
+    st.tuples(st.just("decjz"), st.integers(0, 3), st.integers(0, 40)),
+    st.tuples(st.just("jump"), st.integers(0, 40)),
+    st.just(("halt",)),
+    st.tuples(st.just("loop"), st.integers(0, 3), st.lists(st.integers(0, 3), max_size=3)),
+)
+
+
+@st.composite
+def cm_programs(draw):
+    """Programs over four registers, with counting loops (some of which
+    increment their own counter) mixed among plain instructions whose
+    targets may land anywhere, the middle of a loop included."""
+    instrs: list = []
+    for b in draw(st.lists(_block, max_size=8)):
+        if b[0] == "loop":
+            instrs.extend(counting_loop(b[1], b[2], len(instrs)))
+        else:
+            instrs.append(b)
+    size = len(instrs)
+    fixed = []
+    for ins in instrs:
+        if ins[0] == "decjz" and ins[2] > size:
+            ins = ("decjz", ins[1], ins[2] % (size + 1))
+        elif ins[0] == "jump" and ins[1] > size:
+            ins = ("jump", ins[1] % (size + 1))
+        fixed.append(ins)
+    regs = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    return CMProgram("gen", 4, regs[0], regs[1], tuple(fixed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cm_programs(), st.integers(0, 12), st.integers(1, 400))
+def test_cm_spend_matches_reference(p, x, budget):
+    assert apply_with_cost(cm_map(p), x, budget) == ref_cm(p, x, budget)
+    assert_exact_spend(p, x, cap=2000)
+
+
+def test_compiled_suite_spend_matches_reference():
+    for name, term in standard_suite():
+        p = compile_rec_to_cm(term, name=name)
+        for x in range(13):
+            out, _ = assert_exact_spend(p, x)
+            assert out == eval_term(term, (x,), 10**6), (name, x)
+
+
+def _cm(*instrs, registers=4, input_reg=0, output_reg=1):
+    return CMProgram("hand", registers, input_reg, output_reg, tuple(instrs))
+
+
+def test_cm_loop_incrementing_its_own_counter():
+    p = _cm(*counting_loop(0, [1, 0], 0))
+    assert assert_exact_spend(p, 0) == (Converged(0), 1)
+    assert assert_exact_spend(p, 3, cap=500) == (FUEL_EXHAUSTED, 500)
+
+
+def test_cm_loop_body_with_a_decjz():
+    # r1 += r0; each iteration also moves one unit, if any, from r2 to r3
+    p = _cm(
+        ("decjz", 0, 5),
+        ("inc", 1),
+        ("decjz", 2, 4),
+        ("inc", 3),
+        ("jump", 0),
+    )
+    for x in range(6):
+        assert assert_exact_spend(p, x)[0] == Converged(x)
+
+
+def test_cm_jump_into_the_middle_of_a_loop():
+    # entering at the inc adds one before the loop drains r0
+    p = _cm(("jump", 2), *counting_loop(0, [1], 1), ("halt",))
+    for x in range(6):
+        assert assert_exact_spend(p, x) == (Converged(x + 1), 3 * x + 5)
+
+
+def test_cm_loop_ending_the_program():
+    p = _cm(*counting_loop(0, [1, 2], 0))
+    assert len(p.instructions) == 4  # D is the end of the program
+    for x in range(6):
+        assert assert_exact_spend(p, x) == (Converged(x), 4 * x + 1)
+
+
+def test_cm_zero_iteration_loop_costs_one_step():
+    p = _cm(*counting_loop(0, [1, 2, 3], 0), ("halt",))
+    assert apply_with_cost(cm_map(p), 0, 10) == (Converged(0), 2)
+    assert apply_with_cost(cm_map(p), 0, 1) == (FUEL_EXHAUSTED, 1)
+    q = _cm(*counting_loop(0, [1], 0))
+    assert apply_with_cost(cm_map(q), 0, 1) == (Converged(0), 1)
+
+
+def test_cm_loop_budget_at_and_below_its_cost():
+    # k = 2 increments, v = 5 iterations: (k + 2) * v + 1 = 21 steps
+    p = _cm(*counting_loop(0, [1, 2], 0))
+    m = cm_map(p)
+    assert apply_with_cost(m, 5, 21) == (Converged(5), 21)
+    assert apply_with_cost(m, 5, 20) == (FUEL_EXHAUSTED, 20)
+    cell = Fuel(20)
+    assert m._run(5, cell) == FUEL_EXHAUSTED and cell.left == -1
+    cell = Fuel(21)
+    assert m._run(5, cell) == Converged(5) and cell.left == 0
+
+
+def test_cm_declared_registers_are_not_allocated():
+    text = "registers 20000000000\ninput 7\noutput 19999999999\ninc 19999999999\nhalt\n"
+    p = parse_cm(text)
+    assert p.n_registers == 20_000_000_000
+    assert run_cm(p, 3, 10) == Converged(1)
+    lines = render_cm(p).splitlines()
+    assert lines[1:4] == ["registers 20000000000", "input 7", "output 19999999999"]
+    assert lines[4].split() == ["inc", "19999999999"]
+
+
+def test_cm_counting_loops_are_fused():
+    def fused(*instrs):
+        return [ins[0] for ins in _cm(*instrs)._code[0]].count("loop")
+
+    assert fused(*counting_loop(0, [], 0)) == 1  # clear
+    assert fused(*counting_loop(0, [1], 0)) == 1  # move
+    assert fused(("inc", 2), *counting_loop(0, [1, 3], 1)) == 1  # copy
+    assert fused(*counting_loop(0, [1, 1, 2, 3], 0)) == 1
+    assert fused(*counting_loop(0, [1, 0], 0)) == 0  # increments its counter
+    assert fused(("decjz", 0, 4), ("inc", 1), ("decjz", 2, 3), ("jump", 0)) == 0
