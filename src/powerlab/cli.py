@@ -12,8 +12,10 @@ Five subcommands:
     permutation, its inverse, and cycle reports.
 
 ``encode``
-    Apply one of the catalogued encodings (or its decode side) to a
-    single value.
+    Apply an encoding (or its decode side) to a single value: one of the
+    schemes ``identity``, ``stripe`` (``--d``, ``--r``), ``tri-pi``,
+    ``bits`` and ``godel``, the entries of the scheme table whose
+    parameters the flags supply.
 
 ``compile``
     Translate a unary recursion term to a counter-machine program.
@@ -124,6 +126,7 @@ from powerlab.simcheck import (
     check_simulation,
     combine_verdicts,
     probe_encodings,
+    probe_verdict,
 )
 from powerlab.terms import rec_suite_model, standard_suite
 
@@ -212,6 +215,12 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _lookup(table: dict, name):
+    """The entry of ``table`` for a name read from JSON, or None.  The
+    name may be any JSON value, hashable or not."""
+    return table.get(name) if isinstance(name, str) else None
+
+
 _ORACLES = {
     "zeros": lambda seed: oracle_zeros(),
     "parity": lambda seed: oracle_parity(),
@@ -223,46 +232,73 @@ def _build_oracle(spec, seed: int) -> OracleH:
     if not isinstance(spec, dict):
         raise ScenarioError("an oracle is an object with a name")
     name = _need(spec, "name", "oracle")
-    if name not in _ORACLES:
+    build = _lookup(_ORACLES, name)
+    if build is None:
         raise ScenarioError(f"unknown oracle {name!r}")
-    return _ORACLES[name](spec.get("seed", seed))
+    return build(spec.get("seed", seed))
 
 
 _DOMAINS = {"nat": Domain.NAT, "bits": Domain.BITS, "list": Domain.LIST}
+
+
+def _identity_scheme(spec: dict, seed: int) -> Encoding:
+    name = spec.get("domain", "nat")
+    domain = _lookup(_DOMAINS, name)
+    if domain is None:
+        raise ScenarioError(f"unknown domain {name!r}")
+    return IdentityEncoding(domain)
+
+
+def _table_scheme(spec: dict, seed: int) -> Encoding:
+    pairs = spec["pairs"]
+    return TableEncoding(tuple((json_to_value(a), json_to_value(b)) for a, b in pairs))
+
+
+def _compose_scheme(spec: dict, seed: int) -> Encoding:
+    steps = spec["steps"]
+    if not steps:
+        raise ScenarioError("compose needs at least one step")
+    built = [build_encoding(s, seed) for s in steps]
+    e = built[0]
+    for step in built[1:]:
+        e = compose_encodings(step, e)
+    return e
+
+
+# Every encoding scheme: the parameters its spec must carry, and how to
+# build it from the spec and the scenario's seed.
+_SCHEMES = {
+    "identity": ((), _identity_scheme),
+    "stripe": (("d", "r"), lambda spec, seed: StripeEncoding(spec["d"], spec["r"])),
+    "tri-pi": ((), lambda spec, seed: TriPiEncoding()),
+    "bits": ((), lambda spec, seed: BitsEncoding()),
+    "godel": ((), lambda spec, seed: GodelEncoding()),
+    "re-rho": (
+        ("oracle",),
+        lambda spec, seed: OracleStripeEncoding(_build_oracle(spec["oracle"], seed)),
+    ),
+    "table": (("pairs",), _table_scheme),
+    "compose": (("steps",), _compose_scheme),
+}
+
+# The schemes ``encode`` offers: those whose parameters its flags supply.
+_ENCODE_FLAGS = ("d", "r")
+_ENCODE_SCHEMES = tuple(
+    scheme for scheme, (params, _) in _SCHEMES.items() if set(params) <= set(_ENCODE_FLAGS)
+)
 
 
 def build_encoding(spec, seed: int = 0) -> Encoding:
     if not isinstance(spec, dict):
         raise ScenarioError("an encoding is an object with a scheme")
     scheme = _need(spec, "scheme", "encoding")
-    if scheme == "identity":
-        domain = spec.get("domain", "nat")
-        if domain not in _DOMAINS:
-            raise ScenarioError(f"unknown domain {domain!r}")
-        e: Encoding = IdentityEncoding(_DOMAINS[domain])
-    elif scheme == "stripe":
-        e = StripeEncoding(_need(spec, "d", "stripe"), _need(spec, "r", "stripe"))
-    elif scheme == "tri-pi":
-        e = TriPiEncoding()
-    elif scheme == "bits":
-        e = BitsEncoding()
-    elif scheme == "godel":
-        e = GodelEncoding()
-    elif scheme == "re-rho":
-        e = OracleStripeEncoding(_build_oracle(_need(spec, "oracle", "re-rho"), seed))
-    elif scheme == "table":
-        pairs = _need(spec, "pairs", "table")
-        e = TableEncoding(tuple((json_to_value(a), json_to_value(b)) for a, b in pairs))
-    elif scheme == "compose":
-        steps = _need(spec, "steps", "compose")
-        if not steps:
-            raise ScenarioError("compose needs at least one step")
-        built = [build_encoding(s, seed) for s in steps]
-        e = built[0]
-        for step in built[1:]:
-            e = compose_encodings(step, e)
-    else:
+    entry = _lookup(_SCHEMES, scheme)
+    if entry is None:
         raise ScenarioError(f"unknown encoding scheme {scheme!r}")
+    params, build = entry
+    for param in params:
+        _need(spec, param, scheme)
+    e = build(spec, seed)
     if spec.get("inverse", False):
         e = e.inverse()
     return e
@@ -304,46 +340,54 @@ def _build_model(key: str, spec, base_dir: Path, seed: int, get) -> Model:
     raise ScenarioError(f"model {key!r} has unknown kind {kind!r}")
 
 
+def _image_construction(name: str, key: str, spec: dict, seed: int, get) -> Model:
+    inner = get(_need(spec, "of", f"model {key!r}"))
+    e = build_encoding(_need(spec, "encoding", f"model {key!r}"), seed)
+    return pushforward_model(e, inner, name=name)
+
+
+# Every builtin construction: how to build it from (name, key, spec,
+# seed, get), and, when it builds a pair of models, the role names that
+# pick each one.
+_CONSTRUCTIONS = {
+    "rec-suite": (lambda name, *_: rec_suite_model(name), None),
+    "stripe": (
+        lambda name, key, spec, *_: stripe_model(
+            _need(spec, "d", key), _need(spec, "r", key), standard_suite(), name=name
+        ),
+        None,
+    ),
+    "tri": (
+        lambda name, key, spec, *_: tri_models(
+            spec.get("i_max", 3), spec.get("j_max", 3), spec.get("k_max", 5)
+        ),
+        (("with-anchors", "A"), ("plain", "B")),
+    ),
+    "re": (
+        lambda name, key, spec, seed, get: re_models(
+            _build_oracle(_need(spec, "oracle", key), seed), spec.get("i_max", 8)
+        ),
+        (("image",), ("plain",)),
+    ),
+    "tm-witness": (lambda *_: tm_witness_models(), (("tm",), ("rec",))),
+    "image": (_image_construction, None),
+}
+
+
 def _build_construction(key: str, spec: dict, seed: int, get, name: str) -> Model:
     which = _need(spec, "construction", f"model {key!r}")
-    if which == "rec-suite":
-        return rec_suite_model(name)
-    if which == "stripe":
-        return stripe_model(
-            _need(spec, "d", key), _need(spec, "r", key), standard_suite(), name=name
-        )
-    if which == "tri":
-        large, small = tri_models(
-            spec.get("i_max", 3), spec.get("j_max", 3), spec.get("k_max", 5)
-        )
-        role = _need(spec, "role", f"model {key!r}")
-        if role in ("with-anchors", "A"):
-            return large
-        if role in ("plain", "B"):
-            return small
-        raise ScenarioError(f"model {key!r}: unknown tri role {role!r}")
-    if which == "re":
-        oracle = _build_oracle(_need(spec, "oracle", key), seed)
-        image_model, plain_model = re_models(oracle, spec.get("i_max", 8))
-        role = _need(spec, "role", f"model {key!r}")
-        if role == "image":
-            return image_model
-        if role == "plain":
-            return plain_model
-        raise ScenarioError(f"model {key!r}: unknown re role {role!r}")
-    if which == "tm-witness":
-        tm_model, rec_model = tm_witness_models()
-        role = _need(spec, "role", f"model {key!r}")
-        if role == "tm":
-            return tm_model
-        if role == "rec":
-            return rec_model
-        raise ScenarioError(f"model {key!r}: unknown tm-witness role {role!r}")
-    if which == "image":
-        inner = get(_need(spec, "of", f"model {key!r}"))
-        e = build_encoding(_need(spec, "encoding", f"model {key!r}"), seed)
-        return pushforward_model(e, inner, name=name)
-    raise ScenarioError(f"model {key!r}: unknown construction {which!r}")
+    entry = _lookup(_CONSTRUCTIONS, which)
+    if entry is None:
+        raise ScenarioError(f"model {key!r}: unknown construction {which!r}")
+    build, roles = entry
+    built = build(name, key, spec, seed, get)
+    if roles is None:
+        return built
+    role = _need(spec, "role", f"model {key!r}")
+    for names, model in zip(roles, built):
+        if role in names:
+            return model
+    raise ScenarioError(f"model {key!r}: unknown {which} role {role!r}")
 
 
 def build_models(doc: dict, base_dir: Path, seed: int):
@@ -583,18 +627,8 @@ def _cmd_run(args) -> int:
     name, check, reports = run_scenario(
         doc, path.parent, fuel=args.fuel, inputs=inputs, seed=args.seed
     )
-    if check == "probe":
-        # A probe succeeds when any encoding in the family fits, and is
-        # only refuted when every one of them is.
-        got = {r.aggregate for r in reports}
-        if Verdict.VERIFIED in got:
-            aggregate = Verdict.VERIFIED
-        elif Verdict.UNKNOWN in got:
-            aggregate = Verdict.UNKNOWN
-        else:
-            aggregate = Verdict.REFUTED
-    else:
-        aggregate = combine_verdicts(r.aggregate for r in reports)
+    combine = probe_verdict if check == "probe" else combine_verdicts
+    aggregate = combine(r.aggregate for r in reports)
     if args.format == "structured":
         sys.stdout.write(render_structured(name, check, reports, aggregate))
     else:
@@ -636,20 +670,13 @@ def _cmd_tri(args) -> int:
     return 0
 
 
-def _encoding_for_flags(args) -> Encoding:
-    if args.scheme == "stripe":
-        if args.d is None or args.r is None:
-            raise ScenarioError("encode --scheme stripe needs --d and --r")
-        return StripeEncoding(args.d, args.r)
-    if args.scheme == "bits":
-        return BitsEncoding()
-    if args.scheme == "godel":
-        return GodelEncoding()
-    return TriPiEncoding()
-
-
 def _cmd_encode(args) -> int:
-    e = _encoding_for_flags(args)
+    params = _SCHEMES[args.scheme][0]
+    if any(getattr(args, flag) is None for flag in params):
+        flags = " and ".join(f"--{flag}" for flag in params)
+        raise ScenarioError(f"encode --scheme {args.scheme} needs {flags}")
+    spec = {flag: getattr(args, flag) for flag in params}
+    e = build_encoding(dict(spec, scheme=args.scheme))
     raw = args.value
     if args.decode:
         domain = e.target
@@ -750,9 +777,9 @@ def _build_parser() -> _Parser:
     tri_p.add_argument("--prefix", type=int, default=100, help="window for --op cycles")
 
     enc_p = sub.add_parser("encode", help="apply a catalogued encoding to one value")
-    enc_p.add_argument("--scheme", required=True, choices=("stripe", "bits", "godel", "tri-pi"))
-    enc_p.add_argument("--d", type=int, default=None)
-    enc_p.add_argument("--r", type=int, default=None)
+    enc_p.add_argument("--scheme", required=True, choices=_ENCODE_SCHEMES)
+    for flag in _ENCODE_FLAGS:
+        enc_p.add_argument(f"--{flag}", type=int, default=None)
     enc_p.add_argument("--decode", action="store_true", help="run the decode side")
     enc_p.add_argument("value", help="the value to carry across")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
@@ -20,6 +21,7 @@ from powerlab.core import (
     Encoding,
     Model,
     PartialMap,
+    bijection,
     identity_map,
     pushforward,
 )
@@ -31,30 +33,24 @@ from powerlab.terms import standard_suite
 # Stripe codings: n |-> d*n + r
 
 
-class StripeEncoding(Encoding):
-    def __init__(self, d: int, r: int):
-        if d < 1 or not 0 <= r < d:
-            raise ValueError(f"stripe needs d >= 1 and 0 <= r < d, got d={d}, r={r}")
-        self.d = d
-        self.r = r
-        self.source = Domain.NAT
-        self.target = Domain.NAT
-
-    def _encode(self, x):
-        return self.d * x + self.r
-
-    def _decode(self, y):
-        q, rem = divmod(y - self.r, self.d)
-        if rem != 0 or q < 0:
-            return None
-        return q
-
-    def describe(self) -> str:
-        return f"stripe({self.d},{self.r})"
+def _stripe_encode(d: int, r: int, x: int) -> int:
+    return d * x + r
 
 
-def stripe_encoding(d: int, r: int) -> Encoding:
-    return StripeEncoding(d, r)
+def _stripe_decode(d: int, r: int, y: int) -> Optional[int]:
+    q, rem = divmod(y - r, d)
+    if rem != 0 or q < 0:
+        return None
+    return q
+
+
+def StripeEncoding(d: int, r: int) -> Encoding:
+    """n |-> d*n + r, a plain injection with no total inverse."""
+    if d < 1 or not 0 <= r < d:
+        raise ValueError(f"stripe needs d >= 1 and 0 <= r < d, got d={d}, r={r}")
+    encode = partial(_stripe_encode, d, r)
+    decode = partial(_stripe_decode, d, r)
+    return Encoding(f"stripe({d},{r})", Domain.NAT, Domain.NAT, encode, decode)
 
 
 def stripe_family(d_max: int) -> list:
@@ -133,25 +129,9 @@ def tri_pi_inverse(n: int) -> int:
     return m * m + (n - m * m - 1) % (2 * m + 1)
 
 
-class TriPiEncoding(Encoding):
-    """The row-shift permutation of the naturals, either way round."""
-
-    def __init__(self, inverted: bool = False):
-        self.inverted = inverted
-        self.source = Domain.NAT
-        self.target = Domain.NAT
-
-    def _encode(self, x):
-        return tri_pi_inverse(x) if self.inverted else tri_pi(x)
-
-    def _decode(self, y):
-        return tri_pi(y) if self.inverted else tri_pi_inverse(y)
-
-    def describe(self) -> str:
-        return "tri-pi-inv" if self.inverted else "tri-pi"
-
-    def inverse(self) -> Encoding:
-        return TriPiEncoding(not self.inverted)
+def TriPiEncoding() -> Encoding:
+    """The row-shift permutation of the naturals."""
+    return bijection("tri-pi", "tri-pi-inv", Domain.NAT, Domain.NAT, tri_pi, tri_pi_inverse)
 
 
 # The maps check their indices when built.  Each input is checked before
@@ -326,25 +306,9 @@ def _godel_dec(n: int) -> tuple:
     return (_godel_dec(a), _godel_dec(b))
 
 
-class GodelEncoding(Encoding):
-    """The pairing bijection between pure lists and naturals."""
-
-    def __init__(self, inverted: bool = False):
-        self.inverted = inverted
-        self.source = Domain.NAT if inverted else Domain.LIST
-        self.target = Domain.LIST if inverted else Domain.NAT
-
-    def _encode(self, x):
-        return godel_decode(x) if self.inverted else godel_encode(x)
-
-    def _decode(self, y):
-        return godel_encode(y) if self.inverted else godel_decode(y)
-
-    def describe(self) -> str:
-        return "godel-inv" if self.inverted else "godel"
-
-    def inverse(self) -> Encoding:
-        return GodelEncoding(not self.inverted)
+def GodelEncoding() -> Encoding:
+    """The pairing bijection from pure lists to naturals."""
+    return bijection("godel", "godel-inv", Domain.LIST, Domain.NAT, godel_encode, godel_decode)
 
 
 # --------------------------------------------------------------------------
@@ -413,23 +377,20 @@ def oracle_pseudorandom(seed: int = 0) -> OracleH:
     return OracleH(f"pseudorandom[{seed}]", fn)
 
 
-class OracleStripeEncoding(Encoding):
+def _oracle_stripe_encode(oracle: OracleH, x: int) -> int:
+    return 2 * x + oracle.value(x)
+
+
+def _oracle_stripe_decode(oracle: OracleH, y: int) -> Optional[int]:
+    x = y // 2
+    return x if 2 * x + oracle.value(x) == y else None
+
+
+def OracleStripeEncoding(oracle: OracleH) -> Encoding:
     """n |-> 2n + h(n): an injection whose range knows the oracle."""
-
-    def __init__(self, oracle: OracleH):
-        self.oracle = oracle
-        self.source = Domain.NAT
-        self.target = Domain.NAT
-
-    def _encode(self, x):
-        return 2 * x + self.oracle.value(x)
-
-    def _decode(self, y):
-        x = y // 2
-        return x if 2 * x + self.oracle.value(x) == y else None
-
-    def describe(self) -> str:
-        return f"2n+h[{self.oracle.name}]"
+    encode = partial(_oracle_stripe_encode, oracle)
+    decode = partial(_oracle_stripe_decode, oracle)
+    return Encoding(f"2n+h[{oracle.name}]", Domain.NAT, Domain.NAT, encode, decode)
 
 
 def re_family(h: OracleH, i: int) -> tuple[PartialMap, PartialMap, Encoding]:

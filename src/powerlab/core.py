@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Callable, Optional, Union
 
 Nat = int
@@ -192,121 +193,112 @@ def identity_map(domain: Domain = Domain.NAT, name: str = "identity") -> Partial
 
 
 class Encoding:
-    """Total injection between domains; decode is its exact partial inverse."""
+    """A named total injection between domains; decode is its exact
+    partial inverse.
 
-    source: Domain
-    target: Domain
+    ``encode`` and ``decode`` do the work on values already checked to
+    lie in ``source`` and ``target``.  ``inverse``, when given, builds
+    the inverse encoding when called with no arguments; without it
+    ``inverse()`` raises.  Pass module-level functions or
+    ``functools.partial`` objects, so that the encoding pickles.
+    """
 
-    def _encode(self, x: Value) -> Value:
-        raise NotImplementedError
-
-    def _decode(self, y: Value) -> Optional[Value]:
-        raise NotImplementedError
+    def __init__(self, name: str, source: Domain, target: Domain, encode, decode, inverse=None):
+        self.name = name
+        self.source = source
+        self.target = target
+        self._encode = encode
+        self._decode = decode
+        self._inverse = inverse
 
     def encode(self, x: Value) -> Value:
-        self.source.check(x, self.describe())
+        self.source.check(x, self.name)
         return self._encode(x)
 
     def decode(self, y: Value) -> Optional[Value]:
-        self.target.check(y, self.describe())
+        self.target.check(y, self.name)
         return self._decode(y)
 
     def describe(self) -> str:
-        raise NotImplementedError
+        return self.name
 
     def inverse(self) -> "Encoding":
-        raise ValueError(f"{self.describe()} has no total inverse")
+        if self._inverse is None:
+            raise ValueError(f"{self.describe()} has no total inverse")
+        return self._inverse()
 
     def __repr__(self) -> str:
         return f"<Encoding {self.describe()}>"
 
 
-class IdentityEncoding(Encoding):
-    def __init__(self, domain: Domain = Domain.NAT):
-        self.source = domain
-        self.target = domain
-
-    def _encode(self, x):
-        return x
-
-    def _decode(self, y):
-        return y
-
-    def describe(self) -> str:
-        return "identity"
-
-    def inverse(self) -> Encoding:
-        return self
+def bijection(name: str, inverse_name: str, source: Domain, target: Domain, encode, decode):
+    """An encoding onto the whole of its target; its inverse, named
+    ``inverse_name``, swaps the two sides."""
+    inverse = partial(bijection, inverse_name, name, target, source, decode, encode)
+    return Encoding(name, source, target, encode, decode, inverse)
 
 
-class ComposedEncoding(Encoding):
-    """Apply ``inner`` first, then ``outer``; decode runs in reverse."""
-
-    def __init__(self, outer: Encoding, inner: Encoding):
-        if inner.target is not outer.source:
-            raise DomainMismatch(
-                f"wrong domain: cannot compose {outer.describe()} after {inner.describe()}"
-            )
-        self.outer = outer
-        self.inner = inner
-        self.source = inner.source
-        self.target = outer.target
-
-    def _encode(self, x):
-        return self.outer.encode(self.inner.encode(x))
-
-    def _decode(self, y):
-        mid = self.outer.decode(y)
-        if mid is None:
-            return None
-        return self.inner.decode(mid)
-
-    def describe(self) -> str:
-        return f"({self.outer.describe()} . {self.inner.describe()})"
-
-    def inverse(self) -> Encoding:
-        return ComposedEncoding(self.inner.inverse(), self.outer.inverse())
+def _same(x: Value) -> Value:
+    return x
 
 
-class TableEncoding(Encoding):
+def IdentityEncoding(domain: Domain = Domain.NAT) -> Encoding:
+    return bijection("identity", "identity", domain, domain, _same, _same)
+
+
+def _table_lookup(table: dict, x: Value) -> Value:
+    if x not in table:
+        raise ValueError(f"table encoding is not defined on {x!r}")
+    return table[x]
+
+
+def TableEncoding(pairs, source: Domain = Domain.NAT, target: Domain = Domain.NAT) -> Encoding:
     """Finite injective table.  Total only on the listed inputs; encoding
     anything else is an error, which keeps the device honest about its
     prefix-bound nature."""
+    pairs = tuple((k, v) for k, v in pairs)
+    fwd: dict = {}
+    bwd: dict = {}
+    for k, v in pairs:
+        if k in fwd:
+            raise ValueError(f"table encoding lists {k!r} twice")
+        if v in bwd:
+            raise ValueError(f"table encoding is not injective at {v!r}")
+        fwd[k] = v
+        bwd[v] = k
+    inverse = partial(TableEncoding, tuple((v, k) for k, v in pairs), target, source)
+    return Encoding(
+        f"table[{len(pairs)}]", source, target, partial(_table_lookup, fwd), bwd.get, inverse
+    )
 
-    def __init__(self, pairs, source: Domain = Domain.NAT, target: Domain = Domain.NAT):
-        self.pairs = tuple((k, v) for k, v in pairs)
-        self.source = source
-        self.target = target
-        self._fwd = {}
-        self._bwd = {}
-        for k, v in self.pairs:
-            if k in self._fwd:
-                raise ValueError(f"table encoding lists {k!r} twice")
-            if v in self._bwd:
-                raise ValueError(f"table encoding is not injective at {v!r}")
-            self._fwd[k] = v
-            self._bwd[v] = k
 
-    def _encode(self, x):
-        if x not in self._fwd:
-            raise ValueError(f"table encoding is not defined on {x!r}")
-        return self._fwd[x]
+def _compose_encode(outer: Encoding, inner: Encoding, x: Value) -> Value:
+    return outer.encode(inner.encode(x))
 
-    def _decode(self, y):
-        return self._bwd.get(y)
 
-    def describe(self) -> str:
-        return f"table[{len(self.pairs)}]"
+def _compose_decode(outer: Encoding, inner: Encoding, y: Value) -> Optional[Value]:
+    mid = outer.decode(y)
+    if mid is None:
+        return None
+    return inner.decode(mid)
 
-    def inverse(self) -> Encoding:
-        return TableEncoding(
-            tuple((v, k) for k, v in self.pairs), self.target, self.source
-        )
+
+def _compose_inverse(outer: Encoding, inner: Encoding) -> Encoding:
+    return compose_encodings(inner.inverse(), outer.inverse())
 
 
 def compose_encodings(outer: Encoding, inner: Encoding) -> Encoding:
-    """Encoding that sends x to outer.encode(inner.encode(x))."""
-    return ComposedEncoding(outer, inner)
+    """Encoding that sends x to outer.encode(inner.encode(x)); decode
+    runs in reverse."""
+    if inner.target is not outer.source:
+        raise DomainMismatch(
+            f"wrong domain: cannot compose {outer.describe()} after {inner.describe()}"
+        )
+    name = f"({outer.describe()} . {inner.describe()})"
+    encode = partial(_compose_encode, outer, inner)
+    decode = partial(_compose_decode, outer, inner)
+    inverse = partial(_compose_inverse, outer, inner)
+    return Encoding(name, inner.source, outer.target, encode, decode, inverse)
 
 
 def encode_outcome(e: Encoding, out: Outcome) -> Outcome:

@@ -52,6 +52,7 @@ from powerlab.core import (
     PartialMap,
     _OutOfFuel,
     apply,
+    bijection,
 )
 from powerlab.recdsl import (
     Ack,
@@ -263,25 +264,9 @@ def bits_to_nat(b: str) -> int:
     return int("1" + b, 2) - 1
 
 
-class BitsEncoding(Encoding):
-    """The bijection between naturals and bit strings, either way round."""
-
-    def __init__(self, inverted: bool = False):
-        self.inverted = inverted
-        self.source = Domain.BITS if inverted else Domain.NAT
-        self.target = Domain.NAT if inverted else Domain.BITS
-
-    def _encode(self, x):
-        return bits_to_nat(x) if self.inverted else nat_to_bits(x)
-
-    def _decode(self, y):
-        return nat_to_bits(y) if self.inverted else bits_to_nat(y)
-
-    def describe(self) -> str:
-        return "bits-inv" if self.inverted else "bits"
-
-    def inverse(self) -> Encoding:
-        return BitsEncoding(not self.inverted)
+def BitsEncoding() -> Encoding:
+    """The bijection from naturals to bit strings."""
+    return bijection("bits", "bits-inv", Domain.NAT, Domain.BITS, nat_to_bits, bits_to_nat)
 
 
 # --------------------------------------------------------------------------
@@ -440,7 +425,7 @@ def render_cm(p: CMProgram) -> str:
             body = "halt"
         lines.append(f"{prefix:8s}{body}")
     if len(p.instructions) in label:
-        lines.append(f"{label[len(p.instructions)] + ':':8s}halt")
+        lines.append(f"{label[len(p.instructions)]}:")
     return "\n".join(lines) + "\n"
 
 
@@ -505,9 +490,16 @@ def run_cm(p: CMProgram, n: int, fuel: int) -> Outcome:
 # Compiling recursion terms to counter machines
 
 
+# Compiled programs grow with the values of constants, not with the
+# length of the term's text: (K k) is k increments.  The largest program
+# compiled from the standard suite has 314 instructions.
+MAX_COMPILED_INSTRUCTIONS = 10**5
+
+
 class _Gen:
     def __init__(self):
         self.ops: list = []
+        self.n_instructions = 0
         self.n_regs = 0
         self.n_labels = 0
 
@@ -520,6 +512,11 @@ class _Gen:
         return f"L{self.n_labels - 1}"
 
     def emit(self, *ins):
+        self.n_instructions += 1
+        if self.n_instructions > MAX_COMPILED_INSTRUCTIONS:
+            raise CompileError(
+                f"program too large: more than {MAX_COMPILED_INSTRUCTIONS} instructions"
+            )
         self.ops.append(ins)
 
     def place(self, lbl: str):

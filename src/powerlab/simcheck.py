@@ -64,6 +64,17 @@ def combine_verdicts(verdicts) -> Verdict:
     return agg
 
 
+def probe_verdict(verdicts) -> Verdict:
+    """A probe succeeds when any encoding in the family fits, and is only
+    refuted when every one of them is: Verified dominates, then Unknown."""
+    got = set(verdicts)
+    if Verdict.VERIFIED in got:
+        return Verdict.VERIFIED
+    if Verdict.UNKNOWN in got:
+        return Verdict.UNKNOWN
+    return Verdict.REFUTED
+
+
 @dataclass(frozen=True)
 class TestPlan:
     """What to test: inputs for the simulated side, the fuel budget,
@@ -441,7 +452,7 @@ def probe_encodings(
     if not encodings:
         raise ValueError("empty family: nothing to probe")
     reports = [check_simulation(a, b, e, plan) for e in encodings]
-    if not any(r.aggregate is Verdict.VERIFIED for r in reports):
+    if probe_verdict(r.aggregate for r in reports) is not Verdict.VERIFIED:
         tag = f"no encoding in {family_name} verified; refutation relative to this family only"
         reports = [replace(r, notes=r.notes + (tag,)) for r in reports]
     return reports

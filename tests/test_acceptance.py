@@ -20,6 +20,7 @@ from powerlab.core import (
 )
 from powerlab.constructions import (
     OracleStripeEncoding,
+    StripeEncoding,
     TriPiEncoding,
     diag_h,
     godel_decode,
@@ -30,7 +31,6 @@ from powerlab.constructions import (
     oracle_pseudorandom,
     oracle_zeros,
     re_models,
-    stripe_encoding,
     stripe_model,
     tri_f,
     tri_f_map,
@@ -215,7 +215,7 @@ def test_criterion_08_stripe_transports():
         plan = plan_over_range(0, 64, 10**6)
         for d, r in ((2, 0), (2, 1)):
             striped = stripe_model(d, r)
-            rep = check_simulation(striped, suite, stripe_encoding(d, r), plan)
+            rep = check_simulation(striped, suite, StripeEncoding(d, r), plan)
             assert rep.aggregate is Verdict.VERIFIED, (d, r)
             for res in rep.members:
                 if res.member == "ack2-row":
@@ -339,7 +339,7 @@ def test_criterion_14_engine_laws():
         seen = []
         for fuel in (2000, 20000, 10**6):
             plan = plan_over_range(0, 64, fuel, b_sample=("square", "floor-sqrt"))
-            rep = check_simulation(striped, suite, stripe_encoding(2, 0), plan)
+            rep = check_simulation(striped, suite, StripeEncoding(2, 0), plan)
             assert rep.aggregate is not Verdict.REFUTED
             seen.append(rep.aggregate)
         assert seen[-1] is Verdict.VERIFIED
@@ -348,7 +348,7 @@ def test_criterion_14_engine_laws():
         pairs = [("zero", parse_term("Z")), ("succ", parse_term("S"))]
         c = Model("third", suite.domain, tuple(term_map(t, n) for n, t in pairs))
         plan = plan_over_range(0, 32, 10**5)
-        e1, e2 = stripe_encoding(2, 0), IdentityEncoding()
+        e1, e2 = StripeEncoding(2, 0), IdentityEncoding()
         assert check_simulation(striped, suite, e1, plan).aggregate is Verdict.VERIFIED
         mid = check_simulation(suite, c, e2, plan)
         top = check_simulation(striped, c, compose_encodings(e1, e2), plan)

@@ -1,6 +1,7 @@
 """Front end: bundled scenarios, output formats, exit codes."""
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from powerlab.cli import (
     run_scenario,
     value_to_json,
 )
+from powerlab.core import Domain
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -137,6 +139,8 @@ def test_encode_commands(capsys):
     assert capsys.readouterr().out.strip() == "[[], [[], []]]"
     assert main(["encode", "--scheme", "tri-pi", "7"]) == 0
     assert capsys.readouterr().out.strip() == "8"
+    assert main(["encode", "--scheme", "identity", "7"]) == 0
+    assert capsys.readouterr().out.strip() == "7"
     assert main(["encode", "--scheme", "stripe", "5"]) == EXIT_USAGE
     assert main(["encode", "--scheme", "godel", "not json"]) == EXIT_USAGE
 
@@ -150,6 +154,10 @@ def test_compile_command(capsys, tmp_path):
     assert out.read_text() == text
     assert main(["compile", "--term", "(C S"]) == EXIT_USAGE
     assert main(["compile", "--term", "(R Z (P 3 3))"]) == EXIT_USAGE  # not unary
+    capsys.readouterr()
+    assert main(["compile", "--term", "(K 200001)"]) == EXIT_USAGE  # too many instructions
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 def test_exec_command(capsys, tmp_path):
@@ -206,6 +214,102 @@ def test_build_encoding_compose_and_inverse():
         build_encoding({"scheme": "compose", "steps": []})
 
 
+# (spec, describe(), inverse().describe() or the error inverse() raises)
+_DESCRIBE_TABLE = [
+    ({"scheme": "identity"}, "identity", "identity"),
+    ({"scheme": "identity", "domain": "list"}, "identity", "identity"),
+    ({"scheme": "stripe", "d": 3, "r": 1}, "stripe(3,1)", "stripe(3,1) has no total inverse"),
+    ({"scheme": "tri-pi"}, "tri-pi", "tri-pi-inv"),
+    ({"scheme": "tri-pi", "inverse": True}, "tri-pi-inv", "tri-pi"),
+    ({"scheme": "bits"}, "bits", "bits-inv"),
+    ({"scheme": "bits", "inverse": True}, "bits-inv", "bits"),
+    ({"scheme": "godel"}, "godel", "godel-inv"),
+    ({"scheme": "godel", "inverse": True}, "godel-inv", "godel"),
+    (
+        {"scheme": "re-rho", "oracle": {"name": "parity"}},
+        "2n+h[parity]",
+        "2n+h[parity] has no total inverse",
+    ),
+    (
+        {"scheme": "re-rho", "oracle": {"name": "pseudorandom", "seed": 4}},
+        "2n+h[pseudorandom[4]]",
+        "2n+h[pseudorandom[4]] has no total inverse",
+    ),
+    ({"scheme": "table", "pairs": [[0, 2], [1, 0], [2, 1]]}, "table[3]", "table[3]"),
+    (
+        {"scheme": "compose", "steps": [{"scheme": "tri-pi"}, {"scheme": "bits"}]},
+        "(bits . tri-pi)",
+        "(tri-pi-inv . bits-inv)",
+    ),
+    (
+        {"scheme": "compose", "steps": [{"scheme": "stripe", "d": 2, "r": 0}, {"scheme": "bits"}]},
+        "(bits . stripe(2,0))",
+        "stripe(2,0) has no total inverse",
+    ),
+    (
+        {
+            "scheme": "compose",
+            "steps": [{"scheme": "bits"}, {"scheme": "bits", "inverse": True}],
+            "inverse": True,
+        },
+        "(bits-inv . bits)",
+        "(bits-inv . bits)",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, name, inverse", _DESCRIBE_TABLE)
+def test_encoding_names_and_inverse_names(spec, name, inverse):
+    e = build_encoding(spec)
+    assert e.describe() == name
+    assert repr(e) == f"<Encoding {name}>"
+    if inverse.endswith("has no total inverse"):
+        with pytest.raises(ValueError) as info:
+            e.inverse()
+        assert str(info.value) == inverse
+    else:
+        inv = e.inverse()
+        assert inv.describe() == inverse
+        assert (inv.source, inv.target) == (e.target, e.source)
+        assert inv.inverse().describe() == name
+
+
+_SAMPLES = {
+    Domain.NAT: tuple(range(12)),
+    Domain.BITS: ("", "0", "1", "01", "110"),
+    Domain.LIST: ((), ((), ()), (((), ()), ()), ((), ((), ()))),
+}
+
+
+def _behaviour(e):
+    """What an encoding does on a few samples of each side, errors included."""
+    seen = []
+    for side, fn in (("encode", e.encode), ("decode", e.decode)):
+        domain = e.source if side == "encode" else e.target
+        for x in _SAMPLES[domain]:
+            try:
+                seen.append((side, x, fn(x)))
+            except ValueError as exc:
+                seen.append((side, x, str(exc)))
+    return e.describe(), e.source, e.target, seen
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for spec, _, _ in _DESCRIBE_TABLE if spec["scheme"] != "re-rho"],
+    ids=lambda spec: spec["scheme"],
+)
+def test_encodings_pickle(spec):
+    e = build_encoding(spec)
+    back = pickle.loads(pickle.dumps(e))
+    assert _behaviour(back) == _behaviour(e)
+    try:
+        inverse = e.inverse()
+    except ValueError:
+        return
+    assert _behaviour(back.inverse()) == _behaviour(inverse)
+
+
 def test_image_construction_through_run_scenario(tmp_path):
     doc = {
         "name": "image-demo",
@@ -240,6 +344,47 @@ def test_self_referential_image_is_rejected(tmp_path):
     }
     with pytest.raises(ScenarioError, match="depends on itself"):
         run_scenario(doc, tmp_path)
+
+
+_REC_SUITE = {"kind": "builtin-construction", "construction": "rec-suite"}
+
+
+@pytest.mark.parametrize(
+    "model, encoding, message",
+    [
+        (_REC_SUITE, {"scheme": ["stripe"]}, "unknown encoding scheme ['stripe']"),
+        (_REC_SUITE, {"scheme": "identity", "domain": ["nat"]}, "unknown domain ['nat']"),
+        (
+            {"kind": "builtin-construction", "construction": "re",
+             "oracle": {"name": ["zeros"]}, "role": "plain"},
+            {"scheme": "identity"},
+            "unknown oracle ['zeros']",
+        ),
+        (
+            {"kind": "builtin-construction", "construction": ["tri"]},
+            {"scheme": "identity"},
+            "model 'a': unknown construction ['tri']",
+        ),
+        (
+            {"kind": "builtin-construction", "construction": "tri", "role": ["A"]},
+            {"scheme": "identity"},
+            "model 'a': unknown tri role ['A']",
+        ),
+    ],
+)
+def test_names_that_are_not_strings_are_unknown(model, encoding, message, tmp_path):
+    doc = {
+        "name": "x",
+        "check": "simulation",
+        "models": {"a": model},
+        "simulator": "a",
+        "simulated": "a",
+        "encoding": encoding,
+        "plan": {"inputs": {"range": [0, 2]}, "fuel": 100},
+    }
+    with pytest.raises(ScenarioError) as info:
+        run_scenario(doc, tmp_path)
+    assert str(info.value) == message
 
 
 def test_machine_members_from_inline_lines(tmp_path):

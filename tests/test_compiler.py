@@ -60,6 +60,12 @@ def test_ack_with_open_row_is_rejected():
         compile_rec_to_cm(Comp(Ack(), (Id(), Id())))
 
 
+def test_compiled_program_size_is_bounded():
+    # (K k) compiles to k increments; the bound stops it before it allocates
+    with pytest.raises(CompileError, match="instructions"):
+        compile_rec_to_cm(parse_term("(K 200001)"))
+
+
 def test_non_unary_rejected():
     with pytest.raises(CompileError):
         compile_rec_to_cm(ADD)

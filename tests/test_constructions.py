@@ -20,7 +20,6 @@ from powerlab.constructions import (
     oracle_zeros,
     re_family,
     re_models,
-    stripe_encoding,
     stripe_family,
     stripe_model,
     stripe_model_member,
@@ -173,7 +172,7 @@ def test_tri_model_enumerators_cover_new_constants():
 def test_stripe_values_and_validation():
     e = StripeEncoding(2, 0)
     assert e.encode(3) == 6 and e.decode(6) == 3 and e.decode(5) is None
-    assert stripe_encoding(1, 0).encode(9) == 9
+    assert StripeEncoding(1, 0).encode(9) == 9
     with pytest.raises(ValueError):
         StripeEncoding(0, 0)
     with pytest.raises(ValueError):
@@ -182,13 +181,13 @@ def test_stripe_values_and_validation():
 
 def test_stripe_family_order():
     fam = stripe_family(3)
-    assert [(e.d, e.r) for e in fam] == [
-        (1, 0),
-        (2, 0),
-        (2, 1),
-        (3, 0),
-        (3, 1),
-        (3, 2),
+    assert [e.describe() for e in fam] == [
+        "stripe(1,0)",
+        "stripe(2,0)",
+        "stripe(2,1)",
+        "stripe(3,0)",
+        "stripe(3,1)",
+        "stripe(3,2)",
     ]
 
 
@@ -252,21 +251,10 @@ def test_narrowness_escaping_prefix():
 def test_narrowness_rejects_non_injective():
     from powerlab.core import Encoding, Domain
 
-    class Collapse(Encoding):
-        source = Domain.NAT
-        target = Domain.NAT
-
-        def _encode(self, n):
-            return 0
-
-        def _decode(self, n):
-            return None
-
-        def describe(self):
-            return "collapse"
+    collapse = Encoding("collapse", Domain.NAT, Domain.NAT, lambda n: 0, lambda n: None)
 
     with pytest.raises(ValueError, match="not a permutation|not injective"):
-        narrowness(Collapse(), 5)
+        narrowness(collapse, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from powerlab.core import (
     pushforward,
     pushforward_model,
 )
-from powerlab.constructions import StripeEncoding, stripe_encoding
+from powerlab.constructions import StripeEncoding
 from powerlab.recdsl import S, parse_term, term_map
 
 nats = st.integers(min_value=0, max_value=10**6)
@@ -72,14 +72,14 @@ def test_table_map():
 
 
 def test_compose_encodings_values():
-    e = compose_encodings(stripe_encoding(2, 0), stripe_encoding(2, 1))
+    e = compose_encodings(StripeEncoding(2, 0), StripeEncoding(2, 1))
     assert e.encode(5) == 22
-    assert compose_encodings(IdentityEncoding(), stripe_encoding(3, 1)).encode(2) == 7
-    assert compose_encodings(stripe_encoding(2, 0), stripe_encoding(2, 0)).encode(3) == 12
+    assert compose_encodings(IdentityEncoding(), StripeEncoding(3, 1)).encode(2) == 7
+    assert compose_encodings(StripeEncoding(2, 0), StripeEncoding(2, 0)).encode(3) == 12
 
 
 def test_compose_decode_runs_in_reverse():
-    e = compose_encodings(stripe_encoding(2, 0), stripe_encoding(2, 1))
+    e = compose_encodings(StripeEncoding(2, 0), StripeEncoding(2, 1))
     assert e.decode(22) == 5
     assert e.decode(21) is None  # odd: not in the outer stripe
     assert e.decode(20) is None  # 10 is even: not in the inner image
@@ -89,7 +89,7 @@ def test_compose_rejects_domain_mismatch():
     from powerlab.machines import BitsEncoding
 
     with pytest.raises(DomainMismatch):
-        compose_encodings(stripe_encoding(2, 0), BitsEncoding())
+        compose_encodings(StripeEncoding(2, 0), BitsEncoding())
 
 
 def test_table_encoding():
@@ -117,22 +117,22 @@ def test_stripe_decode_rejects_off_range(n):
 
 
 def test_pushforward_minimal_extension_diverges_off_range():
-    m = pushforward(stripe_encoding(2, 0), term_map(S()))
+    m = pushforward(StripeEncoding(2, 0), term_map(S()))
     assert apply(m, 4, 100) == Converged(6)
     assert isinstance(apply(m, 3, 100), Diverged)
 
 
 def test_pushforward_fix_extension():
-    m = pushforward(stripe_encoding(2, 0), term_map(S()), off_range="fix")
+    m = pushforward(StripeEncoding(2, 0), term_map(S()), off_range="fix")
     assert apply(m, 4, 100) == Converged(6)
     assert apply(m, 3, 100) == Converged(3)
 
 
 def test_pullback_example():
-    pb = pullback(stripe_encoding(2, 0), term_map(S()))
+    pb = pullback(StripeEncoding(2, 0), term_map(S()))
     assert isinstance(apply(pb, 3, 100), Diverged)  # S(6) = 7 is off the stripe
     double_then = parse_term("(C S (C S I))")  # n + 2 stays on the stripe
-    assert apply(pullback(stripe_encoding(2, 0), term_map(double_then)), 3, 100) == Converged(4)
+    assert apply(pullback(StripeEncoding(2, 0), term_map(double_then)), 3, 100) == Converged(4)
 
 
 def test_push_pull_validate_domains():
@@ -153,7 +153,7 @@ def test_pull_of_push_is_identity_on_the_map(n):
 
 
 def test_encode_outcome():
-    e = stripe_encoding(2, 0)
+    e = StripeEncoding(2, 0)
     assert encode_outcome(e, Converged(3)) == Converged(6)
     assert encode_outcome(e, Diverged()) == Diverged()
     assert encode_outcome(e, FUEL_EXHAUSTED) == FUEL_EXHAUSTED
@@ -195,7 +195,7 @@ def test_pushforward_model_maps_members_and_enumerator():
     base = Model(
         "b", Domain.NAT, (term_map(S(), "succ"),), lambda ix: identity_map(name=f"e{ix}")
     )
-    img = pushforward_model(stripe_encoding(2, 0), base)
+    img = pushforward_model(StripeEncoding(2, 0), base)
     assert img.domain is Domain.NAT
     assert apply(img.members[0], 6, 100) == Converged(8)
     assert apply(img.enumerator(0), 6, 100) == Converged(6)

@@ -176,6 +176,16 @@ def test_cm_parse_render_round_trip():
     assert (q.n_registers, q.input_reg, q.output_reg) == (2, 0, 1)
     for n in (0, 5, 11):
         assert run_cm(q, n, 10**4) == run_cm(p, n, 10**4)
+    # a jump past the last instruction renders as a bare label, not a halt
+    ends = parse_cm("registers 2\ninput 0\noutput 1\nl: decjz 0 e\ninc 1\njump l\ne:\n")
+    programs = [ends] + [compile_rec_to_cm(t, name=n) for n, t in standard_suite()]
+    assert len(programs) == 19
+    for p in programs:
+        q = parse_cm(render_cm(p), name=p.name)
+        assert q.instructions == p.instructions, p.name
+        for n in range(9):
+            assert apply_with_cost(cm_map(q), n, 10**6) == apply_with_cost(cm_map(p), n, 10**6)
+    assert apply_with_cost(cm_map(ends), 3, 100) == (Converged(3), 10)
 
 
 def test_cm_loop_exhausts_fuel():

@@ -17,9 +17,9 @@ from powerlab.core import (
 )
 from powerlab.constructions import (
     GodelEncoding,
+    StripeEncoding,
     TriPiEncoding,
     kappa_map,
-    stripe_encoding,
     stripe_family,
     stripe_model,
     tri_models,
@@ -38,6 +38,7 @@ from powerlab.simcheck import (
     maps_agree,
     plan_over_range,
     probe_encodings,
+    probe_verdict,
 )
 from powerlab.terms import standard_suite
 
@@ -57,6 +58,15 @@ def test_combine_verdicts_precedence():
     assert combine_verdicts([U, R, V]) is R
 
 
+def test_probe_verdict_needs_one_fit():
+    # a family fits when any member verifies; refuted only when all refute
+    assert probe_verdict([R, V, U]) is V
+    assert probe_verdict([V]) is V
+    assert probe_verdict([R, U, R]) is U
+    assert probe_verdict([U, U]) is U
+    assert probe_verdict([R, R]) is R
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         TestPlan(inputs=(), fuel=10)
@@ -70,7 +80,7 @@ def test_plan_validation():
 def test_stripe_simulation_verified_with_witnesses():
     b = suite_model(SUITE3, "plain")
     a = stripe_model(2, 0, SUITE3, name="striped")
-    report = check_simulation(a, b, stripe_encoding(2, 0), plan_over_range(0, 40, 10**5))
+    report = check_simulation(a, b, StripeEncoding(2, 0), plan_over_range(0, 40, 10**5))
     assert report.aggregate is V
     by_member = {r.member: r for r in report.members}
     assert by_member["succ"].witness == "stripe(2,0):succ"
@@ -125,7 +135,7 @@ def test_simulation_validates_shapes():
     b = suite_model(SUITE3, "plain")
     a = stripe_model(2, 0, SUITE3, name="striped")
     with pytest.raises(DomainMismatch):
-        check_simulation(a, b, stripe_encoding(2, 0), TestPlan(inputs=("01",), fuel=10))
+        check_simulation(a, b, StripeEncoding(2, 0), TestPlan(inputs=("01",), fuel=10))
     with pytest.raises(DomainMismatch):
         check_simulation(a, b, BitsEncoding(), plan_over_range(0, 3, 100))
 
@@ -154,7 +164,7 @@ def test_transitivity_composes_encodings():
     c = suite_model(SUITE3[:2], "third")
     b = suite_model(SUITE3, "middle")
     a = stripe_model(2, 0, SUITE3, name="top")
-    e1 = stripe_encoding(2, 0)
+    e1 = StripeEncoding(2, 0)
     e2 = IdentityEncoding()
     plan = plan_over_range(0, 30, 10**5)
     assert check_simulation(a, b, e1, plan).aggregate is V
@@ -181,7 +191,7 @@ def test_closure_of_successor_alone_refuted():
 def test_pullback_law_consistent_on_verified_case():
     b = suite_model(SUITE3, "plain")
     a = stripe_model(2, 0, SUITE3, name="striped")
-    report = check_pullback_law(a, b, stripe_encoding(2, 0), plan_over_range(0, 30, 10**5))
+    report = check_pullback_law(a, b, StripeEncoding(2, 0), plan_over_range(0, 30, 10**5))
     assert report.aggregate is V
     assert any("pullback law: consistent" in n for n in report.notes)
     assert any(r.member.startswith("pullback:") for r in report.members)
@@ -197,7 +207,7 @@ def test_pullback_law_on_refuted_direct_side():
 def test_equivalence_plain_and_modes_separate():
     k = Model("k0", Domain.NAT, (kappa_map(0),))
     plan = plan_over_range(0, 12, 10**4)
-    stripe = stripe_encoding(2, 0)
+    stripe = StripeEncoding(2, 0)
     plain = check_equivalence(k, k, stripe, IdentityEncoding(), plan, mode="plain")
     assert plain.aggregate is V
     strong = check_equivalence(k, k, stripe, IdentityEncoding(), plan, mode="strong")
@@ -209,7 +219,7 @@ def test_equivalence_isomorphism_checks_mutual_inverse():
     k = Model("k0", Domain.NAT, (kappa_map(0),))
     plan = plan_over_range(0, 20, 10**4)
     good = check_equivalence(
-        k, k, TriPiEncoding(), TriPiEncoding(inverted=True), plan, mode="isomorphism"
+        k, k, TriPiEncoding(), TriPiEncoding().inverse(), plan, mode="isomorphism"
     )
     assert good.aggregate is V
     bad = check_equivalence(
@@ -246,7 +256,7 @@ def test_probe_labels_family_relative_refutation():
     b = suite_model(SUITE3, "plain")
     a = stripe_model(2, 0, SUITE3, name="striped")
     plan = plan_over_range(0, 30, 10**5)
-    reports = probe_encodings(a, b, [stripe_encoding(3, 1)], plan, family_name="wrong-family")
+    reports = probe_encodings(a, b, [StripeEncoding(3, 1)], plan, family_name="wrong-family")
     assert all(r.aggregate is not V for r in reports)
     assert all(any("relative to this family only" in n for n in r.notes) for r in reports)
 
@@ -296,38 +306,30 @@ def test_maps_agree_rejects_inputs_outside_either_domain():
         maps_agree(succ, bits, [1], 10)
 
 
-class _Negating(Encoding):
-    """Claims nat -> nat, but leaves the naturals."""
+def _negate(x):
+    return -x - 1
 
-    source = Domain.NAT
-    target = Domain.NAT
 
-    def _encode(self, x):
-        return -x - 1
-
-    def _decode(self, y):
-        return -y - 1
-
-    def describe(self):
-        return "negating"
+# Claims nat -> nat, but leaves the naturals.
+_NEGATING = Encoding("negating", Domain.NAT, Domain.NAT, _negate, _negate)
 
 
 def test_simulation_rejects_encoded_inputs_outside_the_target():
     k = Model("k0", Domain.NAT, (kappa_map(0),))
     with pytest.raises(DomainMismatch):
-        check_simulation(k, k, _Negating(), plan_over_range(0, 3, 100))
+        check_simulation(k, k, _NEGATING, plan_over_range(0, 3, 100))
 
 
 def test_strong_equivalence_across_domains_needs_surjectivity():
     nat = Model("k0", Domain.NAT, (kappa_map(0),))
     bits = Model("eps", Domain.BITS, (BuiltinMap("eps", Domain.BITS, lambda s: ""),))
     plan = plan_over_range(0, 15, 10**4)
-    evens = compose_encodings(BitsEncoding(), stripe_encoding(2, 0))
-    assert check_equivalence(bits, nat, evens, BitsEncoding(True), plan).aggregate is V
-    strong = check_equivalence(bits, nat, evens, BitsEncoding(True), plan, mode="strong")
+    evens = compose_encodings(BitsEncoding(), StripeEncoding(2, 0))
+    assert check_equivalence(bits, nat, evens, BitsEncoding().inverse(), plan).aggregate is V
+    strong = check_equivalence(bits, nat, evens, BitsEncoding().inverse(), plan, mode="strong")
     assert strong.aggregate is R
     assert "(bits . stripe(2,0)) misses '0': not a bijection on the tested prefix" in strong.notes
-    onto = check_equivalence(bits, nat, BitsEncoding(), BitsEncoding(True), plan, mode="strong")
+    onto = check_equivalence(bits, nat, BitsEncoding(), BitsEncoding().inverse(), plan, mode="strong")
     assert onto.aggregate is V
 
 
@@ -336,10 +338,10 @@ def test_strong_equivalence_on_lists_uses_godel_prefix():
     nat = Model("ident", Domain.NAT, (identity_map(),))
     plan = plan_over_range(0, 9, 10**4)
     good = check_equivalence(
-        lists, nat, GodelEncoding(True), GodelEncoding(), plan, mode="isomorphism"
+        lists, nat, GodelEncoding().inverse(), GodelEncoding(), plan, mode="isomorphism"
     )
     assert good.aggregate is V
-    odd = compose_encodings(GodelEncoding(True), stripe_encoding(2, 1))
+    odd = compose_encodings(GodelEncoding().inverse(), StripeEncoding(2, 1))
     assert check_equivalence(lists, nat, odd, GodelEncoding(), plan).aggregate is V
     bad = check_equivalence(lists, nat, odd, GodelEncoding(), plan, mode="strong")
     assert bad.aggregate is R
