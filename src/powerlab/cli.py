@@ -215,6 +215,16 @@ def _need(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _as_list(value, key: str, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: {key!r} is not a list")
+    return value
+
+
+def _need_list(doc: dict, key: str, where: str) -> list:
+    return _as_list(_need(doc, key, where), key, where)
+
+
 def _lookup(table: dict, name):
     """The entry of ``table`` for a name read from JSON, or None.  The
     name may be any JSON value, hashable or not."""
@@ -250,12 +260,12 @@ def _identity_scheme(spec: dict, seed: int) -> Encoding:
 
 
 def _table_scheme(spec: dict, seed: int) -> Encoding:
-    pairs = spec["pairs"]
+    pairs = _need_list(spec, "pairs", "table")
     return TableEncoding(tuple((json_to_value(a), json_to_value(b)) for a, b in pairs))
 
 
 def _compose_scheme(spec: dict, seed: int) -> Encoding:
-    steps = spec["steps"]
+    steps = _need_list(spec, "steps", "compose")
     if not steps:
         raise ScenarioError("compose needs at least one step")
     built = [build_encoding(s, seed) for s in steps]
@@ -320,19 +330,19 @@ def _build_model(key: str, spec, base_dir: Path, seed: int, get) -> Model:
     if kind == "dsl-terms":
         members = tuple(
             term_map(parse_term(_need(m, "term", f"member of {key!r}")), _need(m, "name", f"member of {key!r}"))
-            for m in _need(spec, "members", f"model {key!r}")
+            for m in _need_list(spec, "members", f"model {key!r}")
         )
         return Model(name, Domain.NAT, members)
     if kind == "tm-programs":
         members = tuple(
             tm_map(parse_tm(_machine_text(m, base_dir), name=m["name"]))
-            for m in _need(spec, "members", f"model {key!r}")
+            for m in _need_list(spec, "members", f"model {key!r}")
         )
         return Model(name, Domain.BITS, members)
     if kind == "cm-programs":
         members = tuple(
             cm_map(parse_cm(_machine_text(m, base_dir), name=m["name"]))
-            for m in _need(spec, "members", f"model {key!r}")
+            for m in _need_list(spec, "members", f"model {key!r}")
         )
         return Model(name, Domain.NAT, members)
     if kind == "builtin-construction":
@@ -435,14 +445,18 @@ def build_plan(
         else:
             raise ScenarioError("plan inputs need a range or a list")
     fuel = fuel_override if fuel_override is not None else _need(spec, "fuel", "plan")
-    a_sample = spec.get("a_sample")
-    b_sample = spec.get("b_sample")
+    if not isinstance(fuel, int) or isinstance(fuel, bool):
+        raise ScenarioError("plan: 'fuel' is not a whole number")
+    a_sample, b_sample = (
+        None if spec.get(key) is None else tuple(_as_list(spec[key], key, "plan"))
+        for key in ("a_sample", "b_sample")
+    )
     try:
         return TestPlan(
             inputs=inputs,
             fuel=fuel,
-            a_sample=tuple(a_sample) if a_sample is not None else None,
-            b_sample=tuple(b_sample) if b_sample is not None else None,
+            a_sample=a_sample,
+            b_sample=b_sample,
             candidate_limit=spec.get("candidate_limit", 64),
         )
     except ValueError as exc:

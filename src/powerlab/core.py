@@ -110,6 +110,16 @@ Outcome = Union[Converged, Diverged, FuelExhausted]
 FUEL_EXHAUSTED = FuelExhausted()
 
 
+# A raw result is an outcome in the form the checker keeps it: a converged
+# value as the value itself, a ``Diverged`` or ``FUEL_EXHAUSTED`` outcome
+# as it is.  No value is an outcome, nor ``None``, so nothing is lost.
+
+
+def _box(raw) -> Outcome:
+    """The outcome a raw result stands for."""
+    return raw if isinstance(raw, (Diverged, FuelExhausted)) else Converged(raw)
+
+
 @dataclass(frozen=True)
 class PartialMap:
     """A named, deterministic, fuel-monotone partial map over one domain.
@@ -124,6 +134,23 @@ class PartialMap:
 
     def _run(self, x: Value, fuel: Fuel) -> Outcome:
         raise InvalidMap(f"invalid map: {self.name!r} has no evaluation rule")
+
+    def _run_many(self, xs, fuel: int):
+        """Evaluate on each of ``xs`` in turn, every one under its own
+        budget of ``fuel``: values already in the domain and a budget of
+        at least 1, as ``_apply_unchecked`` takes them.  Yields, per
+        input, its raw result (see ``_box``) and the fuel
+        ``_apply_unchecked`` reports for it.  The next input is read only
+        when its result is asked for, so a caller may stop at any point,
+        or feed inputs one by one.
+
+        This default runs ``_apply_unchecked`` once per input, so a
+        subclass that overrides only ``_run`` still sees every call.  An
+        override must give the same outcomes and charge exactly the fuel
+        ``_run`` would, point by point."""
+        for x in xs:
+            out, used = _apply_unchecked(self, x, fuel)
+            yield (out.value if isinstance(out, Converged) else out), used
 
 
 @dataclass(frozen=True)
@@ -141,6 +168,13 @@ class BuiltinMap(PartialMap):
         if v is None:
             return Diverged(f"{self.name} is undefined here")
         return Converged(v)
+
+    def _run_many(self, xs, fuel: int):
+        # one unit per point, as ``_run`` charges; a budget is at least 1
+        for v in map(self.fn, xs):
+            if v is None:
+                v = Diverged(f"{self.name} is undefined here")
+            yield v, 1
 
 
 @dataclass(frozen=True)
@@ -184,7 +218,7 @@ def _apply_unchecked(m: PartialMap, x: Value, fuel: int) -> tuple[Outcome, int]:
     except _OutOfFuel:  # defensive: evaluators normally catch this themselves
         return FUEL_EXHAUSTED, fuel
     if isinstance(out, FuelExhausted):
-        return out, fuel
+        return FUEL_EXHAUSTED, fuel
     return out, fuel - cell.left
 
 

@@ -22,6 +22,18 @@ composite against the model's domain, every input of ``maps_agree``
 against both maps' domains, and each map the models enumerate against
 its model's domain.  Evaluations then run unchecked, so a value the
 checker never saw (and so never validated) must not reach a map.
+
+Each check evaluates through one ``_Runner``, which keeps one memo per
+map object, from input value to raw result: a converged value as the
+value itself, a ``Diverged`` or ``FUEL_EXHAUSTED`` outcome as it is.
+Results are compared raw, and ``Outcome`` and ``CandidateFailure``
+objects are built only for failures that reach a report.  The
+simulated side runs one vector per member through
+``PartialMap._run_many``; the candidate side feeds the same method one
+input at a time, so each candidate is evaluated only up to its first
+mismatch and ``Stats`` counts exactly the evaluations the hunt needed.
+An override of ``_run_many`` must charge exactly the fuel ``_run``
+would; wrappers that override only ``_run`` still see every call.
 """
 
 from __future__ import annotations
@@ -31,16 +43,16 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from powerlab.core import (
-    Converged,
+    FUEL_EXHAUSTED,
+    Diverged,
     Domain,
     DomainMismatch,
     Encoding,
-    FuelExhausted,
     Model,
     Outcome,
     PartialMap,
     Value,
-    _apply_unchecked,
+    _box,
     pullback,
 )
 from powerlab.constructions import godel_decode
@@ -148,12 +160,24 @@ class SimReport:
 
 
 class _Runner:
-    """Applies maps under one fixed budget, caching by map identity and
-    input.  Within a single check the budget never changes, so caching
-    exhausted outcomes is sound too.
+    """Applies maps under one fixed budget and remembers every result.
+
+    Each map has one memo, ``memos[id(m)]``, a dict from input value to
+    raw result (``core._box``): a converged value as the value itself,
+    a ``Diverged`` or ``FUEL_EXHAUSTED`` outcome as it is.  No raw result
+    is ``None``, so ``memo.get(x)`` is ``None`` exactly when ``x`` has
+    not been evaluated.  Within a single check the budget never changes,
+    so remembering exhausted results is sound too.  The memo is keyed by
+    value, so wherever two sides of a check hold the same map object the
+    second side reuses what the first evaluated; and ``id(m)`` is a sound
+    key because a check holds all its maps alive until it ends.
+
+    Misses are evaluated through ``PartialMap._run_many``: as one vector
+    by ``run_many``, one input at a time by ``stream``.  Every evaluation
+    is counted in ``evaluations`` and ``fuel_spent``.
 
     Inputs are not checked here: callers pass only values validated
-    against the map's domain.  That also keeps the cache sound, since
+    against the map's domain.  That also keeps the memo sound, since
     equal values of one domain have one type (``True`` and ``1`` would
     share an entry, but ``True`` never gets this far)."""
 
@@ -161,20 +185,59 @@ class _Runner:
         if fuel < 1:
             raise ValueError("fuel must be at least 1")
         self.fuel = fuel
-        self.cache: dict = {}
+        self.memos: dict = {}
         self.evaluations = 0
         self.fuel_spent = 0
+        self._boxes: dict = {}
 
-    def run(self, m: PartialMap, x: Value) -> Outcome:
-        key = (id(m), x)
-        hit = self.cache.get(key)
-        if hit is None:
-            out, spent = _apply_unchecked(m, x, self.fuel)
-            self.evaluations += 1
+    def memo(self, m: PartialMap) -> dict:
+        memo = self.memos.get(id(m))
+        if memo is None:
+            memo = self.memos[id(m)] = {}
+        return memo
+
+    def run(self, m: PartialMap, x: Value):
+        """The raw result of ``m`` at ``x``."""
+        return self.run_many(m, (x,))[0]
+
+    def run_many(self, m: PartialMap, xs) -> list:
+        """The raw results of ``m`` at each of ``xs``, the missing ones
+        evaluated by one ``_run_many`` call."""
+        memo = self.memo(m)
+        missing = [x for x in xs if x not in memo]
+        if missing:
+            missing = list(dict.fromkeys(missing))
+            spent = 0
+            for x, (got, used) in zip(missing, m._run_many(missing, self.fuel)):
+                memo[x] = got
+                spent += used
+            self.evaluations += len(missing)
             self.fuel_spent += spent
-            self.cache[key] = out
-            return out
-        return hit
+        return [memo[x] for x in xs]
+
+    def stream(self, m: PartialMap, memo: dict):
+        """A function that evaluates ``m`` at one input not in its memo
+        yet, each call a step of the same ``_run_many`` call."""
+        feed: list = []
+        results = m._run_many(iter(feed.pop, None), self.fuel)  # no input is None
+
+        def evaluate(x: Value):
+            feed.append(x)
+            got, used = next(results)
+            memo[x] = got
+            self.evaluations += 1
+            self.fuel_spent += used
+            return got
+
+        return evaluate
+
+    def outcome(self, raw) -> Outcome:
+        """The outcome for a raw result, to go into a report; one object
+        per result object, as the results themselves are shared."""
+        box = self._boxes.get(id(raw))
+        if box is None:
+            box = self._boxes[id(raw)] = _box(raw)  # holds raw, so its id stays taken
+        return box
 
 
 def _select(members, wanted, model_name: str):
@@ -189,40 +252,48 @@ def _select(members, wanted, model_name: str):
     return out
 
 
-def _match_member(
-    g_name: str,
-    lhs: list,  # pairs (x, expected Outcome or None when undecided)
-    pool: Sequence[PartialMap],
-    rhs_input,  # callable: x -> input for the candidate side
-    runner: _Runner,
-) -> MemberResult:
-    """Hunt through the pool for the first candidate matching lhs."""
-    undecided_lhs = sum(1 for _, want in lhs if want is None)
+def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner: _Runner) -> MemberResult:
+    """Hunt through the pool for the first candidate matching ``points``:
+    triples (x, the candidate side's input for x, the raw result expected
+    there or None where the simulated side is undecided).
+
+    Each candidate is evaluated only up to its first mismatch, and the
+    candidates after a witness not at all.  Mismatches are kept raw until
+    the member turns out not to be verified."""
+    memos = runner.memos
     unknown_candidate = None
-    failures = []
+    failures = []  # (candidate, x, expected, got), raw
     for f in pool:
-        mismatch = None
+        memo = memos.get(id(f))
+        if memo is None:
+            memo = memos[id(f)] = {}
         undecided = 0
-        for x, want in lhs:
-            got = runner.run(f, rhs_input(x))
-            if want is None or isinstance(got, FuelExhausted):
+        evaluate = None
+        for x, y, want in points:
+            got = memo.get(y)
+            if got is None:
+                if evaluate is None:
+                    evaluate = runner.stream(f, memo)
+                got = evaluate(y)
+            if want is None or got is FUEL_EXHAUSTED:
                 undecided += 1
-                continue
-            if got != want:
-                mismatch = CandidateFailure(f.name, x, want, got)
+            elif got != want:
+                failures.append((f.name, x, want, got))
                 break
-        if mismatch is not None:
-            failures.append(mismatch)
-            continue
-        if undecided == 0:
-            return MemberResult(g_name, Verdict.VERIFIED, f.name, (), 0)
-        if unknown_candidate is None:
-            unknown_candidate = f.name
-    if unknown_candidate is not None:
-        return MemberResult(
-            g_name, Verdict.UNKNOWN, None, tuple(failures), undecided_lhs
-        )
-    return MemberResult(g_name, Verdict.REFUTED, None, tuple(failures), undecided_lhs)
+        else:
+            if undecided == 0:
+                return MemberResult(g_name, Verdict.VERIFIED, f.name, (), 0)
+            if unknown_candidate is None:
+                unknown_candidate = f.name
+    verdict = Verdict.REFUTED if unknown_candidate is None else Verdict.UNKNOWN
+    box = runner.outcome
+    return MemberResult(
+        g_name,
+        verdict,
+        None,
+        tuple(CandidateFailure(c, x, box(want), box(got)) for c, x, want, got in failures),
+        sum(1 for p in points if p[2] is None),
+    )
 
 
 def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimReport:
@@ -244,24 +315,25 @@ def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRepo
     enc_in = {x: e.encode(x) for x in plan.inputs}
     for y in enc_in.values():
         a.domain.check(y, f"{e.describe()} into {a.name}")
+    pairs = [(x, enc_in[x]) for x in plan.inputs]
     # each distinct converged value of the simulated side, encoded once;
     # the type is part of the key so that True is not taken for 1
     encoded: dict = {}
     results = []
     for g in bs:
-        lhs = []
-        for x in plan.inputs:
-            out = runner.run(g, x)
-            if isinstance(out, FuelExhausted):
-                out = None
-            elif isinstance(out, Converged):
-                key = (type(out.value), out.value)
-                hit = encoded.get(key)
-                if hit is None:
-                    hit = encoded[key] = Converged(e.encode(out.value))
-                out = hit
-            lhs.append((x, out))
-        results.append(_match_member(g.name, lhs, pool, enc_in.__getitem__, runner))
+        points = []
+        for (x, y), out in zip(pairs, runner.run_many(g, plan.inputs)):
+            if out is FUEL_EXHAUSTED:
+                want = None
+            elif isinstance(out, Diverged):
+                want = out
+            else:
+                key = (type(out), out)
+                want = encoded.get(key)
+                if want is None:
+                    want = encoded[key] = e.encode(out)
+            points.append((x, y, want))
+        results.append(_match_member(g.name, points, pool, runner))
     return SimReport(
         claim=Claim("simulation", a.name, b.name, e.describe()),
         members=tuple(results),
@@ -281,22 +353,14 @@ def check_closure(model: Model, plan: TestPlan) -> SimReport:
     results = []
     for f in members:
         for g in members:
-            lhs = []
+            points = []
             for x in plan.inputs:
-                first = runner.run(g, x)
-                if isinstance(first, FuelExhausted):
-                    lhs.append((x, None))
-                elif isinstance(first, Converged):
-                    model.domain.check(first.value, f"{g.name} output, passed to {f.name}")
-                    second = runner.run(f, first.value)
-                    lhs.append(
-                        (x, None if isinstance(second, FuelExhausted) else second)
-                    )
-                else:
-                    lhs.append((x, first))
-            results.append(
-                _match_member(f"{f.name}*{g.name}", lhs, pool, lambda x: x, runner)
-            )
+                want = runner.run(g, x)
+                if want is not FUEL_EXHAUSTED and not isinstance(want, Diverged):
+                    model.domain.check(want, f"{g.name} output, passed to {f.name}")
+                    want = runner.run(f, want)
+                points.append((x, x, None if want is FUEL_EXHAUSTED else want))
+            results.append(_match_member(f"{f.name}*{g.name}", points, pool, runner))
     return SimReport(
         claim=Claim("closure", model.name, model.name, "identity"),
         members=tuple(results),
@@ -316,15 +380,15 @@ def check_pullback_law(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRe
     runner = _Runner(plan.fuel)
     law_results = []
     for g, simres in zip(bs, sim.members):
-        lhs = []
-        for x in plan.inputs:
-            out = runner.run(g, x)
-            lhs.append((x, None if isinstance(out, FuelExhausted) else out))
+        points = [
+            (x, x, None if out is FUEL_EXHAUSTED else out)
+            for x, out in zip(plan.inputs, runner.run_many(g, plan.inputs))
+        ]
         if simres.witness is not None:
             law_pool = [pulled[simres.witness]]
         else:
             law_pool = list(pulled.values())
-        res = _match_member(f"pullback:{g.name}", lhs, law_pool, lambda x: x, runner)
+        res = _match_member(f"pullback:{g.name}", points, law_pool, runner)
         law_results.append(res)
     law_agg = combine_verdicts(r.verdict for r in law_results)
     consistent = sim.aggregate is law_agg
@@ -479,9 +543,9 @@ def maps_agree(m1: PartialMap, m2: PartialMap, inputs, fuel: int) -> Agreement:
         m2.domain.check(x, m2.name)
         left = runner.run(m1, x)
         right = runner.run(m2, x)
-        if isinstance(left, FuelExhausted) or isinstance(right, FuelExhausted):
+        if left is FUEL_EXHAUSTED or right is FUEL_EXHAUSTED:
             undecided += 1
             continue
         if left != right:
-            mismatches.append((x, left, right))
+            mismatches.append((x, runner.outcome(left), runner.outcome(right)))
     return Agreement(not mismatches and undecided == 0, tuple(mismatches), undecided)

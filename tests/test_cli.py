@@ -1,10 +1,13 @@
 """Front end: bundled scenarios, output formats, exit codes."""
 
+import contextlib
+import io
 import json
 import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerlab.cli import (
     EXIT_REFUTED,
@@ -439,3 +442,85 @@ def test_deeply_nested_term_exits_cleanly(capsys, tmp_path):
     p.write_text(json.dumps(doc))
     code = main(["run", str(p)])
     _assert_one_line_usage_error(code, capsys)
+
+
+def _mistyped(**changes):
+    """A small simulation scenario with some of its fields replaced."""
+    doc = {
+        "name": "mistyped",
+        "check": "simulation",
+        "models": {"a": _REC_SUITE},
+        "simulator": "a",
+        "simulated": "a",
+        "encoding": {"scheme": "identity"},
+        "plan": {"inputs": {"range": [0, 2]}, "fuel": 100},
+    }
+    for key, value in changes.items():
+        if key in ("a_sample", "b_sample", "fuel"):
+            doc["plan"][key] = value
+        else:
+            doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_mistyped(encoding={"scheme": "compose", "steps": 5}), "compose: 'steps' is not a list"),
+        (_mistyped(encoding={"scheme": "table", "pairs": 5}), "table: 'pairs' is not a list"),
+        (
+            _mistyped(models={"a": {"kind": "dsl-terms", "members": 5}}),
+            "model 'a': 'members' is not a list",
+        ),
+        (_mistyped(b_sample=5), "plan: 'b_sample' is not a list"),
+        (_mistyped(a_sample="iota"), "plan: 'a_sample' is not a list"),
+        (_mistyped(fuel="big"), "plan: 'fuel' is not a whole number"),
+    ],
+)
+def test_fields_of_the_wrong_json_type_exit_3(doc, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"powerlab: error: {message}\n"
+
+
+# The scenarios whose full-fuel runs take a tenth of a second or more; the
+# property below draws their budgets from a smaller range.
+_HEAVY = {"example_r1", "example_r2", "probe_no_fit", "probe_stripes", "pullback_even_functions"}
+_HEAVY_FUEL = 300
+
+
+def _structured_verdicts(name: str, fuel: int) -> list:
+    """The aggregate, then each report's aggregate and member verdicts,
+    from ``run --format structured`` at this fuel."""
+    argv = ["run", str(SCENARIOS / f"{name}.json"), "--format", "structured", "--fuel", str(fuel)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    doc = json.loads(out.getvalue())
+    verdicts = [("aggregate", doc["aggregate"])]
+    for ix, report in enumerate(doc["reports"]):
+        verdicts.append((f"report {ix}", report["aggregate"]))
+        verdicts += [(f"report {ix}: {m['member']}", m["verdict"]) for m in report["members"]]
+    return verdicts
+
+
+@st.composite
+def _scenario_and_fuels(draw):
+    name = draw(st.sampled_from(sorted(BUNDLED)))
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    top = _HEAVY_FUEL if name in _HEAVY else doc["plan"]["fuel"]
+    low = draw(st.integers(1, top))
+    return name, low, draw(st.integers(low, top))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_scenario_and_fuels())
+def test_more_fuel_never_changes_a_decided_verdict(case):
+    name, low, high = case
+    before = _structured_verdicts(name, low)
+    after = _structured_verdicts(name, high)
+    assert [where for where, _ in before] == [where for where, _ in after]
+    for (where, was), (_, now) in zip(before, after):
+        if was != "unknown":
+            assert now == was, f"{name}, {where}: {was} at fuel {low}, {now} at fuel {high}"

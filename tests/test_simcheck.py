@@ -1,19 +1,29 @@
 """The simulation checker itself: verdicts, witnesses, laws, probes."""
 
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
+
 import pytest
 
+from powerlab.cli import build_encoding, build_models, build_plan
 from powerlab.core import (
     FUEL_EXHAUSTED,
     BuiltinMap,
     Converged,
+    Diverged,
     Domain,
     DomainMismatch,
     Encoding,
     IdentityEncoding,
     Model,
+    PartialMap,
+    TableMap,
+    _box,
     apply_with_cost,
     compose_encodings,
     identity_map,
+    pushforward,
 )
 from powerlab.constructions import (
     GodelEncoding,
@@ -27,6 +37,7 @@ from powerlab.constructions import (
 from powerlab.machines import BitsEncoding
 from powerlab.recdsl import ConstK, S, parse_term, term_map
 from powerlab.simcheck import (
+    Stats,
     TestPlan,
     _Runner,
     Verdict,
@@ -41,6 +52,8 @@ from powerlab.simcheck import (
     probe_verdict,
 )
 from powerlab.terms import standard_suite
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 V, R, U = Verdict.VERIFIED, Verdict.REFUTED, Verdict.UNKNOWN
 
@@ -351,18 +364,143 @@ def test_strong_equivalence_on_lists_uses_godel_prefix():
 def _fuel_added(runner, m, x):
     before = runner.fuel_spent
     out = runner.run(m, x)
-    return out, runner.fuel_spent - before
+    return _box(out), runner.fuel_spent - before
 
 
-@pytest.mark.parametrize("fuel", [10**6, 6])
-def test_runner_matches_apply_with_cost(fuel):
+def _halve(n):
+    return n // 2 if n % 2 == 0 else None
+
+
+def _runner_maps():
+    """Every kind of map the runner meets: the square-row members, the
+    suite's terms, a builtin that diverges, a table, and a pushforward
+    off its range under both policies."""
     large, _ = tri_models(3, 3, 5)  # the smaller model's members are among these
-    maps = list(large.members) + [term_map(t, n) for n, t in standard_suite()]
-    exhausted = 0
-    for m in maps:
+    succ = term_map(S(), "succ")
+    return (
+        list(large.members)
+        + [term_map(t, n) for n, t in standard_suite()]
+        + [
+            BuiltinMap("halve", Domain.NAT, _halve),
+            TableMap("table", Domain.NAT, ((0, 5), (3, 7), (8, 0))),
+            pushforward(StripeEncoding(2, 1), succ, off_range="diverge"),
+            pushforward(StripeEncoding(2, 1), succ, off_range="fix"),
+        ]
+    )
+
+
+@pytest.mark.parametrize("fuel", [10**6, 6, 1])
+def test_runner_matches_apply_with_cost(fuel):
+    xs = range(41)
+    exhausted = diverged = 0
+    for m in _runner_maps():
+        want = [apply_with_cost(m, x, fuel) for x in xs]
+        # point by point through the runner
         runner = _Runner(fuel)
-        for x in range(41):
-            want = apply_with_cost(m, x, fuel)
-            assert _fuel_added(runner, m, x) == want, (m.name, x)
-            exhausted += want[0] == FUEL_EXHAUSTED
-    assert (exhausted > 0) == (fuel == 6)
+        assert [_fuel_added(runner, m, x) for x in xs] == want, m.name
+        # the vector, directly and through the runner
+        assert [(_box(r), spent) for r, spent in m._run_many(xs, fuel)] == want, m.name
+        runner = _Runner(fuel)
+        assert [_box(r) for r in runner.run_many(m, xs)] == [out for out, _ in want], m.name
+        assert runner.evaluations == len(xs)
+        assert runner.fuel_spent == sum(spent for _, spent in want), m.name
+        exhausted += sum(out == FUEL_EXHAUSTED for out, _ in want)
+        diverged += sum(isinstance(out, Diverged) for out, _ in want)
+    assert (exhausted > 0) == (fuel < 10**6)
+    assert diverged > 0
+
+
+# ---------------------------------------------------------------------------
+# The candidate side is lazy: each candidate runs up to its first mismatch.
+
+
+@dataclass(frozen=True, eq=False)
+class _Counted(PartialMap):
+    """Records every input ``_run`` sees; overrides nothing else."""
+
+    inner: PartialMap = None
+    calls: list = field(default_factory=list)
+
+    def _run(self, x, fuel):
+        self.calls.append(x)
+        return self.inner._run(x, fuel)
+
+
+def _counted(m):
+    return _Counted(m.name, m.domain, m)
+
+
+def _bent_identity(k):
+    # agrees with the identity on 0..k-2 and differs at k-1
+    return BuiltinMap(f"bent[{k}]", Domain.NAT, lambda n: n if n != k - 1 else n + 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+def test_candidates_run_only_up_to_their_first_mismatch(k):
+    bent = _counted(_bent_identity(k))
+    witness = _counted(identity_map(name="witness"))
+    later = _counted(kappa_map(0))
+    a = Model("a", Domain.NAT, (bent, witness, later))
+    b = Model("b", Domain.NAT, (identity_map(),))
+    report = check_simulation(a, b, IdentityEncoding(), plan_over_range(0, 9, 100))
+    assert report.members[0].witness == "witness"
+    assert bent.calls == list(range(k))
+    assert witness.calls == list(range(10))
+    assert later.calls == []
+    assert report.stats.evaluations == 10 + k + 10
+
+
+def _counted_model(model, wrapped):
+    """``model`` with every member counted, one wrapper per map object,
+    so that models sharing members still share them."""
+    def wrap(m):
+        if id(m) not in wrapped:
+            wrapped[id(m)] = (m, _counted(m))
+        return wrapped[id(m)][1]
+
+    enum = None
+    if model.enumerator is not None:
+        base = model.enumerator
+
+        def enum(ix):
+            return wrap(base(ix))
+
+    return Model(model.name, model.domain, tuple(wrap(m) for m in model.members), enum)
+
+
+def _calls(wrapped):
+    return sum(len(c.calls) for _, c in wrapped.values())
+
+
+def test_stats_and_run_calls_on_the_square_rows():
+    large, small = tri_models(3, 3, 5)
+    wrapped = {}
+    a, b = _counted_model(small, wrapped), _counted_model(large, wrapped)
+    report = check_simulation(a, b, TriPiEncoding(), plan_over_range(0, 1000, 10**5))
+    assert report.aggregate is V
+    assert report.stats == Stats(1001, 23057, 23057)
+    assert _calls(wrapped) == 23057
+
+
+def test_stats_and_run_calls_on_probe_stripes():
+    doc = json.loads((SCENARIOS / "probe_stripes.json").read_text())
+    get = build_models(doc, SCENARIOS, 0)
+    wrapped = {}
+    a = _counted_model(get(doc["simulator"]), wrapped)
+    b = _counted_model(get(doc["simulated"]), wrapped)
+    plan = build_plan(doc, None, None)
+    family = [build_encoding(spec) for spec in doc["encodings"]]
+    stats = []
+    for e in family:
+        before = _calls(wrapped)
+        (report,) = probe_encodings(a, b, [e], plan)
+        stats.append(report.stats)
+        assert _calls(wrapped) - before == report.stats.evaluations
+    assert stats == [
+        Stats(33, 665, 328630),
+        Stats(33, 1155, 613544),
+        Stats(33, 678, 328156),
+        Stats(33, 665, 328845),
+        Stats(33, 662, 328638),
+        Stats(33, 653, 329064),
+    ]
