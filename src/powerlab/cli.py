@@ -135,6 +135,15 @@ EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
+# The most inputs a plan may hold, from a scenario or ``run --inputs``:
+# a plan is materialised before it is checked.  The largest bundled
+# plan has 1,001 inputs.
+MAX_PLAN_INPUTS = 10**6
+
+# The largest window ``tri --op cycles --prefix`` accepts; the cycle
+# census holds the whole prefix in memory (10**6 takes about 3 s).
+MAX_TRI_PREFIX = 10**6
+
 _EXIT_BY_VERDICT = {
     Verdict.VERIFIED: EXIT_VERIFIED,
     Verdict.REFUTED: EXIT_REFUTED,
@@ -197,10 +206,11 @@ def outcome_to_json(out: Outcome):
     raise TypeError(out)
 
 
-def outcome_to_text(out: Outcome) -> str:
-    if isinstance(out, Converged):
-        return f"converged: {json.dumps(value_to_json(out.value))}"
-    if isinstance(out, Diverged):
+def outcome_to_text(out: dict) -> str:
+    """One line for an outcome in its ``outcome_to_json`` form."""
+    if out["status"] == "converged":
+        return f"converged: {json.dumps(out['value'])}"
+    if out["status"] == "diverged":
         return "diverged"
     return "fuel exhausted"
 
@@ -223,6 +233,26 @@ def _as_list(value, key: str, where: str) -> list:
 
 def _need_list(doc: dict, key: str, where: str) -> list:
     return _as_list(_need(doc, key, where), key, where)
+
+
+def _as_whole_number(value, key: str, where: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioError(f"{where}: {key!r} is not a whole number")
+    return value
+
+
+def _input_range(lo: int, hi: int) -> range:
+    """Inputs lo..hi inclusive, refused before they are built when there
+    are more than ``MAX_PLAN_INPUTS`` of them."""
+    _check_plan_size(hi - lo + 1)
+    return range(lo, hi + 1)
+
+
+def _check_plan_size(count: int) -> None:
+    if count > MAX_PLAN_INPUTS:
+        raise ScenarioError(
+            f"plan has {count} inputs, more than MAX_PLAN_INPUTS ({MAX_PLAN_INPUTS})"
+        )
 
 
 def _lookup(table: dict, name):
@@ -430,23 +460,30 @@ def build_plan(
     if not isinstance(spec, dict):
         raise ScenarioError("'plan' must be an object")
     if inputs_override is not None:
-        inputs = tuple(inputs_override)
+        inputs = inputs_override
     else:
         ispec = _need(spec, "inputs", "plan")
         if not isinstance(ispec, dict):
             raise ScenarioError("plan inputs must be an object")
         if "range" in ispec:
-            lo, hi = ispec["range"]
-            if not (isinstance(lo, int) and isinstance(hi, int) and lo <= hi):
+            bounds = ispec["range"]
+            if not (
+                isinstance(bounds, list)
+                and len(bounds) == 2
+                and all(isinstance(b, int) for b in bounds)
+                and bounds[0] <= bounds[1]
+            ):
                 raise ScenarioError("inputs range must be [lo, hi] with lo <= hi")
-            inputs = tuple(range(lo, hi + 1))
+            inputs = _input_range(*bounds)
         elif "list" in ispec:
-            inputs = tuple(json_to_value(x) for x in ispec["list"])
+            inputs = [json_to_value(x) for x in _as_list(ispec["list"], "list", "plan inputs")]
         else:
             raise ScenarioError("plan inputs need a range or a list")
+    _check_plan_size(len(inputs))
+    inputs = tuple(inputs)
     fuel = fuel_override if fuel_override is not None else _need(spec, "fuel", "plan")
-    if not isinstance(fuel, int) or isinstance(fuel, bool):
-        raise ScenarioError("plan: 'fuel' is not a whole number")
+    fuel = _as_whole_number(fuel, "fuel", "plan")
+    candidate_limit = _as_whole_number(spec.get("candidate_limit", 64), "candidate_limit", "plan")
     a_sample, b_sample = (
         None if spec.get(key) is None else tuple(_as_list(spec[key], key, "plan"))
         for key in ("a_sample", "b_sample")
@@ -457,7 +494,7 @@ def build_plan(
             fuel=fuel,
             a_sample=a_sample,
             b_sample=b_sample,
-            candidate_limit=spec.get("candidate_limit", 64),
+            candidate_limit=candidate_limit,
         )
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
@@ -557,55 +594,113 @@ def report_to_json(r: SimReport) -> dict:
     }
 
 
-def render_structured(name: str, check: str, reports: list, aggregate: Verdict) -> str:
-    doc = {
+def scenario_to_json(name: str, check: str, reports: list, aggregate: Verdict) -> dict:
+    """The document both output formats render."""
+    return {
         "scenario": name,
         "check": check,
         "aggregate": aggregate.value,
         "reports": [report_to_json(r) for r in reports],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _render_member_line(m) -> str:
-    bits = [f"  {m.member}: {m.verdict.value}"]
-    if m.witness is not None:
-        bits.append(f"witness {m.witness}")
-    if m.undecided_inputs:
-        bits.append(f"{m.undecided_inputs} undecided inputs")
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def indented_json(o) -> str:
+    """``o`` exactly as ``json.dumps(o, sort_keys=True, indent=2)`` writes
+    it, for documents whose object keys are strings.  ``indent`` makes
+    ``json`` fall back to its pure-Python encoder; this writer calls the
+    C string escaper directly and is several times faster on reports."""
+    chunks: list = []
+    _write_json(o, "\n", chunks)
+    return "".join(chunks)
+
+
+def _write_json(o, newline: str, out: list) -> None:
+    """Append ``o`` to ``out``; ``newline`` is a line break followed by
+    the indentation of the line ``o`` starts on."""
+    t = type(o)
+    if t is str:
+        out.append(_json_string(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is dict or t is list or t is tuple:
+        if not o:
+            out.append("{}" if t is dict else "[]")
+            return
+        inner = newline + "  "
+        lead, sep = inner, "," + inner
+        if t is dict:
+            out.append("{")
+            for k in sorted(o):
+                out.append(lead)
+                out.append(_json_string(k))
+                out.append(": ")
+                _write_json(o[k], inner, out)
+                lead = sep
+            out.append(newline + "}")
+        else:
+            out.append("[")
+            for item in o:
+                out.append(lead)
+                _write_json(item, inner, out)
+                lead = sep
+            out.append(newline + "]")
+    else:
+        # floats, subclasses and anything json rejects, as json.dumps does
+        out.append(json.dumps(o))
+
+
+def render_structured(name: str, check: str, reports: list, aggregate: Verdict) -> str:
+    return indented_json(scenario_to_json(name, check, reports, aggregate)) + "\n"
+
+
+def _render_member_line(m: dict) -> str:
+    bits = [f"  {m['member']}: {m['verdict']}"]
+    if m["witness"] is not None:
+        bits.append(f"witness {m['witness']}")
+    if m["undecided_inputs"]:
+        bits.append(f"{m['undecided_inputs']} undecided inputs")
     return ", ".join(bits)
 
 
-def render_text(name: str, check: str, reports: list, aggregate: Verdict) -> str:
-    lines = [f"scenario: {name}", f"check: {check}"]
-    for r in reports:
-        claim = r.claim
-        lines.append("")
-        if claim.mode:
-            lines.append(
-                f"claim: {claim.left} and {claim.right} are equivalent"
-                f" via {claim.encoding} ({claim.mode})"
-            )
-        elif claim.kind == "closure":
-            lines.append(f"claim: {claim.left} is closed under composition")
-        else:
-            lines.append(f"claim: {claim.left} simulates {claim.right} via {claim.encoding}")
-        lines.append(f"verdict: {r.aggregate.value}")
-        for m in r.members:
-            lines.append(_render_member_line(m))
-            for f in m.failures[:3]:
-                lines.append(
-                    f"    {f.candidate} at input {json.dumps(value_to_json(f.input))}:"
-                    f" expected {outcome_to_text(f.expected)}, got {outcome_to_text(f.got)}"
-                )
-        lines.append(
-            f"stats: {r.stats.inputs} inputs, {r.stats.evaluations} evaluations,"
-            f" {r.stats.fuel_spent} fuel spent"
+def _claim_line(claim: dict) -> str:
+    if claim["mode"]:
+        return (
+            f"claim: {claim['left']} and {claim['right']} are equivalent"
+            f" via {claim['encoding']} ({claim['mode']})"
         )
-        for note in r.notes:
-            lines.append(f"note: {note}")
-    lines.append("")
-    lines.append(f"aggregate: {aggregate.value}")
+    if claim["kind"] == "closure":
+        return f"claim: {claim['left']} is closed under composition"
+    return f"claim: {claim['left']} simulates {claim['right']} via {claim['encoding']}"
+
+
+def render_text(name: str, check: str, reports: list, aggregate: Verdict) -> str:
+    doc = scenario_to_json(name, check, reports, aggregate)
+    lines = [f"scenario: {doc['scenario']}", f"check: {doc['check']}"]
+    for r in doc["reports"]:
+        lines += ["", _claim_line(r["claim"]), f"verdict: {r['aggregate']}"]
+        for m in r["members"]:
+            lines.append(_render_member_line(m))
+            for f in m["failures"][:3]:
+                lines.append(
+                    f"    {f['candidate']} at input {json.dumps(f['input'])}:"
+                    f" expected {outcome_to_text(f['expected'])}, got {outcome_to_text(f['got'])}"
+                )
+        stats = r["stats"]
+        lines.append(
+            f"stats: {stats['inputs']} inputs, {stats['evaluations']} evaluations,"
+            f" {stats['fuel_spent']} fuel spent"
+        )
+        lines += [f"note: {note}" for note in r["notes"]]
+    lines += ["", f"aggregate: {doc['aggregate']}"]
     return "\n".join(lines) + "\n"
 
 
@@ -622,7 +717,7 @@ def _parse_inputs_flag(text: str) -> tuple:
             raise ScenarioError(f"bad inputs range {text!r}, expected lo..hi")
         if lo > hi:
             raise ScenarioError(f"bad inputs range {text!r}, expected lo..hi")
-        return tuple(range(lo, hi + 1))
+        return _input_range(lo, hi)
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -670,6 +765,10 @@ def _cmd_tri(args) -> int:
         _require_flags(args, ("n",), "pi-inv")
         print(tri_pi_inverse(args.n))
     else:
+        if args.prefix > MAX_TRI_PREFIX:
+            raise ScenarioError(
+                f"tri --prefix {args.prefix} is above MAX_TRI_PREFIX ({MAX_TRI_PREFIX})"
+            )
         rep = narrowness(TriPiEncoding(), args.prefix)
         print(f"prefix: [0, {rep.prefix})")
         print(f"permutation on prefix: {'yes' if rep.is_permutation_on_prefix else 'no'}")
@@ -753,7 +852,7 @@ def _cmd_exec(args) -> int:
         out = run_cm(parse_cm(text, name=path.stem), n, args.fuel)
     else:
         raise ScenarioError(f"{path} must end in .tm or .cm")
-    print(outcome_to_text(out))
+    print(outcome_to_text(outcome_to_json(out)))
     if isinstance(out, Converged):
         return EXIT_VERIFIED
     if isinstance(out, Diverged):

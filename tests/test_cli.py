@@ -14,8 +14,12 @@ from powerlab.cli import (
     EXIT_UNKNOWN,
     EXIT_USAGE,
     EXIT_VERIFIED,
+    MAX_PLAN_INPUTS,
+    MAX_TRI_PREFIX,
     ScenarioError,
     build_encoding,
+    build_plan,
+    indented_json,
     json_to_value,
     main,
     run_scenario,
@@ -524,3 +528,92 @@ def test_more_fuel_never_changes_a_decided_verdict(case):
     for (where, was), (_, now) in zip(before, after):
         if was != "unknown":
             assert now == was, f"{name}, {where}: {was} at fuel {low}, {now} at fuel {high}"
+
+
+def _with_plan(**plan):
+    """``_mistyped``'s scenario with its plan fields replaced."""
+    doc = _mistyped()
+    doc["plan"].update(plan)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_with_plan(candidate_limit="x"), "plan: 'candidate_limit' is not a whole number"),
+        (_with_plan(inputs={"list": 5}), "plan inputs: 'list' is not a list"),
+        (_with_plan(inputs={"range": 5}), "inputs range must be [lo, hi] with lo <= hi"),
+        (_with_plan(inputs={"range": [0]}), "inputs range must be [lo, hi] with lo <= hi"),
+        (
+            _with_plan(inputs={"range": [0, 100_000_000_000]}),
+            "plan has 100000000001 inputs, more than MAX_PLAN_INPUTS (1000000)",
+        ),
+        (
+            _with_plan(inputs={"list": [0] * 1_000_001}),
+            "plan has 1000001 inputs, more than MAX_PLAN_INPUTS (1000000)",
+        ),
+    ],
+)
+def test_malformed_plans_exit_3(doc, message, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"powerlab: error: {message}\n"
+
+
+def test_plan_size_cap(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_mistyped()))
+    for flag, count in (("0..100000000000", 100_000_000_001), ("7..1000007", 1_000_001)):
+        code = main(["run", str(path), "--inputs", flag])
+        assert capsys.readouterr().err == (
+            f"powerlab: error: plan has {count} inputs, more than MAX_PLAN_INPUTS (1000000)\n"
+        )
+        assert code == EXIT_USAGE
+    # the cap itself is allowed: a plan of exactly MAX_PLAN_INPUTS inputs is built
+    plan = build_plan(_with_plan(inputs={"range": [5, MAX_PLAN_INPUTS + 4]}), None, None)
+    assert len(plan.inputs) == MAX_PLAN_INPUTS and plan.inputs[-1] == MAX_PLAN_INPUTS + 4
+
+
+def test_every_bundled_plan_is_under_the_cap():
+    for name in BUNDLED:
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        assert len(build_plan(doc, None, None).inputs) <= MAX_PLAN_INPUTS, name
+
+
+def test_tri_prefix_cap(capsys):
+    code = main(["tri", "--op", "cycles", "--prefix", str(MAX_TRI_PREFIX + 1)])
+    _assert_one_line_usage_error(code, capsys)
+    code = main(["tri", "--op", "cycles", "--prefix", "1000000000"])
+    _assert_one_line_usage_error(code, capsys)
+
+
+_TRICKY_CHARS = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "😀"])
+_JSON_TEXT = st.text(st.one_of(_TRICKY_CHARS, st.characters()))
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    _JSON_TEXT,
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(_JSON_TEXT, inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_indented_json_matches_json_dumps(doc):
+    assert indented_json(doc) + "\n" == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_indented_json_rejects_what_json_dumps_rejects():
+    for doc in (object(), {"a": [1, object()]}, {1, 2}):
+        with pytest.raises(TypeError):
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            indented_json(doc)
