@@ -141,7 +141,7 @@ EXIT_USAGE = 3
 MAX_PLAN_INPUTS = 10**6
 
 # The largest window ``tri --op cycles --prefix`` accepts; the cycle
-# census holds the whole prefix in memory (10**6 takes about 3 s).
+# census holds the whole prefix in memory (10**6 takes about 2 s).
 MAX_TRI_PREFIX = 10**6
 
 _EXIT_BY_VERDICT = {
@@ -609,9 +609,10 @@ _json_string = json.encoder.encode_basestring_ascii
 
 def indented_json(o) -> str:
     """``o`` exactly as ``json.dumps(o, sort_keys=True, indent=2)`` writes
-    it, for documents whose object keys are strings.  ``indent`` makes
-    ``json`` fall back to its pure-Python encoder; this writer calls the
-    C string escaper directly and is several times faster on reports."""
+    it, for documents built from plain dicts with string keys, lists and
+    JSON scalars, as reports are.  ``indent`` makes ``json`` fall back to
+    its pure-Python encoder; this writer calls the C string escaper
+    directly and is several times faster on reports."""
     chunks: list = []
     _write_json(o, "\n", chunks)
     return "".join(chunks)
@@ -654,7 +655,7 @@ def _write_json(o, newline: str, out: list) -> None:
                 lead = sep
             out.append(newline + "]")
     else:
-        # floats, subclasses and anything json rejects, as json.dumps does
+        # floats, and anything json rejects with the same TypeError
         out.append(json.dumps(o))
 
 
@@ -708,7 +709,7 @@ def render_text(name: str, check: str, reports: list, aggregate: Verdict) -> str
 # Subcommand handlers
 
 
-def _parse_inputs_flag(text: str) -> tuple:
+def _parse_inputs_flag(text: str) -> tuple | range:
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         try:

@@ -605,7 +605,7 @@ _JSON_DOCS = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_JSON_DOCS)
 def test_indented_json_matches_json_dumps(doc):
     assert indented_json(doc) + "\n" == json.dumps(doc, sort_keys=True, indent=2) + "\n"
