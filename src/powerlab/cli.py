@@ -23,42 +23,14 @@ Five subcommands:
 ``exec``
     Run a machine program from a file on one input under a fuel budget.
 
-Scenario files are JSON objects::
-
-    {
-      "name": "...",
-      "check": "simulation" | "equivalence" | "closure"
-             | "pullback-law" | "probe",
-      "models": {"key": MODEL, ...},
-      "simulator": "key",            for simulation/pullback-law/probe
-      "simulated": "key",
-      "model": "key",                for closure
-      "encoding": ENCODING,          for simulation/pullback-law
-      "encodings": [ENCODING, ...],  pair for equivalence, family for probe
-      "mode": "plain" | "strong" | "isomorphism",
-      "family_name": "...",
-      "plan": {"inputs": {"range": [lo, hi]} | {"list": [...]},
-               "fuel": N, "a_sample": [...], "b_sample": [...],
-               "candidate_limit": N}
-    }
-
-A MODEL is one of::
-
-    {"kind": "dsl-terms", "members": [{"name": n, "term": t}, ...]}
-    {"kind": "tm-programs", "members": [{"name": n, "file": p}
-                                        | {"name": n, "lines": [...]}]}
-    {"kind": "cm-programs", "members": ...same...}
-    {"kind": "builtin-construction", "construction": ..., ...}
-
-with builtin constructions ``rec-suite``, ``stripe`` (d, r),
-``tri`` (i_max, j_max, k_max, role "with-anchors" or "plain"),
-``re`` (oracle, i_max, role "plain" or "image"), ``tm-witness``
-(role "tm" or "rec"), and ``image`` (of, encoding).
-
-An ENCODING is ``{"scheme": ...}`` with schemes ``identity``,
-``stripe`` (d, r), ``tri-pi``, ``bits``, ``godel``, ``re-rho``
-(oracle), ``table`` (pairs), ``compose`` (steps, applied first to
-last), each accepting ``"inverse": true`` where an inverse exists.
+A scenario file is a JSON object: a claim between models, the encodings
+it names, and a plan of inputs and fuel.  Its schema is the field tables
+below, one per kind of object, each giving a field's JSON type, its
+default or that it is required, and its bounds: ``_SCENARIO``, then
+``_CHECKS`` by check kind; ``_PLAN`` and ``_INPUTS``; ``_MODEL``, then
+``_MODEL_KINDS`` and ``_CONSTRUCTIONS``; ``_ENCODING``, then ``_SCHEMES``
+and ``_ORACLE``.  README.md outlines it, and ``scenarios/`` holds
+thirteen worked examples.
 
 Values in JSON are untagged: naturals are numbers, bit strings are
 strings of 0s and 1s, pure lists are ``[]`` or ``[head, tail]``.
@@ -69,8 +41,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import reduce
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from powerlab.core import (
     Converged,
@@ -128,7 +101,7 @@ from powerlab.simcheck import (
     probe_encodings,
     probe_verdict,
 )
-from powerlab.terms import rec_suite_model, standard_suite
+from powerlab.terms import rec_suite_model
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
@@ -139,6 +112,13 @@ EXIT_USAGE = 3
 # a plan is materialised before it is checked.  The largest bundled
 # plan has 1,001 inputs.
 MAX_PLAN_INPUTS = 10**6
+
+# The most maps a scenario may make powerlab build for one model or one
+# candidate pool: a ``candidate_limit``, the members of a ``tri`` or ``re``
+# construction.  All are built before a check starts; at 10**5 a ``tri``
+# model takes about 0.6 s and 70 MB, an ``re`` model 1.4 s and 115 MB.
+# The bundled scenarios ask for at most 64.
+MAX_MODEL_MEMBERS = 10**5
 
 # The largest window ``tri --op cycles --prefix`` accepts; the cycle
 # census holds the whole prefix in memory (10**6 takes about 2 s).
@@ -216,49 +196,73 @@ def outcome_to_text(out: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Scenario loading
+# Scenario loading: each builder checks its object against a field table on
+# entry, then only indexes the fields it gets back.
+
+_REQUIRED = object()
 
 
-def _need(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ScenarioError(f"{where} is missing {key!r}")
-    return doc[key]
+class Field(NamedTuple):
+    """A field's JSON type: str, int (a whole number, not a boolean),
+    bool, list, dict, or a table whose keys are the strings it may take.
+    Then its default, ``_REQUIRED`` when it has none; bounds on a number
+    or on the size of a list or object; what each item of a list must be;
+    and a message, formatted with ``where`` and ``value``, that replaces
+    the standard ones for any fault in the field."""
+
+    type: object
+    default: object = _REQUIRED
+    lo: Optional[int] = None
+    hi: Optional[int] = None
+    items: Optional["Field"] = None
+    error: Optional[str] = None
 
 
-def _as_list(value, key: str, where: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where}: {key!r} is not a list")
-    return value
+_TYPE_NAMES = {str: "a string", int: "a whole number", bool: "a boolean", list: "a list"}
 
 
-def _need_list(doc: dict, key: str, where: str) -> list:
-    return _as_list(_need(doc, key, where), key, where)
+def _fault(value, field: Field, label: str) -> Optional[str]:
+    """What is wrong with ``value`` as ``field``, or None."""
+    t = field.type
+    if type(t) is dict:
+        known = type(value) is str and value in t
+        return None if known else f"{label} is {value!r}, not one of {', '.join(t)}"
+    if type(value) is not t:
+        return f"{label} is not {_TYPE_NAMES.get(t, 'an object')}"
+    sized = t is list or t is dict
+    size = len(value) if sized else value
+    shown = f"has {size} entries" if sized else f"is {size}"
+    if field.lo is not None and size < field.lo:
+        return f"{label} {shown}, below the least allowed, {field.lo}"
+    if field.hi is not None and size > field.hi:
+        return f"{label} {shown}, above the most allowed, {field.hi}"
+    for ix, item in enumerate(value if field.items else ()):
+        fault = _fault(item, field.items, f"{label} item {ix}")
+        if fault is not None:
+            return fault
+    return None
 
 
-def _as_whole_number(value, key: str, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioError(f"{where}: {key!r} is not a whole number")
-    return value
-
-
-def _input_range(lo: int, hi: int) -> range:
-    """Inputs lo..hi inclusive, refused before they are built when there
-    are more than ``MAX_PLAN_INPUTS`` of them."""
-    _check_plan_size(hi - lo + 1)
-    return range(lo, hi + 1)
-
-
-def _check_plan_size(count: int) -> None:
-    if count > MAX_PLAN_INPUTS:
-        raise ScenarioError(
-            f"plan has {count} inputs, more than MAX_PLAN_INPUTS ({MAX_PLAN_INPUTS})"
-        )
-
-
-def _lookup(table: dict, name):
-    """The entry of ``table`` for a name read from JSON, or None.  The
-    name may be any JSON value, hashable or not."""
-    return table.get(name) if isinstance(name, str) else None
+def _fields(obj, table: dict, where: str, **defaults) -> dict:
+    """A copy of ``obj`` in which each field of ``table`` is checked, or
+    takes its default when it is missing (or null, where the default is
+    null).  ``defaults`` replace the table's where they depend on context.
+    Other fields pass through unchecked, so an object can be checked in
+    stages: against a common table, then against the one its kind picks."""
+    if type(obj) is not dict:
+        raise ScenarioError(f"{where} is not an object")
+    out = dict(obj)
+    for key, field in table.items():
+        if obj.get(key) is None and (key not in obj or field.default is None):
+            out[key] = defaults.get(key, field.default)
+            if out[key] is _REQUIRED:
+                raise ScenarioError(f"{where} is missing {key!r}")
+            continue
+        fault = _fault(obj[key], field, repr(key))
+        if fault is not None:
+            message = field.error or "{where}: {fault}"
+            raise ScenarioError(message.format(where=where, value=obj[key], fault=fault))
+    return out
 
 
 _ORACLES = {
@@ -267,173 +271,173 @@ _ORACLES = {
     "pseudorandom": oracle_pseudorandom,
 }
 
+# The seed defaults to the scenario's.
+_ORACLE = {"name": Field(_ORACLES, error="unknown oracle {value!r}"), "seed": Field(int, None)}
+
 
 def _build_oracle(spec, seed: int) -> OracleH:
-    if not isinstance(spec, dict):
-        raise ScenarioError("an oracle is an object with a name")
-    name = _need(spec, "name", "oracle")
-    build = _lookup(_ORACLES, name)
-    if build is None:
-        raise ScenarioError(f"unknown oracle {name!r}")
-    return build(spec.get("seed", seed))
+    f = _fields(spec, _ORACLE, "oracle", seed=seed)
+    return _ORACLES[f["name"]](f["seed"])
+
+
+def _compose_scheme(f: dict, seed: int) -> Encoding:
+    steps = [build_encoding(s, seed) for s in f["steps"]]
+    return reduce(lambda e, step: compose_encodings(step, e), steps)
 
 
 _DOMAINS = {"nat": Domain.NAT, "bits": Domain.BITS, "list": Domain.LIST}
+_DOMAIN = Field(_DOMAINS, "nat", error="unknown domain {value!r}")
+_STRIPE = {"d": Field(int, lo=1), "r": Field(int, lo=0)}
 
-
-def _identity_scheme(spec: dict, seed: int) -> Encoding:
-    name = spec.get("domain", "nat")
-    domain = _lookup(_DOMAINS, name)
-    if domain is None:
-        raise ScenarioError(f"unknown domain {name!r}")
-    return IdentityEncoding(domain)
-
-
-def _table_scheme(spec: dict, seed: int) -> Encoding:
-    pairs = _need_list(spec, "pairs", "table")
-    return TableEncoding(tuple((json_to_value(a), json_to_value(b)) for a, b in pairs))
-
-
-def _compose_scheme(spec: dict, seed: int) -> Encoding:
-    steps = _need_list(spec, "steps", "compose")
-    if not steps:
-        raise ScenarioError("compose needs at least one step")
-    built = [build_encoding(s, seed) for s in steps]
-    e = built[0]
-    for step in built[1:]:
-        e = compose_encodings(step, e)
-    return e
-
-
-# Every encoding scheme: the parameters its spec must carry, and how to
-# build it from the spec and the scenario's seed.
+# Every encoding scheme: its fields, and how to build it from them and
+# the scenario's seed.
 _SCHEMES = {
-    "identity": ((), _identity_scheme),
-    "stripe": (("d", "r"), lambda spec, seed: StripeEncoding(spec["d"], spec["r"])),
-    "tri-pi": ((), lambda spec, seed: TriPiEncoding()),
-    "bits": ((), lambda spec, seed: BitsEncoding()),
-    "godel": ((), lambda spec, seed: GodelEncoding()),
+    "identity": ({"domain": _DOMAIN}, lambda f, seed: IdentityEncoding(_DOMAINS[f["domain"]])),
+    "stripe": (_STRIPE, lambda f, seed: StripeEncoding(f["d"], f["r"])),
+    "tri-pi": ({}, lambda f, seed: TriPiEncoding()),
+    "bits": ({}, lambda f, seed: BitsEncoding()),
+    "godel": ({}, lambda f, seed: GodelEncoding()),
     "re-rho": (
-        ("oracle",),
-        lambda spec, seed: OracleStripeEncoding(_build_oracle(spec["oracle"], seed)),
+        {"oracle": Field(dict)},
+        lambda f, seed: OracleStripeEncoding(_build_oracle(f["oracle"], seed)),
     ),
-    "table": (("pairs",), _table_scheme),
-    "compose": (("steps",), _compose_scheme),
+    "table": (
+        {"pairs": Field(list, items=Field(list, lo=2, hi=2))},
+        lambda f, seed: TableEncoding(tuple(tuple(map(json_to_value, p)) for p in f["pairs"])),
+    ),
+    "compose": ({"steps": Field(list, lo=1)}, _compose_scheme),
 }
 
-# The schemes ``encode`` offers: those whose parameters its flags supply.
+_ENCODING = {
+    "scheme": Field(_SCHEMES, error="unknown encoding scheme {value!r}"),
+    "inverse": Field(bool, False),
+}
+
+# The schemes ``encode`` offers: those whose required fields its flags supply.
 _ENCODE_FLAGS = ("d", "r")
 _ENCODE_SCHEMES = tuple(
-    scheme for scheme, (params, _) in _SCHEMES.items() if set(params) <= set(_ENCODE_FLAGS)
+    scheme for scheme, (table, _) in _SCHEMES.items()
+    if all(key in _ENCODE_FLAGS for key, field in table.items() if field.default is _REQUIRED)
 )
 
 
 def build_encoding(spec, seed: int = 0) -> Encoding:
-    if not isinstance(spec, dict):
-        raise ScenarioError("an encoding is an object with a scheme")
-    scheme = _need(spec, "scheme", "encoding")
-    entry = _lookup(_SCHEMES, scheme)
-    if entry is None:
-        raise ScenarioError(f"unknown encoding scheme {scheme!r}")
-    params, build = entry
-    for param in params:
-        _need(spec, param, scheme)
-    e = build(spec, seed)
-    if spec.get("inverse", False):
-        e = e.inverse()
-    return e
+    f = _fields(spec, _ENCODING, "encoding")
+    table, build = _SCHEMES[f["scheme"]]
+    e = build(_fields(f, table, f["scheme"]), seed)
+    return e.inverse() if f["inverse"] else e
 
 
-def _machine_text(member: dict, base_dir: Path) -> str:
-    if "file" in member:
-        return (base_dir / member["file"]).read_text()
-    if "lines" in member:
-        return "\n".join(member["lines"]) + "\n"
-    raise ScenarioError(f"member {member.get('name')!r} needs a file or lines")
-
-
-def _build_model(key: str, spec, base_dir: Path, seed: int, get) -> Model:
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"model {key!r} is not an object")
-    kind = _need(spec, "kind", f"model {key!r}")
-    name = spec.get("name", key)
-    if kind == "dsl-terms":
-        members = tuple(
-            term_map(parse_term(_need(m, "term", f"member of {key!r}")), _need(m, "name", f"member of {key!r}"))
-            for m in _need_list(spec, "members", f"model {key!r}")
+def _tri_construction(f: dict, where: str, *_) -> tuple:
+    i, j, k = f["i_max"], f["j_max"], f["k_max"]
+    count = i * j + i + k + 2  # the identity, k + 1 constants, each f(i, j) and g(i)
+    if count > MAX_MODEL_MEMBERS:
+        raise ScenarioError(
+            f"{where} has {count} members, more than MAX_MODEL_MEMBERS ({MAX_MODEL_MEMBERS})"
         )
-        return Model(name, Domain.NAT, members)
-    if kind == "tm-programs":
-        members = tuple(
-            tm_map(parse_tm(_machine_text(m, base_dir), name=m["name"]))
-            for m in _need_list(spec, "members", f"model {key!r}")
-        )
-        return Model(name, Domain.BITS, members)
-    if kind == "cm-programs":
-        members = tuple(
-            cm_map(parse_cm(_machine_text(m, base_dir), name=m["name"]))
-            for m in _need_list(spec, "members", f"model {key!r}")
-        )
-        return Model(name, Domain.NAT, members)
-    if kind == "builtin-construction":
-        return _build_construction(key, spec, seed, get, name)
-    raise ScenarioError(f"model {key!r} has unknown kind {kind!r}")
+    return tri_models(i, j, k)
 
 
-def _image_construction(name: str, key: str, spec: dict, seed: int, get) -> Model:
-    inner = get(_need(spec, "of", f"model {key!r}"))
-    e = build_encoding(_need(spec, "encoding", f"model {key!r}"), seed)
-    return pushforward_model(e, inner, name=name)
+def _role(construction: str, roles: dict) -> Field:
+    """The field of a construction that builds a pair of models: which
+    one, by its index in the pair."""
+    return Field(roles, error=f"{{where}}: unknown {construction} role {{value!r}}")
 
 
-# Every builtin construction: how to build it from (name, key, spec,
-# seed, get), and, when it builds a pair of models, the role names that
-# pick each one.
+_SIZE = Field(int, lo=0, hi=MAX_MODEL_MEMBERS)
+
+# Every builtin construction, and every model kind: its fields, and how to
+# build it from them, the model's description for messages, the scenario's
+# directory and seed, and ``get``, which builds a model of the scenario by key.
 _CONSTRUCTIONS = {
-    "rec-suite": (lambda name, *_: rec_suite_model(name), None),
-    "stripe": (
-        lambda name, key, spec, *_: stripe_model(
-            _need(spec, "d", key), _need(spec, "r", key), standard_suite(), name=name
-        ),
-        None,
-    ),
+    "rec-suite": ({}, lambda f, *_: rec_suite_model(f["name"])),
+    "stripe": (_STRIPE, lambda f, *_: stripe_model(f["d"], f["r"], name=f["name"])),
     "tri": (
-        lambda name, key, spec, *_: tri_models(
-            spec.get("i_max", 3), spec.get("j_max", 3), spec.get("k_max", 5)
-        ),
-        (("with-anchors", "A"), ("plain", "B")),
+        {"i_max": _SIZE._replace(default=3), "j_max": _SIZE._replace(default=3),
+         "k_max": _SIZE._replace(default=5),
+         "role": _role("tri", {"with-anchors": 0, "A": 0, "plain": 1, "B": 1})},
+        _tri_construction,
     ),
     "re": (
-        lambda name, key, spec, seed, get: re_models(
-            _build_oracle(_need(spec, "oracle", key), seed), spec.get("i_max", 8)
+        {"oracle": Field(dict), "i_max": Field(int, 8, 0, MAX_MODEL_MEMBERS - 1),
+         "role": _role("re", {"image": 0, "plain": 1})},
+        lambda f, where, base_dir, seed, get: re_models(
+            _build_oracle(f["oracle"], seed), f["i_max"]
         ),
-        (("image",), ("plain",)),
     ),
-    "tm-witness": (lambda *_: tm_witness_models(), (("tm",), ("rec",))),
-    "image": (_image_construction, None),
+    "tm-witness": (
+        {"role": _role("tm-witness", {"tm": 0, "rec": 1})}, lambda *_: tm_witness_models()
+    ),
+    "image": (
+        {"of": Field(str), "encoding": Field(dict)},
+        lambda f, where, base_dir, seed, get: pushforward_model(
+            build_encoding(f["encoding"], seed), get(f["of"]), name=f["name"]
+        ),
+    ),
 }
 
 
-def _build_construction(key: str, spec: dict, seed: int, get, name: str) -> Model:
-    which = _need(spec, "construction", f"model {key!r}")
-    entry = _lookup(_CONSTRUCTIONS, which)
-    if entry is None:
-        raise ScenarioError(f"model {key!r}: unknown construction {which!r}")
-    build, roles = entry
-    built = build(name, key, spec, seed, get)
-    if roles is None:
-        return built
-    role = _need(spec, "role", f"model {key!r}")
-    for names, model in zip(roles, built):
-        if role in names:
-            return model
-    raise ScenarioError(f"model {key!r}: unknown {which} role {role!r}")
+def _construction_model(f: dict, where: str, *context) -> Model:
+    table, build = _CONSTRUCTIONS[f["construction"]]
+    f = _fields(f, table, where)
+    built = build(f, where, *context)
+    return built[table["role"].type[f["role"]]] if "role" in table else built
+
+
+_MEMBERS = {"members": Field(list)}
+
+
+def _listed(domain: Domain, table: dict, make):
+    """How to build a model of the members a scenario lists: each an
+    object checked against ``table`` and made a map by ``make``."""
+
+    def build(f: dict, where: str, base_dir: Path, *_) -> Model:
+        members = [_fields(m, table, f"{where} member {i}") for i, m in enumerate(f["members"])]
+        return Model(f["name"], domain, tuple(make(m, base_dir) for m in members))
+
+    return (_MEMBERS, build)
+
+
+def _term(m: dict, base_dir: Path):
+    return term_map(parse_term(m["term"]), m["name"])
+
+
+_PROGRAM = {
+    "name": Field(str), "file": Field(str, None), "lines": Field(list, None, items=Field(str)),
+}
+
+
+def _program(parse, to_map):
+    """How to make a map of a member program, from its file or its lines."""
+
+    def make(m: dict, base_dir: Path):
+        if m["file"] is not None:
+            text = (base_dir / m["file"]).read_text()
+        elif m["lines"] is not None:
+            text = "\n".join(m["lines"]) + "\n"
+        else:
+            raise ScenarioError(f"member {m['name']!r} needs a file or lines")
+        return to_map(parse(text, name=m["name"]))
+
+    return make
+
+
+_MODEL_KINDS = {
+    "dsl-terms": _listed(Domain.NAT, {"name": Field(str), "term": Field(str)}, _term),
+    "tm-programs": _listed(Domain.BITS, _PROGRAM, _program(parse_tm, tm_map)),
+    "cm-programs": _listed(Domain.NAT, _PROGRAM, _program(parse_cm, cm_map)),
+    "builtin-construction": (
+        {"construction": Field(_CONSTRUCTIONS, error="{where}: unknown construction {value!r}")},
+        _construction_model,
+    ),
+}
+
+# The name defaults to the model's key.
+_MODEL = {"kind": Field(_MODEL_KINDS), "name": Field(str, None)}
 
 
 def build_models(doc: dict, base_dir: Path, seed: int):
-    specs = _need(doc, "models", "scenario")
-    if not isinstance(specs, dict) or not specs:
-        raise ScenarioError("'models' must be a non-empty object")
+    specs = _fields(doc, _SCENARIO, "scenario")["models"]
     built: dict = {}
     in_progress: set = set()
 
@@ -444,113 +448,119 @@ def build_models(doc: dict, base_dir: Path, seed: int):
             if key in in_progress:
                 raise ScenarioError(f"model {key!r} depends on itself")
             in_progress.add(key)
-            built[key] = _build_model(key, specs[key], base_dir, seed, get)
+            where = f"model {key!r}"
+            f = _fields(specs[key], _MODEL, where, name=key)
+            table, build = _MODEL_KINDS[f["kind"]]
+            built[key] = build(_fields(f, table, where), where, base_dir, seed, get)
             in_progress.discard(key)
         return built[key]
 
     return get
 
 
+_PLAN = {
+    "inputs": Field(dict),
+    "fuel": Field(int, lo=1),
+    "candidate_limit": Field(int, 64, 0, MAX_MODEL_MEMBERS),
+    "a_sample": Field(list, None, items=Field(str)),
+    "b_sample": Field(list, None, items=Field(str)),
+}
+
+_RANGE_ERROR = "inputs range must be [lo, hi] with lo <= hi"
+# One of the two is needed; a range wins over a list.
+_INPUTS = {
+    "range": Field(list, None, 2, 2, items=Field(int), error=_RANGE_ERROR),
+    "list": Field(list, None, lo=1),
+}
+
+
 def build_plan(
-    doc: dict,
-    fuel_override: Optional[int],
-    inputs_override,
+    doc: dict, fuel_override: Optional[int], inputs_override: Optional[dict]
 ) -> TestPlan:
-    spec = _need(doc, "plan", "scenario")
-    if not isinstance(spec, dict):
-        raise ScenarioError("'plan' must be an object")
-    if inputs_override is not None:
-        inputs = inputs_override
+    """The scenario's plan.  ``fuel_override`` and ``inputs_override`` (an
+    inputs object, as in a plan), when given, replace the plan's own."""
+    plan = _fields(doc, _SCENARIO, "scenario")["plan"]
+    overrides = {"fuel": fuel_override, "inputs": inputs_override}
+    f = _fields({**plan, **{k: v for k, v in overrides.items() if v is not None}}, _PLAN, "plan")
+    given = _fields(f["inputs"], _INPUTS, "plan inputs")
+    if given["range"] is not None:
+        lo, hi = given["range"]
+        if lo > hi:
+            raise ScenarioError(_RANGE_ERROR)
+        count = hi - lo + 1
+    elif given["list"] is not None:
+        count = len(given["list"])
     else:
-        ispec = _need(spec, "inputs", "plan")
-        if not isinstance(ispec, dict):
-            raise ScenarioError("plan inputs must be an object")
-        if "range" in ispec:
-            bounds = ispec["range"]
-            if not (
-                isinstance(bounds, list)
-                and len(bounds) == 2
-                and all(isinstance(b, int) for b in bounds)
-                and bounds[0] <= bounds[1]
-            ):
-                raise ScenarioError("inputs range must be [lo, hi] with lo <= hi")
-            inputs = _input_range(*bounds)
-        elif "list" in ispec:
-            inputs = [json_to_value(x) for x in _as_list(ispec["list"], "list", "plan inputs")]
-        else:
-            raise ScenarioError("plan inputs need a range or a list")
-    _check_plan_size(len(inputs))
-    inputs = tuple(inputs)
-    fuel = fuel_override if fuel_override is not None else _need(spec, "fuel", "plan")
-    fuel = _as_whole_number(fuel, "fuel", "plan")
-    candidate_limit = _as_whole_number(spec.get("candidate_limit", 64), "candidate_limit", "plan")
-    a_sample, b_sample = (
-        None if spec.get(key) is None else tuple(_as_list(spec[key], key, "plan"))
-        for key in ("a_sample", "b_sample")
-    )
-    try:
-        return TestPlan(
-            inputs=inputs,
-            fuel=fuel,
-            a_sample=a_sample,
-            b_sample=b_sample,
-            candidate_limit=candidate_limit,
+        raise ScenarioError("plan inputs need a range or a list")
+    # refused before a range is built
+    if count > MAX_PLAN_INPUTS:
+        raise ScenarioError(
+            f"plan has {count} inputs, more than MAX_PLAN_INPUTS ({MAX_PLAN_INPUTS})"
         )
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    if given["range"] is not None:
+        inputs = tuple(range(lo, hi + 1))
+    else:
+        inputs = tuple(json_to_value(x) for x in given["list"])
+    a_sample, b_sample = (None if f[k] is None else tuple(f[k]) for k in ("a_sample", "b_sample"))
+    return TestPlan(inputs, f["fuel"], a_sample, b_sample, f["candidate_limit"])
 
 
-_CHECKS = ("simulation", "equivalence", "closure", "pullback-law", "probe")
+def _one_way(check):
+    """How to run a check of one encoding between two models."""
+    return lambda f, get, plan, seed: [
+        check(get(f["simulator"]), get(f["simulated"]), build_encoding(f["encoding"], seed), plan)
+    ]
+
+
+def _run_equivalence(f: dict, get, plan: TestPlan, seed: int) -> list:
+    a, b = get(f["simulator"]), get(f["simulated"])
+    e_ab, e_ba = (build_encoding(e, seed) for e in f["encodings"])
+    return [check_equivalence(a, b, e_ab, e_ba, plan, mode=f["mode"])]
+
+
+def _run_probe(f: dict, get, plan: TestPlan, seed: int) -> list:
+    a, b = get(f["simulator"]), get(f["simulated"])
+    family = [build_encoding(e, seed) for e in f["encodings"]]
+    return probe_encodings(a, b, family, plan, family_name=f["family_name"])
+
+
+_SIDES = {"simulator": Field(str), "simulated": Field(str)}
+_ONE_WAY = {**_SIDES, "encoding": Field(dict)}
+_PAIR = Field(list, lo=2, hi=2, error="equivalence needs exactly two encodings [forward, backward]")
+_MODES = dict.fromkeys(("plain", "strong", "isomorphism"))
+
+# Every check kind: its fields besides the common ones, and how to run it
+# from them, ``get``, the plan and the seed, giving a list of reports.
+_CHECKS = {
+    "simulation": (_ONE_WAY, _one_way(check_simulation)),
+    "equivalence": (
+        {**_SIDES, "encodings": _PAIR, "mode": Field(_MODES, "plain")}, _run_equivalence
+    ),
+    "closure": (
+        {"model": Field(str)}, lambda f, get, plan, seed: [check_closure(get(f["model"]), plan)]
+    ),
+    "pullback-law": (_ONE_WAY, _one_way(check_pullback_law)),
+    "probe": (
+        {**_SIDES, "encodings": Field(list), "family_name": Field(str, "family")}, _run_probe
+    ),
+}
+
+_SCENARIO = {
+    "name": Field(str), "check": Field(_CHECKS), "models": Field(dict, lo=1), "plan": Field(dict),
+}
 
 
 def run_scenario(
-    doc: dict,
-    base_dir: Path,
-    fuel: Optional[int] = None,
-    inputs=None,
+    doc: dict, base_dir: Path, fuel: Optional[int] = None, inputs: Optional[dict] = None,
     seed: int = 0,
 ) -> tuple[str, str, list]:
-    """Returns (scenario name, check kind, list of reports)."""
-    if not isinstance(doc, dict):
-        raise ScenarioError("a scenario is a JSON object")
-    name = _need(doc, "name", "scenario")
-    check = _need(doc, "check", "scenario")
-    if check not in _CHECKS:
-        raise ScenarioError(f"unknown check {check!r}, expected one of {', '.join(_CHECKS)}")
+    """Returns (scenario name, check kind, list of reports).  ``fuel`` and
+    ``inputs`` override the plan's, as in ``build_plan``."""
+    f = _fields(doc, _SCENARIO, "scenario")
+    table, run = _CHECKS[f["check"]]
+    f = _fields(f, table, f"{f['check']} scenario")
     get = build_models(doc, base_dir, seed)
-    plan = build_plan(doc, fuel, inputs)
-    if check == "closure":
-        model = get(_need(doc, "model", "closure scenario"))
-        return name, check, [check_closure(model, plan)]
-    if check == "probe":
-        a = get(_need(doc, "simulator", "probe scenario"))
-        b = get(_need(doc, "simulated", "probe scenario"))
-        family = [
-            build_encoding(e, seed) for e in _need(doc, "encodings", "probe scenario")
-        ]
-        reports = probe_encodings(
-            a, b, family, plan, family_name=doc.get("family_name", "family")
-        )
-        return name, check, reports
-    a = get(_need(doc, "simulator", f"{check} scenario"))
-    b = get(_need(doc, "simulated", f"{check} scenario"))
-    if check == "simulation":
-        e = build_encoding(_need(doc, "encoding", "simulation scenario"), seed)
-        return name, check, [check_simulation(a, b, e, plan)]
-    if check == "pullback-law":
-        e = build_encoding(_need(doc, "encoding", "pullback-law scenario"), seed)
-        return name, check, [check_pullback_law(a, b, e, plan)]
-    pair = _need(doc, "encodings", "equivalence scenario")
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise ScenarioError("equivalence needs exactly two encodings [forward, backward]")
-    e_ab = build_encoding(pair[0], seed)
-    e_ba = build_encoding(pair[1], seed)
-    mode = doc.get("mode", "plain")
-    try:
-        report = check_equivalence(a, b, e_ab, e_ba, plan, mode=mode)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    return name, check, [report]
+    return f["name"], f["check"], run(f, get, build_plan(doc, fuel, inputs), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -709,18 +719,13 @@ def render_text(name: str, check: str, reports: list, aggregate: Verdict) -> str
 # Subcommand handlers
 
 
-def _parse_inputs_flag(text: str) -> tuple | range:
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ScenarioError(f"bad inputs range {text!r}, expected lo..hi")
-        if lo > hi:
-            raise ScenarioError(f"bad inputs range {text!r}, expected lo..hi")
-        return _input_range(lo, hi)
+def _parse_inputs_flag(text: str) -> dict:
+    """``run --inputs`` as a plan's inputs object."""
     try:
-        return tuple(int(x) for x in text.split(","))
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            return {"range": [int(lo), int(hi)]}
+        return {"list": [int(x) for x in text.split(",")]}
     except ValueError:
         raise ScenarioError(f"bad inputs {text!r}, expected lo..hi or a comma list")
 
@@ -784,18 +789,9 @@ def _cmd_tri(args) -> int:
     return 0
 
 
-def _cmd_encode(args) -> int:
-    params = _SCHEMES[args.scheme][0]
-    if any(getattr(args, flag) is None for flag in params):
-        flags = " and ".join(f"--{flag}" for flag in params)
-        raise ScenarioError(f"encode --scheme {args.scheme} needs {flags}")
-    spec = {flag: getattr(args, flag) for flag in params}
-    e = build_encoding(dict(spec, scheme=args.scheme))
-    raw = args.value
-    if args.decode:
-        domain = e.target
-    else:
-        domain = e.source
+def _parse_value(raw: str, domain: Domain):
+    """A command-line argument as a value of ``domain``: a natural number,
+    a bit string, or a list value written as JSON."""
     if domain is Domain.NAT:
         try:
             value = int(raw)
@@ -810,6 +806,13 @@ def _cmd_encode(args) -> int:
             raise ScenarioError(f"{raw!r} is not a JSON list value: {exc}")
     if not domain.contains(value):
         raise ScenarioError(f"{raw!r} is not in the {domain.value} domain")
+    return value
+
+
+def _cmd_encode(args) -> int:
+    spec = {flag: getattr(args, flag) for flag in _ENCODE_FLAGS if getattr(args, flag) is not None}
+    e = build_encoding(dict(spec, scheme=args.scheme))
+    value = _parse_value(args.value, e.target if args.decode else e.source)
     if args.decode:
         back = e.decode(value)
         if back is None:
@@ -832,27 +835,20 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+# How ``exec`` reads and runs a program, by file suffix.
+_MACHINES = {".tm": (parse_tm, run_tm, Domain.BITS), ".cm": (parse_cm, run_cm, Domain.NAT)}
+
+
 def _cmd_exec(args) -> int:
     path = Path(args.machine)
+    if path.suffix not in _MACHINES:
+        raise ScenarioError(f"{path} must end in .tm or .cm")
+    parse, run, domain = _MACHINES[path.suffix]
     try:
         text = path.read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}")
-    if path.suffix == ".tm":
-        bits = args.input
-        if any(c not in "01" for c in bits):
-            raise ScenarioError(f"{bits!r} is not a bit string")
-        out = run_tm(parse_tm(text, name=path.stem), bits, args.fuel)
-    elif path.suffix == ".cm":
-        try:
-            n = int(args.input)
-        except ValueError:
-            raise ScenarioError(f"{args.input!r} is not a natural number")
-        if n < 0:
-            raise ScenarioError(f"{args.input!r} is not a natural number")
-        out = run_cm(parse_cm(text, name=path.stem), n, args.fuel)
-    else:
-        raise ScenarioError(f"{path} must end in .tm or .cm")
+    out = run(parse(text, name=path.stem), _parse_value(args.input, domain), args.fuel)
     print(outcome_to_text(outcome_to_json(out)))
     if isinstance(out, Converged):
         return EXIT_VERIFIED

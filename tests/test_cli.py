@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import pickle
+import shutil
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from powerlab.cli import (
     EXIT_UNKNOWN,
     EXIT_USAGE,
     EXIT_VERIFIED,
+    MAX_MODEL_MEMBERS,
     MAX_PLAN_INPUTS,
     MAX_TRI_PREFIX,
     ScenarioError,
@@ -552,6 +554,7 @@ def _with_plan(**plan):
             _with_plan(inputs={"list": [0] * 1_000_001}),
             "plan has 1000001 inputs, more than MAX_PLAN_INPUTS (1000000)",
         ),
+        (_with_plan(inputs={"range": [False, True]}), "inputs range must be [lo, hi] with lo <= hi"),
     ],
 )
 def test_malformed_plans_exit_3(doc, message, tmp_path, capsys):
@@ -617,3 +620,130 @@ def test_indented_json_rejects_what_json_dumps_rejects():
             json.dumps(doc, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             indented_json(doc)
+
+
+def _model_a(**spec):
+    """``_mistyped``'s scenario with model 'a' replaced."""
+    return _mistyped(models={"a": spec})
+
+
+def _construction(construction, **spec):
+    return _model_a(kind="builtin-construction", construction=construction, **spec)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _model_a(kind="dsl-terms", members=[5]),
+        _model_a(kind="dsl-terms", members=[{"name": "s", "term": 5}]),
+        _model_a(kind="tm-programs", members=[{"name": "t", "file": 5}]),
+        _model_a(kind="dsl-terms", members=[{"name": ["s"], "term": "S"}]),
+        _mistyped(simulator=["a"]),
+        _mistyped(check="probe", encodings=5),
+        _construction("stripe", d="2", r=0),
+        _construction("tri", j_max="3", role="plain"),
+        _construction("re", oracle={"name": "parity"}, i_max="8", role="plain"),
+        # accepted before, read by truthiness or carried into the report
+        _mistyped(encoding={"scheme": "identity", "inverse": "yes"}),
+        _mistyped(name=5),
+        _with_plan(inputs={"list": []}),
+    ],
+    ids=[
+        "member", "term", "file", "name", "simulator", "encodings", "d", "j_max", "i_max",
+        "inverse", "scenario-name", "empty-list",
+    ],
+)
+def test_mistyped_fields_exit_3(doc, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    _assert_one_line_usage_error(main(["run", str(path)]), capsys)
+
+
+def test_flags_stand_in_for_a_missing_fuel_and_inputs(tmp_path, capsys):
+    doc = _mistyped()
+    doc["plan"] = {}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--fuel", "100", "--inputs", "0..2"]) == EXIT_UNKNOWN
+    assert "stats: 3 inputs" in capsys.readouterr().out
+    assert main(["run", str(path), "--fuel", "100"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "powerlab: error: plan is missing 'inputs'\n"
+    assert main(["run", str(path), "--inputs", "0,1"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "powerlab: error: plan is missing 'fuel'\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _with_plan(candidate_limit=10**8),
+        _construction("tri", j_max=10**30, role="plain"),
+        _construction("tri", i_max=1000, j_max=1000, k_max=0, role="plain"),
+        _construction("re", oracle={"name": "parity"}, i_max=10**30, role="plain"),
+        _construction("re", oracle={"name": "parity"}, i_max=MAX_MODEL_MEMBERS, role="plain"),
+    ],
+    ids=["candidate_limit", "tri-j_max", "tri-members", "re-i_max", "re-members"],
+)
+def test_sizes_past_max_model_members_exit_3(doc, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    _assert_one_line_usage_error(main(["run", str(path)]), capsys)
+
+
+def test_max_model_members_itself_is_allowed():
+    plan = build_plan(_with_plan(candidate_limit=MAX_MODEL_MEMBERS), None, None)
+    assert plan.candidate_limit == MAX_MODEL_MEMBERS
+
+
+def _json_paths(doc, path=()):
+    """The path to every field and list item of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+_OVERSIZED = 10**30
+_MUTANT_VALUES = ("x", 5, -1, True, None, [], {}, [5], _OVERSIZED, 1.5)
+
+
+@st.composite
+def _mutants(draw):
+    """A bundled scenario with one field, at any depth, set to a value of
+    another JSON type or to an oversized number.  The plan's fuel only
+    takes other types: a huge fuel is a legitimate budget."""
+    name = draw(st.sampled_from(sorted(BUNDLED)))
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    path = draw(st.sampled_from(list(_json_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    values = [
+        v for v in _MUTANT_VALUES
+        if type(v) is not type(old) or (v is _OVERSIZED and path != ("plan", "fuel"))
+    ]
+    parent[path[-1]] = draw(st.sampled_from(values))
+    return name, path, doc
+
+
+@pytest.fixture(scope="module")
+def mutant_dir(tmp_path_factory):
+    """A directory for mutated scenarios, holding the machine files the
+    bundled ones name."""
+    d = tmp_path_factory.mktemp("mutants")
+    shutil.copytree(SCENARIOS / "machines", d / "machines")
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutants())
+def test_a_mutated_scenario_exits_with_a_status_not_a_traceback(mutant_dir, mutant):
+    name, path, doc = mutant
+    scenario = mutant_dir / "mutant.json"
+    scenario.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", str(scenario), "--fuel", str(_HEAVY_FUEL)])
+    assert code in (EXIT_VERIFIED, EXIT_REFUTED, EXIT_UNKNOWN, EXIT_USAGE), (name, path)
+    if code == EXIT_USAGE:
+        assert len(err.getvalue().splitlines()) == 1, (name, path, err.getvalue())
