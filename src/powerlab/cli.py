@@ -218,7 +218,9 @@ class Field(NamedTuple):
     error: Optional[str] = None
 
 
-_TYPE_NAMES = {str: "a string", int: "a whole number", bool: "a boolean", list: "a list"}
+_TYPE_NAMES = {
+    str: "a string", int: "a whole number", bool: "a boolean", list: "a list", dict: "an object",
+}
 
 
 def _fault(value, field: Field, label: str) -> Optional[str]:
@@ -228,7 +230,7 @@ def _fault(value, field: Field, label: str) -> Optional[str]:
         known = type(value) is str and value in t
         return None if known else f"{label} is {value!r}, not one of {', '.join(t)}"
     if type(value) is not t:
-        return f"{label} is not {_TYPE_NAMES.get(t, 'an object')}"
+        return f"{label} is not {_TYPE_NAMES[t]}"
     sized = t is list or t is dict
     size = len(value) if sized else value
     shown = f"has {size} entries" if sized else f"is {size}"

@@ -182,6 +182,8 @@ def test_exec_command(capsys, tmp_path):
     assert capsys.readouterr().out.strip() == "fuel exhausted"
     assert main(["exec", "--machine", str(tmp_path / "x.txt"), "--input", "0"]) == EXIT_USAGE
     assert main(["exec", "--machine", str(tm), "--input", "12"]) == EXIT_USAGE
+    assert main(["exec", "--machine", str(cm), "--input", "-1"]) == EXIT_USAGE
+    assert main(["exec", "--machine", str(cm), "--input", "four"]) == EXIT_USAGE
 
 
 def test_exec_allocates_only_the_registers_a_machine_names(capsys, tmp_path):
@@ -643,7 +645,7 @@ def _construction(construction, **spec):
         _construction("stripe", d="2", r=0),
         _construction("tri", j_max="3", role="plain"),
         _construction("re", oracle={"name": "parity"}, i_max="8", role="plain"),
-        # accepted before, read by truthiness or carried into the report
+        # wrong types that truthiness or the report would otherwise take as they are
         _mistyped(encoding={"scheme": "identity", "inverse": "yes"}),
         _mistyped(name=5),
         _with_plan(inputs={"list": []}),
