@@ -287,7 +287,7 @@ def _compose_scheme(f: dict, seed: int) -> Encoding:
     return reduce(lambda e, step: compose_encodings(step, e), steps)
 
 
-_DOMAINS = {"nat": Domain.NAT, "bits": Domain.BITS, "list": Domain.LIST}
+_DOMAINS = {d.value: d for d in Domain}
 _DOMAIN = Field(_DOMAINS, "nat", error="unknown domain {value!r}")
 _STRIPE = {"d": Field(int, lo=1), "r": Field(int, lo=0)}
 
@@ -753,41 +753,42 @@ def _cmd_run(args) -> int:
     return _EXIT_BY_VERDICT[aggregate]
 
 
-def _require_flags(args, names, op):
-    for flag in names:
-        if getattr(args, flag) is None:
-            raise ScenarioError(f"tri --op {op} needs --{flag}")
+def _tri_cycles(prefix: int) -> str:
+    if prefix > MAX_TRI_PREFIX:
+        raise ScenarioError(f"tri --prefix {prefix} is above MAX_TRI_PREFIX ({MAX_TRI_PREFIX})")
+    rep = narrowness(TriPiEncoding(), prefix)
+    bound = rep.bound_if_narrow
+    if bound is None:
+        bound = "unknown on this prefix"
+    census = " ".join(f"{length}x{count}" for length, count in rep.cycle_lengths_histogram)
+    return "\n".join((
+        f"prefix: [0, {rep.prefix})",
+        f"permutation on prefix: {'yes' if rep.is_permutation_on_prefix else 'no'}",
+        f"longest closed cycle: {rep.max_cycle_length}",
+        f"iteration order bound: {bound}",
+        f"escaped elements: {rep.escaped_elements}",
+        f"cycle lengths: {census or 'none'}",
+    ))
+
+
+# Each ``tri`` op: the flags it reads, in order, and the function of their
+# values whose result it prints.
+_TRI_OPS = {
+    "f": (("i", "j", "n"), tri_f),
+    "g": (("i", "n"), tri_g),
+    "pi": (("n",), tri_pi),
+    "pi-inv": (("n",), tri_pi_inverse),
+    "cycles": (("prefix",), _tri_cycles),
+}
 
 
 def _cmd_tri(args) -> int:
-    if args.op == "f":
-        _require_flags(args, ("i", "j", "n"), "f")
-        print(tri_f(args.i, args.j, args.n))
-    elif args.op == "g":
-        _require_flags(args, ("i", "n"), "g")
-        print(tri_g(args.i, args.n))
-    elif args.op == "pi":
-        _require_flags(args, ("n",), "pi")
-        print(tri_pi(args.n))
-    elif args.op == "pi-inv":
-        _require_flags(args, ("n",), "pi-inv")
-        print(tri_pi_inverse(args.n))
-    else:
-        if args.prefix > MAX_TRI_PREFIX:
-            raise ScenarioError(
-                f"tri --prefix {args.prefix} is above MAX_TRI_PREFIX ({MAX_TRI_PREFIX})"
-            )
-        rep = narrowness(TriPiEncoding(), args.prefix)
-        print(f"prefix: [0, {rep.prefix})")
-        print(f"permutation on prefix: {'yes' if rep.is_permutation_on_prefix else 'no'}")
-        print(f"longest closed cycle: {rep.max_cycle_length}")
-        if rep.bound_if_narrow is not None:
-            print(f"iteration order bound: {rep.bound_if_narrow}")
-        else:
-            print("iteration order bound: unknown on this prefix")
-        print(f"escaped elements: {rep.escaped_elements}")
-        census = " ".join(f"{length}x{count}" for length, count in rep.cycle_lengths_histogram)
-        print(f"cycle lengths: {census or 'none'}")
+    flags, op = _TRI_OPS[args.op]
+    values = [getattr(args, flag) for flag in flags]
+    for flag, value in zip(flags, values):
+        if value is None:
+            raise ScenarioError(f"tri --op {args.op} needs --{flag}")
+    print(op(*values))
     return 0
 
 
@@ -880,9 +881,7 @@ def _build_parser() -> _Parser:
     )
 
     tri_p = sub.add_parser("tri", help="evaluate the square-row family")
-    tri_p.add_argument(
-        "--op", required=True, choices=("f", "g", "pi", "pi-inv", "cycles")
-    )
+    tri_p.add_argument("--op", required=True, choices=tuple(_TRI_OPS))
     tri_p.add_argument("--i", type=int, default=None)
     tri_p.add_argument("--j", type=int, default=None)
     tri_p.add_argument("--n", type=int, default=None)

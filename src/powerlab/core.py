@@ -110,9 +110,11 @@ Outcome = Union[Converged, Diverged, FuelExhausted]
 FUEL_EXHAUSTED = FuelExhausted()
 
 
-# A raw result is an outcome in the form the checker keeps it: a converged
+# A raw result is an outcome in the form the engine keeps it: a converged
 # value as the value itself, a ``Diverged`` or ``FUEL_EXHAUSTED`` outcome
 # as it is.  No value is an outcome, nor ``None``, so nothing is lost.
+# Every ``_run`` returns one; ``Converged`` is built only where a result
+# leaves the engine.
 
 
 def _box(raw) -> Outcome:
@@ -124,33 +126,27 @@ def _box(raw) -> Outcome:
 class PartialMap:
     """A named, deterministic, fuel-monotone partial map over one domain.
 
-    Subclasses implement ``_run``.  ``_run`` never raises on fuel
-    exhaustion; it reports ``FUEL_EXHAUSTED`` so that wrappers sharing
-    the same budget can pass the outcome through.
+    Subclasses implement ``_run``, which takes an input already in the
+    domain and returns its raw result (see ``_box``).  ``_run`` never
+    raises on fuel exhaustion; it reports ``FUEL_EXHAUSTED`` so that
+    wrappers sharing the same budget can pass the result through.
     """
 
     name: str
     domain: Domain
 
-    def _run(self, x: Value, fuel: Fuel) -> Outcome:
+    def _run(self, x: Value, fuel: Fuel):
         raise InvalidMap(f"invalid map: {self.name!r} has no evaluation rule")
 
-    def _run_many(self, xs, fuel: int):
-        """Evaluate on each of ``xs`` in turn, every one under its own
-        budget of ``fuel``: values already in the domain and a budget of
-        at least 1, as ``_apply_unchecked`` takes them.  Yields, per
-        input, its raw result (see ``_box``) and the fuel
-        ``_apply_unchecked`` reports for it.  The next input is read only
-        when its result is asked for, so a caller may stop at any point,
-        or feed inputs one by one.
+    def _evaluator(self, fuel: int):
+        """A function from one input, already in the domain, to its raw
+        result and the fuel spent on it, each call under its own budget
+        of ``fuel`` (at least 1), as ``_apply_unchecked`` reports them.
 
-        This default runs ``_apply_unchecked`` once per input, so a
-        subclass that overrides only ``_run`` still sees every call.  An
-        override must give the same outcomes and charge exactly the fuel
-        ``_run`` would, point by point."""
-        for x in xs:
-            out, used = _apply_unchecked(self, x, fuel)
-            yield (out.value if isinstance(out, Converged) else out), used
+        This default calls ``_run``, so a subclass that overrides only
+        ``_run`` still sees every evaluation.  An override must give the
+        same results and charge exactly the fuel ``_run`` would."""
+        return partial(_apply_unchecked, self, fuel)
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,7 @@ class BuiltinMap(PartialMap):
 
     fn: Callable[[Value], Optional[Value]]
 
-    def _run(self, x: Value, fuel: Fuel) -> Outcome:
+    def _run(self, x: Value, fuel: Fuel):
         try:
             fuel.charge()
         except _OutOfFuel:
@@ -167,14 +163,20 @@ class BuiltinMap(PartialMap):
         v = self.fn(x)
         if v is None:
             return Diverged(f"{self.name} is undefined here")
-        return Converged(v)
+        return v
 
-    def _run_many(self, xs, fuel: int):
+    def _evaluator(self, fuel: int):
         # one unit per point, as ``_run`` charges; a budget is at least 1
-        for v in map(self.fn, xs):
+        fn = self.fn
+        name = self.name
+
+        def evaluate(x: Value):
+            v = fn(x)
             if v is None:
-                v = Diverged(f"{self.name} is undefined here")
-            yield v, 1
+                return Diverged(f"{name} is undefined here"), 1
+            return v, 1
+
+        return evaluate
 
 
 @dataclass(frozen=True)
@@ -183,14 +185,14 @@ class TableMap(PartialMap):
 
     table: tuple  # pairs (input, output)
 
-    def _run(self, x: Value, fuel: Fuel) -> Outcome:
+    def _run(self, x: Value, fuel: Fuel):
         try:
             fuel.charge()
         except _OutOfFuel:
             return FUEL_EXHAUSTED
         for k, v in self.table:
             if k == x:
-                return Converged(v)
+                return v
         return Diverged("outside table")
 
 
@@ -205,13 +207,15 @@ def apply_with_cost(m: PartialMap, x: Value, fuel: int) -> tuple[Outcome, int]:
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     m.domain.check(x, m.name)
-    return _apply_unchecked(m, x, fuel)
+    out, used = _apply_unchecked(m, fuel, x)
+    return _box(out), used
 
 
-def _apply_unchecked(m: PartialMap, x: Value, fuel: int) -> tuple[Outcome, int]:
+def _apply_unchecked(m: PartialMap, fuel: int, x: Value) -> tuple:
     """One evaluation of ``m`` on an ``x`` already known to lie in its
-    domain, under a budget already known to be at least 1.  Running out
-    of fuel costs the whole budget."""
+    domain, under a budget already known to be at least 1: its raw
+    result and the fuel it spent.  Running out of fuel costs the whole
+    budget."""
     cell = Fuel(fuel)
     try:
         out = m._run(x, cell)
@@ -356,16 +360,16 @@ class PushforwardMap(PartialMap):
     inner: PartialMap
     off_range: str = "diverge"
 
-    def _run(self, y: Value, fuel: Fuel) -> Outcome:
+    def _run(self, y: Value, fuel: Fuel):
         x = self.encoding.decode(y)
         if x is None:
             if self.off_range == "fix":
-                return Converged(y)
+                return y
             return Diverged("outside encoding range")
         out = self.inner._run(x, fuel)
-        if isinstance(out, Converged):
-            return Converged(self.encoding.encode(out.value))
-        return out
+        if isinstance(out, (Diverged, FuelExhausted)):
+            return out
+        return self.encoding.encode(out)
 
 
 @dataclass(frozen=True)
@@ -377,14 +381,14 @@ class PullbackMap(PartialMap):
     encoding: Encoding
     inner: PartialMap
 
-    def _run(self, x: Value, fuel: Fuel) -> Outcome:
+    def _run(self, x: Value, fuel: Fuel):
         out = self.inner._run(self.encoding.encode(x), fuel)
-        if isinstance(out, Converged):
-            back = self.encoding.decode(out.value)
-            if back is None:
-                return Diverged("left the encoding range")
-            return Converged(back)
-        return out
+        if isinstance(out, (Diverged, FuelExhausted)):
+            return out
+        back = self.encoding.decode(out)
+        if back is None:
+            return Diverged("left the encoding range")
+        return back
 
 
 def pushforward(

@@ -43,7 +43,6 @@ from typing import Optional
 
 from powerlab.core import (
     FUEL_EXHAUSTED,
-    Converged,
     Domain,
     Encoding,
     Fuel,
@@ -151,7 +150,7 @@ def render_tm(p: TMProgram) -> str:
 class TMMap(PartialMap):
     program: TMProgram
 
-    def _run(self, x: str, fuel: Fuel) -> Outcome:
+    def _run(self, x: str, fuel: Fuel):
         tape = {i: c for i, c in enumerate(x)}
         head = 0
         state = self.program.start
@@ -170,14 +169,14 @@ class TMMap(PartialMap):
                 tape[head] = wsym
             head += _MOVES[mv]
         if head not in tape:
-            return Converged("")
+            return ""
         lo = head
         while lo - 1 in tape:
             lo -= 1
         hi = head
         while hi + 1 in tape:
             hi += 1
-        return Converged("".join(tape[i] for i in range(lo, hi + 1)))
+        return "".join(tape[i] for i in range(lo, hi + 1))
 
 
 def tm_map(p: TMProgram, name: Optional[str] = None) -> PartialMap:
@@ -383,6 +382,14 @@ def parse_cm(text: str, name: str = "cm") -> CMProgram:
             raise ProgramError(f"{name}: line {lineno}: cannot parse {raw.strip()!r}")
     if n_registers is None or input_reg is None or output_reg is None:
         raise ProgramError(f"{name}: missing registers, input or output declaration")
+    return CMProgram(
+        name, n_registers, input_reg, output_reg, _link(raw_instrs, labels, name)
+    )
+
+
+def _link(instrs: list, labels: dict, name: str) -> tuple:
+    """``instrs`` with every jump target, a label or an instruction
+    index, resolved to the index of the instruction it names."""
 
     def resolve(t):
         if isinstance(t, str) and not t.isdigit():
@@ -391,15 +398,15 @@ def parse_cm(text: str, name: str = "cm") -> CMProgram:
             return labels[t]
         return int(t)
 
-    instrs = []
-    for ins in raw_instrs:
+    out = []
+    for ins in instrs:
         if ins[0] == "decjz":
-            instrs.append(("decjz", ins[1], resolve(ins[2])))
+            out.append(("decjz", ins[1], resolve(ins[2])))
         elif ins[0] == "jump":
-            instrs.append(("jump", resolve(ins[1])))
+            out.append(("jump", resolve(ins[1])))
         else:
-            instrs.append(ins)
-    return CMProgram(name, n_registers, input_reg, output_reg, tuple(instrs))
+            out.append(ins)
+    return tuple(out)
 
 
 def render_cm(p: CMProgram) -> str:
@@ -433,7 +440,7 @@ def render_cm(p: CMProgram) -> str:
 class CMMap(PartialMap):
     program: CMProgram
 
-    def _run(self, x: int, fuel: Fuel) -> Outcome:
+    def _run(self, x: int, fuel: Fuel):
         code, slots, input_slot, output_slot = self.program._code
         regs = [0] * slots
         regs[input_slot] = x
@@ -475,7 +482,7 @@ class CMMap(PartialMap):
             else:
                 break
         fuel.left = left
-        return Converged(regs[output_slot])
+        return regs[output_slot]
 
 
 def cm_map(p: CMProgram, name: Optional[str] = None) -> PartialMap:
@@ -497,9 +504,13 @@ MAX_COMPILED_INSTRUCTIONS = 10**5
 
 
 class _Gen:
+    """Instructions as ``parse_cm`` reads them, before ``_link``: jump
+    targets are labels, each placed at the index of the instruction that
+    follows it."""
+
     def __init__(self):
         self.ops: list = []
-        self.n_instructions = 0
+        self.labels: dict = {}
         self.n_regs = 0
         self.n_labels = 0
 
@@ -512,15 +523,14 @@ class _Gen:
         return f"L{self.n_labels - 1}"
 
     def emit(self, *ins):
-        self.n_instructions += 1
-        if self.n_instructions > MAX_COMPILED_INSTRUCTIONS:
+        if len(self.ops) >= MAX_COMPILED_INSTRUCTIONS:
             raise CompileError(
                 f"program too large: more than {MAX_COMPILED_INSTRUCTIONS} instructions"
             )
         self.ops.append(ins)
 
     def place(self, lbl: str):
-        self.ops.append(("label", lbl))
+        self.labels[lbl] = len(self.ops)
 
     def clear(self, r: int):
         again = self.label()
@@ -553,26 +563,6 @@ class _Gen:
         self.emit("jump", again)
         self.place(done)
         self.move(scratch, src)
-
-    def assemble(self, name: str, input_reg: int, output_reg: int) -> CMProgram:
-        where = {}
-        pc = 0
-        for ins in self.ops:
-            if ins[0] == "label":
-                where[ins[1]] = pc
-            else:
-                pc += 1
-        out = []
-        for ins in self.ops:
-            if ins[0] == "label":
-                continue
-            if ins[0] == "decjz":
-                out.append(("decjz", ins[1], where[ins[2]]))
-            elif ins[0] == "jump":
-                out.append(("jump", where[ins[1]]))
-            else:
-                out.append(ins)
-        return CMProgram(name, max(self.n_regs, 1), input_reg, output_reg, tuple(out))
 
 
 def _uses(t: Term, pos: int):
@@ -732,4 +722,5 @@ def compile_rec_to_cm(t: Term, name: Optional[str] = None) -> CMProgram:
     out = gen.reg()
     _emit(folded, [arg], out, gen, {arg})
     gen.emit("halt")
-    return gen.assemble(name or f"cm[{to_text(t)}]", arg, out)
+    name = name or f"cm[{to_text(t)}]"
+    return CMProgram(name, max(gen.n_regs, 1), arg, out, _link(gen.ops, gen.labels, name))

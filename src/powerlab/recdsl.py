@@ -39,12 +39,12 @@ from typing import Optional
 
 from powerlab.core import (
     FUEL_EXHAUSTED,
-    Converged,
     Domain,
     Fuel,
     Outcome,
     PartialMap,
     _OutOfFuel,
+    _box,
 )
 
 
@@ -470,11 +470,12 @@ def _ack_expand(m: int, n: int, fuel: Fuel) -> int:
     return n
 
 
-def _evaluate(t: Term, args: tuple, fuel: Fuel) -> Outcome:
+def _evaluate(t: Term, args: tuple, fuel: Fuel):
+    """The raw result (see ``core._box``) of ``t`` on ``args``."""
     cost, run, _ = _code(t)
     try:
         fuel.charge(cost)
-        return Converged(run(args, fuel))
+        return run(args, fuel)
     except _OutOfFuel:
         return FUEL_EXHAUSTED
 
@@ -490,7 +491,7 @@ def eval_term(t: Term, args, fuel: int) -> Outcome:
     for a in args:
         if not Domain.NAT.contains(a):
             Domain.NAT.check(a, to_text(t))
-    return _evaluate(t, tuple(args), Fuel(fuel))
+    return _box(_evaluate(t, tuple(args), Fuel(fuel)))
 
 
 def compose_unary(t1: Term, t2: Term) -> Term:
@@ -544,7 +545,7 @@ class TermMap(PartialMap):
 
     term: Term
 
-    def _run(self, x, fuel: Fuel) -> Outcome:
+    def _run(self, x, fuel: Fuel):
         return _evaluate(self.term, (x,), fuel)
 
 

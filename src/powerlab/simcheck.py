@@ -24,16 +24,16 @@ its model's domain.  Evaluations then run unchecked, so a value the
 checker never saw (and so never validated) must not reach a map.
 
 Each check evaluates through one ``_Runner``, which keeps one memo per
-map object, from input value to raw result: a converged value as the
-value itself, a ``Diverged`` or ``FUEL_EXHAUSTED`` outcome as it is.
-Results are compared raw, and ``Outcome`` and ``CandidateFailure``
-objects are built only for failures that reach a report.  The
-simulated side runs one vector per member through
-``PartialMap._run_many``; the candidate side feeds the same method one
-input at a time, so each candidate is evaluated only up to its first
-mismatch and ``Stats`` counts exactly the evaluations the hunt needed.
-An override of ``_run_many`` must charge exactly the fuel ``_run``
-would; wrappers that override only ``_run`` still see every call.
+map object, from input value to raw result (``core._box``): a converged
+value as the value itself, a ``Diverged`` or ``FUEL_EXHAUSTED`` outcome
+as it is.  Results are compared raw, and ``Outcome`` and
+``CandidateFailure`` objects are built only for failures that reach a
+report.  Every miss is evaluated by the function
+``PartialMap._evaluator`` returns, one input at a time: the simulated
+side point by point, and each candidate only up to its first mismatch,
+so ``Stats`` counts exactly the evaluations the hunt needed.  An
+override of ``_evaluator`` must charge exactly the fuel ``_run`` would;
+wrappers that override only ``_run`` still see every call.
 """
 
 from __future__ import annotations
@@ -172,9 +172,9 @@ class _Runner:
     second side reuses what the first evaluated; and ``id(m)`` is a sound
     key because a check holds all its maps alive until it ends.
 
-    Misses are evaluated through ``PartialMap._run_many``: as one vector
-    by ``run_many``, one input at a time by ``stream``.  Every evaluation
-    is counted in ``evaluations`` and ``fuel_spent``.
+    Every miss is evaluated by ``evaluator``, through the function
+    ``PartialMap._evaluator`` returns, and counted in ``evaluations`` and
+    ``fuel_spent``.  A repeated input is a hit, so it is evaluated once.
 
     Inputs are not checked here: callers pass only values validated
     against the map's domain.  That also keeps the memo sound, since
@@ -196,40 +196,34 @@ class _Runner:
             memo = self.memos[id(m)] = {}
         return memo
 
-    def run(self, m: PartialMap, x: Value):
-        """The raw result of ``m`` at ``x``."""
-        return self.run_many(m, (x,))[0]
-
-    def run_many(self, m: PartialMap, xs) -> list:
-        """The raw results of ``m`` at each of ``xs``, the missing ones
-        evaluated by one ``_run_many`` call."""
-        memo = self.memo(m)
-        missing = [x for x in xs if x not in memo]
-        if missing:
-            missing = list(dict.fromkeys(missing))
-            spent = 0
-            for x, (got, used) in zip(missing, m._run_many(missing, self.fuel)):
-                memo[x] = got
-                spent += used
-            self.evaluations += len(missing)
-            self.fuel_spent += spent
-        return [memo[x] for x in xs]
-
-    def stream(self, m: PartialMap, memo: dict):
-        """A function that evaluates ``m`` at one input not in its memo
-        yet, each call a step of the same ``_run_many`` call."""
-        feed: list = []
-        results = m._run_many(iter(feed.pop, None), self.fuel)  # no input is None
+    def evaluator(self, m: PartialMap, memo: dict):
+        """A function that evaluates ``m`` at one input not yet in
+        ``memo``, which is ``m``'s memo, records its raw result there and
+        returns it."""
+        run = m._evaluator(self.fuel)
 
         def evaluate(x: Value):
-            feed.append(x)
-            got, used = next(results)
+            got, used = run(x)
             memo[x] = got
             self.evaluations += 1
             self.fuel_spent += used
             return got
 
         return evaluate
+
+    def run(self, m: PartialMap, x: Value):
+        """The raw result of ``m`` at ``x``."""
+        return self.run_many(m, (x,))[0]
+
+    def run_many(self, m: PartialMap, xs) -> list:
+        """The raw results of ``m`` at each of ``xs``, in order."""
+        memo = self.memo(m)
+        evaluate = self.evaluator(m, memo)
+        out = []
+        for x in xs:
+            got = memo.get(x)
+            out.append(evaluate(x) if got is None else got)
+        return out
 
     def outcome(self, raw) -> Outcome:
         """The outcome for a raw result, to go into a report; one object
@@ -260,20 +254,17 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
     Each candidate is evaluated only up to its first mismatch, and the
     candidates after a witness not at all.  Mismatches are kept raw until
     the member turns out not to be verified."""
-    memos = runner.memos
     unknown_candidate = None
     failures = []  # (candidate, x, expected, got), raw
     for f in pool:
-        memo = memos.get(id(f))
-        if memo is None:
-            memo = memos[id(f)] = {}
+        memo = runner.memo(f)
         undecided = 0
         evaluate = None
         for x, y, want in points:
             got = memo.get(y)
             if got is None:
                 if evaluate is None:
-                    evaluate = runner.stream(f, memo)
+                    evaluate = runner.evaluator(f, memo)
                 got = evaluate(y)
             if want is None or got is FUEL_EXHAUSTED:
                 undecided += 1

@@ -1,9 +1,11 @@
 """Differential tests for the recursion-term to counter-machine compiler."""
 
+import hashlib
+
 import pytest
 
 from powerlab.core import Converged, apply
-from powerlab.machines import CompileError, cm_map, compile_rec_to_cm, run_cm
+from powerlab.machines import CompileError, cm_map, compile_rec_to_cm, render_cm, run_cm
 from powerlab.recdsl import (
     Ack,
     Comp,
@@ -88,8 +90,21 @@ def test_mu_divergence_is_fuel_exhaustion_on_both_sides():
     assert not isinstance(direct, Converged)
 
 
+# sha256 of ``render_cm`` of the 18 compiled suite programs, concatenated
+# in suite order: the compiler's output, instruction for instruction.  A
+# change that moves it on purpose updates it and says why.
+COMPILED_SUITE_SHA256 = "9e5beb980ac374c66e5d1136264309ae6f089d6adef79203298380c189d36ca1"
+
+
+def test_compiled_suite_programs_are_unchanged():
+    suite = standard_suite()
+    assert len(suite) == 18
+    text = "".join(render_cm(compile_rec_to_cm(t, name=n)) for n, t in suite)
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPILED_SUITE_SHA256
+
+
 def test_compiled_programs_render_and_reload():
-    from powerlab.machines import parse_cm, render_cm
+    from powerlab.machines import parse_cm
 
     t = parse_term("(R Z (C S (P 3 3)))")  # identity on the last argument
     p = compile_rec_to_cm(Comp(t, (Z(), Id())), name="ident2")

@@ -398,8 +398,9 @@ def test_runner_matches_apply_with_cost(fuel):
         # point by point through the runner
         runner = _Runner(fuel)
         assert [_fuel_added(runner, m, x) for x in xs] == want, m.name
-        # the vector, directly and through the runner
-        assert [(_box(r), spent) for r, spent in m._run_many(xs, fuel)] == want, m.name
+        # the evaluator, directly and through the runner's vector
+        evaluate = m._evaluator(fuel)
+        assert [(_box(r), spent) for r, spent in map(evaluate, xs)] == want, m.name
         runner = _Runner(fuel)
         assert [_box(r) for r in runner.run_many(m, xs)] == [out for out, _ in want], m.name
         assert runner.evaluations == len(xs)
@@ -504,3 +505,26 @@ def test_stats_and_run_calls_on_probe_stripes():
         Stats(33, 662, 328638),
         Stats(33, 653, 329064),
     ]
+
+
+def test_repeated_plan_inputs_are_evaluated_once():
+    doc = json.loads((SCENARIOS / "example_r1.json").read_text())
+    e = build_encoding(doc["encoding"])
+
+    def check(inputs):
+        get = build_models(doc, SCENARIOS, 0)
+        wrapped = {}
+        a = _counted_model(get(doc["simulator"]), wrapped)
+        b = _counted_model(get(doc["simulated"]), wrapped)
+        plan = build_plan(doc, None, {"list": inputs})
+        return check_simulation(a, b, e, plan), wrapped
+
+    report, wrapped = check([2, 2, 5])
+    distinct, _ = check([2, 5])
+    assert report.stats == Stats(3, distinct.stats.evaluations, distinct.stats.fuel_spent)
+    assert [(r.verdict, r.witness) for r in report.members] == [
+        (r.verdict, r.witness) for r in distinct.members
+    ]
+    assert _calls(wrapped) == report.stats.evaluations > 0
+    for _, counted in wrapped.values():
+        assert len(counted.calls) == len(set(counted.calls)), counted.name
