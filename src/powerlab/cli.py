@@ -754,6 +754,7 @@ def _cmd_run(args) -> int:
 
 
 def _tri_cycles(prefix: int) -> str:
+    """The cycle census of the triangular rotation on [0, prefix)."""
     if prefix > MAX_TRI_PREFIX:
         raise ScenarioError(f"tri --prefix {prefix} is above MAX_TRI_PREFIX ({MAX_TRI_PREFIX})")
     rep = narrowness(TriPiEncoding(), prefix)
