@@ -55,6 +55,7 @@ from powerlab.core import (
     Model,
     Outcome,
     TableEncoding,
+    apply,
     compose_encodings,
     pushforward_model,
 )
@@ -83,8 +84,6 @@ from powerlab.machines import (
     parse_cm,
     parse_tm,
     render_cm,
-    run_cm,
-    run_tm,
     tm_map,
     tm_witness_models,
 )
@@ -409,8 +408,9 @@ _PROGRAM = {
 }
 
 
-def _program(parse, to_map):
-    """How to make a map of a member program, from its file or its lines."""
+def _programs(parse, to_map, domain: Domain):
+    """How to build a model of the member programs of one machine
+    language, each read from its file or its lines."""
 
     def make(m: dict, base_dir: Path):
         if m["file"] is not None:
@@ -421,13 +421,16 @@ def _program(parse, to_map):
             raise ScenarioError(f"member {m['name']!r} needs a file or lines")
         return to_map(parse(text, name=m["name"]))
 
-    return make
+    return _listed(domain, _PROGRAM, make)
 
+
+# Each machine language: how to read a program, make it a map, and that
+# map's domain.  ``exec`` picks one by file suffix, scenarios by model kind.
+_MACHINES = {"tm": (parse_tm, tm_map, Domain.BITS), "cm": (parse_cm, cm_map, Domain.NAT)}
 
 _MODEL_KINDS = {
     "dsl-terms": _listed(Domain.NAT, {"name": Field(str), "term": Field(str)}, _term),
-    "tm-programs": _listed(Domain.BITS, _PROGRAM, _program(parse_tm, tm_map)),
-    "cm-programs": _listed(Domain.NAT, _PROGRAM, _program(parse_cm, cm_map)),
+    **{f"{lang}-programs": _programs(*how) for lang, how in _MACHINES.items()},
     "builtin-construction": (
         {"construction": Field(_CONSTRUCTIONS, error="{where}: unknown construction {value!r}")},
         _construction_model,
@@ -839,20 +842,17 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-# How ``exec`` reads and runs a program, by file suffix.
-_MACHINES = {".tm": (parse_tm, run_tm, Domain.BITS), ".cm": (parse_cm, run_cm, Domain.NAT)}
-
-
 def _cmd_exec(args) -> int:
     path = Path(args.machine)
-    if path.suffix not in _MACHINES:
+    lang = path.suffix[1:]
+    if lang not in _MACHINES:
         raise ScenarioError(f"{path} must end in .tm or .cm")
-    parse, run, domain = _MACHINES[path.suffix]
+    parse, to_map, domain = _MACHINES[lang]
     try:
         text = path.read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}")
-    out = run(parse(text, name=path.stem), _parse_value(args.input, domain), args.fuel)
+    out = apply(to_map(parse(text, name=path.stem)), _parse_value(args.input, domain), args.fuel)
     print(outcome_to_text(outcome_to_json(out)))
     if isinstance(out, Converged):
         return EXIT_VERIFIED

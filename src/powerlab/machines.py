@@ -25,11 +25,12 @@ Counter machine text format, line oriented, ``#`` comments::
     [label:] jump <target>
     [label:] halt
 
-Targets are labels or absolute instruction indices.  ``decjz`` jumps
-when the register is zero and otherwise decrements and falls through.
-Running off the end halts.  Registers hold unbounded naturals, start at
-zero except the input register, and each executed instruction costs one
-unit of fuel.  A counting loop ``L: decjz r D; inc a1; ...; inc ak; jump
+In both formats each declaration appears exactly once.  A label is a
+word not made only of digits; a target is a label or, in digits, an
+instruction index.  ``decjz`` jumps when the register is zero and
+otherwise decrements and falls through.  Running off the end halts.
+Registers hold unbounded naturals, start at zero except the input
+register, and each executed instruction costs one unit of fuel.  A counting loop ``L: decjz r D; inc a1; ...; inc ak; jump
 L; D:`` (no ``ai`` equal to ``r``) runs all its iterations at once, for
 the same charge as its instructions one at a time: ``(k + 2) * v + 1``
 units when ``r`` holds ``v``.  A budget too small for the whole loop runs
@@ -115,27 +116,47 @@ class TMProgram:
                     )
 
 
-def parse_tm(text: str, name: str = "tm") -> TMProgram:
-    start = halt = None
-    transitions = {}
+def _read(text: str, name: str, keywords: dict, line) -> list:
+    """The values a program's text declares, in the order of ``keywords``.
+
+    Skips blank lines and ``#`` comments.  A line ``keyword value``
+    declares ``keywords[keyword](value)``, once for each keyword.  Every
+    other line goes to ``line(lineno, text)``, which raises
+    ``ValueError`` for a line it cannot read.
+    """
+    found: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        body = raw.split("#", 1)[0].strip()
+        if not body:
             continue
-        parts = line.split()
-        if parts[0] == "start" and len(parts) == 2:
-            start = parts[1]
-        elif parts[0] == "halt" and len(parts) == 2:
-            halt = parts[1]
-        elif len(parts) == 5:
-            st, sym, nst, wsym, mv = parts
-            if (st, sym) in transitions:
-                raise ProgramError(f"{name}: line {lineno}: duplicate rule for ({st}, {sym})")
-            transitions[(st, sym)] = (nst, wsym, mv)
-        else:
-            raise ProgramError(f"{name}: line {lineno}: cannot parse {raw.strip()!r}")
-    if start is None or halt is None:
-        raise ProgramError(f"{name}: missing start or halt declaration")
+        parts = body.split()
+        try:
+            if parts[0] in keywords and len(parts) == 2:
+                if parts[0] in found:
+                    raise ProgramError(f"{name}: line {lineno}: second {parts[0]} declaration")
+                found[parts[0]] = keywords[parts[0]](parts[1])
+            else:
+                line(lineno, body)
+        except ProgramError:
+            raise
+        except ValueError:
+            raise ProgramError(f"{name}: line {lineno}: cannot parse {raw.strip()!r}") from None
+    missing = [k for k in keywords if k not in found]
+    if missing:
+        raise ProgramError(f"{name}: missing {', '.join(missing)} declaration")
+    return [found[k] for k in keywords]
+
+
+def parse_tm(text: str, name: str = "tm") -> TMProgram:
+    transitions = {}
+
+    def rule(lineno: int, body: str):
+        st, sym, nst, wsym, mv = body.split()
+        if (st, sym) in transitions:
+            raise ProgramError(f"{name}: line {lineno}: duplicate rule for ({st}, {sym})")
+        transitions[(st, sym)] = (nst, wsym, mv)
+
+    start, halt = _read(text, name, {"start": str, "halt": str}, rule)
     return TMProgram(name, start, halt, transitions)
 
 
@@ -272,36 +293,33 @@ def BitsEncoding() -> Encoding:
 # Counter machines
 
 
+# Operand kinds by instruction: a register is below ``n_registers``, a
+# jump target at most the number of instructions (that index halts).
+_CM_OPS = {"inc": ("reg",), "decjz": ("reg", "target"), "jump": ("target",), "halt": ()}
+
+
+def _operands(ins: tuple):
+    """(kind, value) for each operand of ``ins``."""
+    return zip(_CM_OPS[ins[0]], ins[1:])
+
+
 @dataclass(frozen=True, eq=False)
 class CMProgram:
     name: str
     n_registers: int
     input_reg: int
     output_reg: int
-    instructions: tuple  # ("inc", r) | ("decjz", r, t) | ("jump", t) | ("halt",)
+    instructions: tuple  # (op, *operands), operands as _CM_OPS[op] lists them
 
     def __post_init__(self):
-        size = len(self.instructions)
+        bound = {"reg": self.n_registers, "target": len(self.instructions) + 1}
         for r in (self.input_reg, self.output_reg):
             if not 0 <= r < self.n_registers:
                 raise ProgramError(f"{self.name}: register {r} out of range")
         for ix, ins in enumerate(self.instructions):
-            op = ins[0]
-            if op == "inc":
-                ok = len(ins) == 2 and 0 <= ins[1] < self.n_registers
-            elif op == "decjz":
-                ok = (
-                    len(ins) == 3
-                    and 0 <= ins[1] < self.n_registers
-                    and 0 <= ins[2] <= size
-                )
-            elif op == "jump":
-                ok = len(ins) == 2 and 0 <= ins[1] <= size
-            elif op == "halt":
-                ok = len(ins) == 1
-            else:
-                ok = False
-            if not ok:
+            kinds = _CM_OPS.get(ins[0])
+            ok = kinds is not None and len(ins) == len(kinds) + 1
+            if not (ok and all(0 <= v < bound[k] for k, v in _operands(ins))):
                 raise ProgramError(f"{self.name}: bad instruction {ins!r} at {ix}")
         object.__setattr__(self, "_code", _build_code(self))
 
@@ -319,7 +337,7 @@ def _build_code(p: CMProgram) -> tuple:
     """
     instrs = p.instructions
     named = {p.input_reg, p.output_reg}
-    named.update(ins[1] for ins in instrs if ins[0] in ("inc", "decjz"))
+    named.update(v for ins in instrs for k, v in _operands(ins) if k == "reg")
     slot = {r: i for i, r in enumerate(sorted(named))}
     code = []
     for ix, ins in enumerate(instrs):
@@ -344,74 +362,51 @@ def _build_code(p: CMProgram) -> tuple:
 
 
 def parse_cm(text: str, name: str = "cm") -> CMProgram:
-    n_registers = input_reg = output_reg = None
-    raw_instrs: list = []
+    instrs: list = []
     labels: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        while ":" in line.split()[0]:
-            lbl, line = line.split(":", 1)
-            lbl = lbl.strip()
-            line = line.strip()
+
+    def instruction(lineno: int, body: str):
+        while ":" in body.split()[0]:
+            lbl, body = (part.strip() for part in body.split(":", 1))
+            if not lbl or lbl.isdecimal():
+                raise ProgramError(f"{name}: line {lineno}: label {lbl!r} is empty or all digits")
             if lbl in labels:
                 raise ProgramError(f"{name}: line {lineno}: duplicate label {lbl!r}")
-            labels[lbl] = len(raw_instrs)
-            if not line:
-                break
-        if not line:
-            continue
-        parts = line.split()
-        head = parts[0]
-        if head == "registers" and len(parts) == 2:
-            n_registers = int(parts[1])
-        elif head == "input" and len(parts) == 2:
-            input_reg = int(parts[1])
-        elif head == "output" and len(parts) == 2:
-            output_reg = int(parts[1])
-        elif head == "inc" and len(parts) == 2:
-            raw_instrs.append(("inc", int(parts[1])))
-        elif head == "decjz" and len(parts) == 3:
-            raw_instrs.append(("decjz", int(parts[1]), parts[2]))
-        elif head == "jump" and len(parts) == 2:
-            raw_instrs.append(("jump", parts[1]))
-        elif head == "halt" and len(parts) == 1:
-            raw_instrs.append(("halt",))
-        else:
-            raise ProgramError(f"{name}: line {lineno}: cannot parse {raw.strip()!r}")
-    if n_registers is None or input_reg is None or output_reg is None:
-        raise ProgramError(f"{name}: missing registers, input or output declaration")
-    return CMProgram(
-        name, n_registers, input_reg, output_reg, _link(raw_instrs, labels, name)
+            labels[lbl] = len(instrs)
+            if not body:
+                return
+        op, *args = body.split()
+        kinds = _CM_OPS.get(op)
+        if kinds is None or len(args) != len(kinds):
+            raise ValueError(op)
+        instrs.append((op, *(int(a) if k == "reg" else a for k, a in zip(kinds, args))))
+
+    n_registers, input_reg, output_reg = _read(
+        text, name, {"registers": int, "input": int, "output": int}, instruction
     )
+    return CMProgram(name, n_registers, input_reg, output_reg, _link(instrs, labels, name))
 
 
 def _link(instrs: list, labels: dict, name: str) -> tuple:
     """``instrs`` with every jump target, a label or an instruction
-    index, resolved to the index of the instruction it names."""
+    index in digits, resolved to the index of the instruction it names."""
 
-    def resolve(t):
-        if isinstance(t, str) and not t.isdigit():
-            if t not in labels:
-                raise ProgramError(f"{name}: unknown label {t!r}")
-            return labels[t]
-        return int(t)
+    def resolve(t: str) -> int:
+        if t.isdecimal():
+            return int(t)
+        if t not in labels:
+            raise ProgramError(f"{name}: unknown label {t!r}")
+        return labels[t]
 
-    out = []
-    for ins in instrs:
-        if ins[0] == "decjz":
-            out.append(("decjz", ins[1], resolve(ins[2])))
-        elif ins[0] == "jump":
-            out.append(("jump", resolve(ins[1])))
-        else:
-            out.append(ins)
-    return tuple(out)
+    return tuple(
+        (ins[0], *(resolve(v) if k == "target" else v for k, v in _operands(ins)))
+        for ins in instrs
+    )
 
 
 def render_cm(p: CMProgram) -> str:
     targets = sorted(
-        {ins[-1] for ins in p.instructions if ins[0] in ("decjz", "jump")}
+        {v for ins in p.instructions for k, v in _operands(ins) if k == "target"}
     )
     label = {t: f"L{i}" for i, t in enumerate(targets)}
     lines = [
@@ -422,15 +417,8 @@ def render_cm(p: CMProgram) -> str:
     ]
     for ix, ins in enumerate(p.instructions):
         prefix = f"{label[ix]}:" if ix in label else ""
-        if ins[0] == "inc":
-            body = f"inc {ins[1]}"
-        elif ins[0] == "decjz":
-            body = f"decjz {ins[1]} {label[ins[2]]}"
-        elif ins[0] == "jump":
-            body = f"jump {label[ins[1]]}"
-        else:
-            body = "halt"
-        lines.append(f"{prefix:8s}{body}")
+        operands = (label[v] if k == "target" else str(v) for k, v in _operands(ins))
+        lines.append(f"{prefix:8s}{' '.join((ins[0], *operands))}")
     if len(p.instructions) in label:
         lines.append(f"{label[len(p.instructions)]}:")
     return "\n".join(lines) + "\n"
@@ -532,36 +520,29 @@ class _Gen:
     def place(self, lbl: str):
         self.labels[lbl] = len(self.ops)
 
-    def clear(self, r: int):
-        again = self.label()
-        done = self.label()
+    def loop(self, r: int, *incs: int):
+        """The counting loop ``_build_code`` fuses: adds r to each of
+        ``incs`` and zeroes r."""
+        again, done = self.label(), self.label()
         self.place(again)
         self.emit("decjz", r, done)
+        for a in incs:
+            self.emit("inc", a)
         self.emit("jump", again)
         self.place(done)
 
+    def clear(self, r: int):
+        self.loop(r)
+
     def move(self, src: int, dst: int):
         """dst += src, zeroing src."""
-        again = self.label()
-        done = self.label()
-        self.place(again)
-        self.emit("decjz", src, done)
-        self.emit("inc", dst)
-        self.emit("jump", again)
-        self.place(done)
+        self.loop(src, dst)
 
     def copy(self, src: int, dst: int, scratch: int):
         """dst = src, preserving src, trashing scratch."""
         self.clear(dst)
         self.clear(scratch)
-        again = self.label()
-        done = self.label()
-        self.place(again)
-        self.emit("decjz", src, done)
-        self.emit("inc", dst)
-        self.emit("inc", scratch)
-        self.emit("jump", again)
-        self.place(done)
+        self.loop(src, dst, scratch)
         self.move(scratch, src)
 
 
@@ -685,13 +666,11 @@ def _emit(t: Term, args: list, out: int, gen: _Gen, dead: set):
         # drain it when it reads it just once
         step_grant = {acc} if _uses(t.step, len(xs) + 1) == 1 else set()
         _emit(t.step, xs + [acc, ctr], tmp, gen, step_grant)
-        gen.clear(acc)
-        gen.move(tmp, acc)
+        _load(gen, tmp, acc, may_drain=True)
         gen.emit("inc", ctr)
         gen.emit("jump", loop)
         gen.place(done)
-        gen.clear(out)
-        gen.move(acc, out)
+        _load(gen, acc, out, may_drain=True)
     elif tt is Mu:
         idx = gen.reg()
         val = gen.reg()
@@ -704,8 +683,7 @@ def _emit(t: Term, args: list, out: int, gen: _Gen, dead: set):
         gen.emit("inc", idx)
         gen.emit("jump", loop)
         gen.place(found)
-        gen.clear(out)
-        gen.move(idx, out)
+        _load(gen, idx, out, may_drain=True)
     else:
         raise CompileError(f"unsupported construct: {to_text(t)}")
 

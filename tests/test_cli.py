@@ -186,6 +186,15 @@ def test_exec_command(capsys, tmp_path):
     assert main(["exec", "--machine", str(cm), "--input", "four"]) == EXIT_USAGE
 
 
+def test_exec_rejects_a_second_declaration_naming_its_line(capsys, tmp_path):
+    tm = tmp_path / "twice.tm"
+    tm.write_text("start a\nstart b\nhalt b\n")
+    code = main(["exec", "--machine", str(tm), "--input", "", "--fuel", "10"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.splitlines() == ["powerlab: error: twice: line 2: second start declaration"]
+
+
 def test_exec_allocates_only_the_registers_a_machine_names(capsys, tmp_path):
     body = "input 0\noutput 1\nhalt\n"
     for declared in (2, 20_000_000_000):

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from powerlab.core import Converged, Diverged, FUEL_EXHAUSTED, Fuel, apply, apply_with_cost
 from powerlab.machines import (
+    _CM_OPS,
+    _SYMBOLS,
     BitsEncoding,
     CMProgram,
     ProgramError,
@@ -215,11 +217,91 @@ def test_cm_parse_errors():
         parse_cm("registers 1\ninput 0\noutput 0\ninc 3\n")
     with pytest.raises(ProgramError, match="duplicate"):
         parse_cm("registers 1\ninput 0\noutput 0\na: inc 0\na: inc 0\n")
+    # a label is a word that is not all digits; a digit target is an index
+    head = "registers 2\ninput 0\noutput 1\n"
+    with pytest.raises(ProgramError, match="line 4: label '1'"):
+        parse_cm(head + "1: decjz 0 4\ninc 1\ninc 1\njump 1\n4: halt\n")
+    with pytest.raises(ProgramError, match="line 4: label ''"):
+        parse_cm(head + ": inc 1\n")
+    words = parse_cm(head + "a: decjz 0 b\ninc 1\ninc 1\njump a\nb: halt\n")
+    index = parse_cm(head + "a: decjz 0 4\ninc 1\ninc 1\njump 0\nhalt\n")
+    assert words.instructions == index.instructions
+    assert run_cm(words, 2, 100) == Converged(4)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_tm, "start a\nstart b\nhalt z\n", "tm: line 2: second start declaration"),
+        (parse_tm, "start a\nhalt z\n# again\nhalt y\n", "tm: line 4: second halt"),
+        (parse_cm, "registers 1\nregisters 2\ninput 0\noutput 0\n", "cm: line 2: second registers"),
+        (parse_cm, "registers 1\ninput 0\ninput 0\noutput 0\n", "cm: line 3: second input"),
+        (parse_cm, "registers 1\ninput 0\noutput 0\noutput 0\n", "cm: line 4: second output"),
+        (parse_cm, "registers x\ninput 0\noutput 0\n", "cm: line 1: cannot parse 'registers x'"),
+        (parse_cm, "registers 1\ninput 0\noutput 0\ninc x # r\n", "cm: line 4: cannot parse 'inc x # r'"),
+        (parse_cm, "registers 1\ninput 0\noutput 0\ndecjz 0\n", "cm: line 4: cannot parse"),
+        (parse_cm, "registers 1\ninput 0\noutput 0\nl: nop\n", "cm: line 4: cannot parse"),
+        (parse_tm, "start a\nhalt z\na 0 z 0\n", "tm: line 3: cannot parse"),
+        (parse_tm, "", "tm: missing start, halt declaration"),
+        (parse_cm, "input 0\n", "cm: missing registers, output declaration"),
+    ],
+)
+def test_declarations_are_read_once_and_bad_lines_name_their_line(parse, text, message):
+    with pytest.raises(ProgramError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(message)
 
 
 def test_cm_program_validates_targets():
     with pytest.raises(ProgramError):
         CMProgram("bad", 1, 0, 0, (("decjz", 0, 5),))
+
+
+@st.composite
+def valid_cm_programs(draw):
+    """Programs whose operands are drawn from ``_CM_OPS`` within bounds:
+    registers below ``n_registers``, targets up to the program length."""
+    n_registers = draw(st.integers(1, 5))
+    ops = draw(st.lists(st.sampled_from(sorted(_CM_OPS)), max_size=12))
+    bound = {"reg": n_registers, "target": len(ops) + 1}
+    instrs = tuple(
+        (op, *(draw(st.integers(0, bound[k] - 1)) for k in _CM_OPS[op])) for op in ops
+    )
+    regs = st.integers(0, n_registers - 1)
+    return CMProgram("gen", n_registers, draw(regs), draw(regs), instrs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_cm_programs())
+def test_cm_render_parse_round_trip(p):
+    q = parse_cm(render_cm(p), name=p.name)
+    assert q.instructions == p.instructions
+    assert (q.n_registers, q.input_reg, q.output_reg) == (p.n_registers, p.input_reg, p.output_reg)
+
+
+_states = st.text("abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=4)
+
+
+@st.composite
+def complete_tm_programs(draw):
+    """Programs in which every state but the halt state handles every
+    symbol."""
+    halt = draw(_states)
+    states = draw(st.lists(_states.filter(lambda s: s != halt), min_size=1, max_size=4, unique=True))
+    targets = st.sampled_from(states + [halt])
+    rules = {
+        (s, sym): (draw(targets), draw(st.sampled_from(_SYMBOLS)), draw(st.sampled_from("LRS")))
+        for s in states
+        for sym in _SYMBOLS
+    }
+    return TMProgram("gen", draw(st.sampled_from(states)), halt, rules)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complete_tm_programs())
+def test_tm_render_parse_round_trip(p):
+    q = parse_tm(render_tm(p), name=p.name)
+    assert (q.start, q.halt, q.transitions) == (p.start, p.halt, p.transitions)
 
 
 def test_tm_witness_models_shape():
