@@ -30,11 +30,12 @@ word not made only of digits; a target is a label or, in digits, an
 instruction index.  ``decjz`` jumps when the register is zero and
 otherwise decrements and falls through.  Running off the end halts.
 Registers hold unbounded naturals, start at zero except the input
-register, and each executed instruction costs one unit of fuel.  A counting loop ``L: decjz r D; inc a1; ...; inc ak; jump
-L; D:`` (no ``ai`` equal to ``r``) runs all its iterations at once, for
-the same charge as its instructions one at a time: ``(k + 2) * v + 1``
-units when ``r`` holds ``v``.  A budget too small for the whole loop runs
-out, as the step-by-step run would inside it.
+register, and each executed instruction costs one unit of fuel.  A
+counting loop ``L: decjz r D; inc a1; ...; inc ak; jump L; D:`` (no
+``ai`` equal to ``r``) runs all its iterations at once, for the same
+charge as its instructions one at a time: ``(k + 2) * v + 1`` units when
+``r`` holds ``v``.  A budget too small for the whole loop runs out, as
+the step-by-step run would inside it.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _read(text: str, name: str, keywords: dict, line) -> list:
             raise ProgramError(f"{name}: line {lineno}: cannot parse {raw.strip()!r}") from None
     missing = [k for k in keywords if k not in found]
     if missing:
-        raise ProgramError(f"{name}: missing {', '.join(missing)} declaration")
+        raise ProgramError(f"{name}: missing declaration of {', '.join(missing)}")
     return [found[k] for k in keywords]
 
 

@@ -242,8 +242,8 @@ def test_cm_parse_errors():
         (parse_cm, "registers 1\ninput 0\noutput 0\ndecjz 0\n", "cm: line 4: cannot parse"),
         (parse_cm, "registers 1\ninput 0\noutput 0\nl: nop\n", "cm: line 4: cannot parse"),
         (parse_tm, "start a\nhalt z\na 0 z 0\n", "tm: line 3: cannot parse"),
-        (parse_tm, "", "tm: missing start, halt declaration"),
-        (parse_cm, "input 0\n", "cm: missing registers, output declaration"),
+        (parse_tm, "", "tm: missing declaration of start, halt"),
+        (parse_cm, "input 0\n", "cm: missing declaration of registers, output"),
     ],
 )
 def test_declarations_are_read_once_and_bad_lines_name_their_line(parse, text, message):
