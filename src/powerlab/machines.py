@@ -80,6 +80,17 @@ class ProgramError(ValueError):
     """A machine program is malformed."""
 
 
+class _Fault(ProgramError):
+    """A fault in one rule or instruction, ``at`` its (state, symbol) key
+    or its index.  A program built in code reports it as it stands;
+    ``_read`` reports ``what`` after the line the rule or instruction
+    came from."""
+
+    def __init__(self, name: str, what: str, at, where: str = ""):
+        super().__init__(f"{name}: {what}{where}")
+        self.what, self.at = what, at
+
+
 class CompileError(ValueError):
     """A recursion term cannot be translated to a counter machine."""
 
@@ -102,11 +113,11 @@ class TMProgram:
             states.add(st)
             states.add(nst)
             if sym not in _SYMBOLS or wsym not in _SYMBOLS:
-                raise ProgramError(f"{self.name}: bad symbol in rule for ({st}, {sym})")
+                raise _Fault(self.name, f"bad symbol in rule for ({st}, {sym})", (st, sym))
             if mv not in _MOVES:
-                raise ProgramError(f"{self.name}: bad move {mv!r} in rule for ({st}, {sym})")
+                raise _Fault(self.name, f"bad move {mv!r} in rule for ({st}, {sym})", (st, sym))
             if st == self.halt:
-                raise ProgramError(f"{self.name}: halt state {st!r} has an outgoing rule")
+                raise _Fault(self.name, f"halt state {st!r} has an outgoing rule", (st, sym))
         for st in states:
             if st == self.halt:
                 continue
@@ -117,15 +128,19 @@ class TMProgram:
                     )
 
 
-def _read(text: str, name: str, keywords: dict, line) -> list:
-    """The values a program's text declares, in the order of ``keywords``.
+def _read(text: str, name: str, keywords: dict, line, build):
+    """``build(*values)``, the values the text declares in the order of
+    ``keywords``.
 
     Skips blank lines and ``#`` comments.  A line ``keyword value``
     declares ``keywords[keyword](value)``, once for each keyword.  Every
     other line goes to ``line(lineno, text)``, which raises
-    ``ValueError`` for a line it cannot read.
+    ``ValueError`` for a line it cannot read and returns the key of the
+    rule or instruction it read, so that a ``_Fault`` ``build`` raises
+    there is reported at that line.
     """
     found: dict = {}
+    lines: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
@@ -137,7 +152,7 @@ def _read(text: str, name: str, keywords: dict, line) -> list:
                     raise ProgramError(f"{name}: line {lineno}: second {parts[0]} declaration")
                 found[parts[0]] = keywords[parts[0]](parts[1])
             else:
-                line(lineno, body)
+                lines[line(lineno, body)] = lineno
         except ProgramError:
             raise
         except ValueError:
@@ -145,7 +160,10 @@ def _read(text: str, name: str, keywords: dict, line) -> list:
     missing = [k for k in keywords if k not in found]
     if missing:
         raise ProgramError(f"{name}: missing declaration of {', '.join(missing)}")
-    return [found[k] for k in keywords]
+    try:
+        return build(*(found[k] for k in keywords))
+    except _Fault as fault:
+        raise ProgramError(f"{name}: line {lines[fault.at]}: {fault.what}") from None
 
 
 def parse_tm(text: str, name: str = "tm") -> TMProgram:
@@ -156,9 +174,10 @@ def parse_tm(text: str, name: str = "tm") -> TMProgram:
         if (st, sym) in transitions:
             raise ProgramError(f"{name}: line {lineno}: duplicate rule for ({st}, {sym})")
         transitions[(st, sym)] = (nst, wsym, mv)
+        return st, sym
 
-    start, halt = _read(text, name, {"start": str, "halt": str}, rule)
-    return TMProgram(name, start, halt, transitions)
+    keywords = {"start": str, "halt": str}
+    return _read(text, name, keywords, rule, lambda *decl: TMProgram(name, *decl, transitions))
 
 
 def render_tm(p: TMProgram) -> str:
@@ -321,7 +340,7 @@ class CMProgram:
             kinds = _CM_OPS.get(ins[0])
             ok = kinds is not None and len(ins) == len(kinds) + 1
             if not (ok and all(0 <= v < bound[k] for k, v in _operands(ins))):
-                raise ProgramError(f"{self.name}: bad instruction {ins!r} at {ix}")
+                raise _Fault(self.name, f"bad instruction {ins!r}", ix, f" at {ix}")
         object.__setattr__(self, "_code", _build_code(self))
 
 
@@ -381,27 +400,29 @@ def parse_cm(text: str, name: str = "cm") -> CMProgram:
         if kinds is None or len(args) != len(kinds):
             raise ValueError(op)
         instrs.append((op, *(int(a) if k == "reg" else a for k, a in zip(kinds, args))))
+        return len(instrs) - 1
 
-    n_registers, input_reg, output_reg = _read(
-        text, name, {"registers": int, "input": int, "output": int}, instruction
+    keywords = {"registers": int, "input": int, "output": int}
+    return _read(
+        text, name, keywords, instruction,
+        lambda *decl: CMProgram(name, *decl, _link(instrs, labels, name)),
     )
-    return CMProgram(name, n_registers, input_reg, output_reg, _link(instrs, labels, name))
 
 
 def _link(instrs: list, labels: dict, name: str) -> tuple:
     """``instrs`` with every jump target, a label or an instruction
     index in digits, resolved to the index of the instruction it names."""
 
-    def resolve(t: str) -> int:
+    def resolve(t: str, ix: int) -> int:
         if t.isdecimal():
             return int(t)
         if t not in labels:
-            raise ProgramError(f"{name}: unknown label {t!r}")
+            raise _Fault(name, f"unknown label {t!r}", ix, f" at {ix}")
         return labels[t]
 
     return tuple(
-        (ins[0], *(resolve(v) if k == "target" else v for k, v in _operands(ins)))
-        for ins in instrs
+        (ins[0], *(resolve(v, ix) if k == "target" else v for k, v in _operands(ins)))
+        for ix, ins in enumerate(instrs)
     )
 
 

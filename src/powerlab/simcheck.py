@@ -23,7 +23,14 @@ against both maps' domains, and each map the models enumerate against
 its model's domain.  Evaluations then run unchecked, so a value the
 checker never saw (and so never validated) must not reach a map.
 
-Each check evaluates through one ``_Runner``, which keeps one memo per
+Every check takes its sample and candidate pool from ``_sides``, which
+first validates the plan's inputs, and builds its report in ``_report``,
+the one place a ``SimReport`` and its ``Stats`` are made: the ``Stats``
+add up every runner and sub-report the check used.
+
+A simulation or closure check evaluates through one ``_Runner``; the
+pullback law and equivalence give each sub-check its own, so a map that
+two of them hold is evaluated in each.  A runner keeps one memo per
 map object, from input value to raw result (``core._box``): a converged
 value as the value itself, a ``Diverged`` or ``FUEL_EXHAUSTED`` outcome
 as it is.  Results are compared raw, and ``Outcome`` and
@@ -65,26 +72,22 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
+def _first_present(verdicts, order: tuple) -> Verdict:
+    """The first verdict of ``order`` among ``verdicts``; the last one of
+    ``order`` when ``verdicts`` is empty."""
+    got = set(verdicts)
+    return next((v for v in order if v in got), order[-1])
+
+
 def combine_verdicts(verdicts) -> Verdict:
     """Refuted dominates, then Unknown; Verified only when unanimous."""
-    agg = Verdict.VERIFIED
-    for v in verdicts:
-        if v is Verdict.REFUTED:
-            return Verdict.REFUTED
-        if v is Verdict.UNKNOWN:
-            agg = Verdict.UNKNOWN
-    return agg
+    return _first_present(verdicts, (Verdict.REFUTED, Verdict.UNKNOWN, Verdict.VERIFIED))
 
 
 def probe_verdict(verdicts) -> Verdict:
     """A probe succeeds when any encoding in the family fits, and is only
     refuted when every one of them is: Verified dominates, then Unknown."""
-    got = set(verdicts)
-    if Verdict.VERIFIED in got:
-        return Verdict.VERIFIED
-    if Verdict.UNKNOWN in got:
-        return Verdict.UNKNOWN
-    return Verdict.REFUTED
+    return _first_present(verdicts, (Verdict.VERIFIED, Verdict.UNKNOWN, Verdict.REFUTED))
 
 
 @dataclass(frozen=True)
@@ -246,6 +249,30 @@ def _select(members, wanted, model_name: str):
     return out
 
 
+def _sides(a: Model, b: Model, plan: TestPlan) -> tuple:
+    """``b``'s sampled members and ``a``'s candidate pool, once the plan's
+    inputs have been checked against ``b``'s domain."""
+    for x in plan.inputs:
+        b.domain.check(x, f"plan for {b.name}")
+    return (
+        _select(b.members, plan.b_sample, b.name),
+        _select(a.candidates(plan.candidate_limit), plan.a_sample, a.name),
+    )
+
+
+def _report(claim: Claim, plan: TestPlan, members, work, notes=(), aggregate=None) -> SimReport:
+    """The report of a check on ``plan``.  ``work`` holds the runners
+    and the sub-reports' ``Stats`` whose evaluations the check made; the
+    aggregate, unless given, combines the members' verdicts."""
+    members = tuple(members)
+    if aggregate is None:
+        aggregate = combine_verdicts(r.verdict for r in members)
+    stats = Stats(
+        len(plan.inputs), sum(w.evaluations for w in work), sum(w.fuel_spent for w in work)
+    )
+    return SimReport(claim, members, aggregate, stats, tuple(notes))
+
+
 def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner: _Runner) -> MemberResult:
     """Hunt through the pool for the first candidate matching ``points``:
     triples (x, the candidate side's input for x, the raw result expected
@@ -298,10 +325,7 @@ def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRepo
             f"encoding {e.describe()} maps {e.source.value} to {e.target.value}, "
             f"but the claim needs {b.domain.value} to {a.domain.value}"
         )
-    for x in plan.inputs:
-        b.domain.check(x, f"plan for {b.name}")
-    bs = _select(b.members, plan.b_sample, b.name)
-    pool = _select(a.candidates(plan.candidate_limit), plan.a_sample, a.name)
+    bs, pool = _sides(a, b, plan)
     runner = _Runner(plan.fuel)
     enc_in = {x: e.encode(x) for x in plan.inputs}
     for y in enc_in.values():
@@ -325,21 +349,13 @@ def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRepo
                     want = encoded[key] = e.encode(out)
             points.append((x, y, want))
         results.append(_match_member(g.name, points, pool, runner))
-    return SimReport(
-        claim=Claim("simulation", a.name, b.name, e.describe()),
-        members=tuple(results),
-        aggregate=combine_verdicts(r.verdict for r in results),
-        stats=Stats(len(plan.inputs), runner.evaluations, runner.fuel_spent),
-    )
+    return _report(Claim("simulation", a.name, b.name, e.describe()), plan, results, (runner,))
 
 
 def check_closure(model: Model, plan: TestPlan) -> SimReport:
     """Is the sample closed under composition?  Every pairwise composite
     must match some member of the candidate pool on the planned inputs."""
-    for x in plan.inputs:
-        model.domain.check(x, f"plan for {model.name}")
-    members = _select(model.members, plan.b_sample, model.name)
-    pool = _select(model.candidates(plan.candidate_limit), plan.a_sample, model.name)
+    members, pool = _sides(model, model, plan)
     runner = _Runner(plan.fuel)
     results = []
     for f in members:
@@ -352,12 +368,7 @@ def check_closure(model: Model, plan: TestPlan) -> SimReport:
                     want = runner.run(f, want)
                 points.append((x, x, None if want is FUEL_EXHAUSTED else want))
             results.append(_match_member(f"{f.name}*{g.name}", points, pool, runner))
-    return SimReport(
-        claim=Claim("closure", model.name, model.name, "identity"),
-        members=tuple(results),
-        aggregate=combine_verdicts(r.verdict for r in results),
-        stats=Stats(len(plan.inputs), runner.evaluations, runner.fuel_spent),
-    )
+    return _report(Claim("closure", model.name, model.name, "identity"), plan, results, (runner,))
 
 
 def check_pullback_law(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimReport:
@@ -365,8 +376,7 @@ def check_pullback_law(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRe
     candidates on the source side.  The two sides must agree; their
     agreement is the finite-scale shadow of the pullback law."""
     sim = check_simulation(a, b, e, plan)
-    bs = _select(b.members, plan.b_sample, b.name)
-    pool = _select(a.candidates(plan.candidate_limit), plan.a_sample, a.name)
+    bs, pool = _sides(a, b, plan)
     pulled = {f.name: pullback(e, f, name=f.name) for f in pool}
     runner = _Runner(plan.fuel)
     law_results = []
@@ -375,12 +385,8 @@ def check_pullback_law(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRe
             (x, x, None if out is FUEL_EXHAUSTED else out)
             for x, out in zip(plan.inputs, runner.run_many(g, plan.inputs))
         ]
-        if simres.witness is not None:
-            law_pool = [pulled[simres.witness]]
-        else:
-            law_pool = list(pulled.values())
-        res = _match_member(f"pullback:{g.name}", points, law_pool, runner)
-        law_results.append(res)
+        law_pool = list(pulled.values()) if simres.witness is None else [pulled[simres.witness]]
+        law_results.append(_match_member(f"pullback:{g.name}", points, law_pool, runner))
     law_agg = combine_verdicts(r.verdict for r in law_results)
     consistent = sim.aggregate is law_agg
     notes = (
@@ -388,17 +394,13 @@ def check_pullback_law(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRe
         f"pullback side: {law_agg.value}",
         "pullback law: consistent" if consistent else "pullback law: violated",
     )
-    aggregate = sim.aggregate if consistent else Verdict.REFUTED
-    return SimReport(
-        claim=Claim("pullback-law", a.name, b.name, e.describe()),
-        members=sim.members + tuple(law_results),
-        aggregate=aggregate,
-        stats=Stats(
-            len(plan.inputs),
-            sim.stats.evaluations + runner.evaluations,
-            sim.stats.fuel_spent + runner.fuel_spent,
-        ),
-        notes=notes,
+    return _report(
+        Claim("pullback-law", a.name, b.name, e.describe()),
+        plan,
+        sim.members + tuple(law_results),
+        (sim.stats, runner),
+        notes,
+        sim.aggregate if consistent else Verdict.REFUTED,
     )
 
 
@@ -438,55 +440,31 @@ def check_equivalence(
         rev_inputs = plan.inputs
     else:
         rev_inputs = tuple(e_ab.encode(x) for x in plan.inputs)
-    rev_plan = replace(
-        plan, inputs=rev_inputs, a_sample=plan.b_sample, b_sample=plan.a_sample
-    )
+    rev_plan = replace(plan, inputs=rev_inputs, a_sample=plan.b_sample, b_sample=plan.a_sample)
     bwd = check_simulation(b, a, e_ba, rev_plan)
-    verdicts = [fwd.aggregate, bwd.aggregate]
-    notes = [
-        f"forward: {fwd.aggregate.value}",
-        f"backward: {bwd.aggregate.value}",
-    ]
-    if mode in ("strong", "isomorphism"):
-        for y in _domain_prefix(a.domain, len(plan.inputs)):
-            if e_ab.decode(y) is None:
-                notes.append(
-                    f"{e_ab.describe()} misses {y!r}: not a bijection on the tested prefix"
-                )
-                verdicts.append(Verdict.REFUTED)
-                break
-        for x in plan.inputs:
-            if e_ba.decode(x) is None:
-                notes.append(
-                    f"{e_ba.describe()} misses {x!r}: not a bijection on the tested prefix"
-                )
-                verdicts.append(Verdict.REFUTED)
-                break
+    # each test of the modes below refutes at its first failing value; no
+    # domain holds None
+    faults = []
+    if mode != "plain":
+        prefix = _domain_prefix(a.domain, len(plan.inputs))
+        for enc, values in ((e_ab, prefix), (e_ba, plan.inputs)):
+            bad = next((v for v in values if enc.decode(v) is None), None)
+            if bad is not None:
+                faults.append(f"{enc.describe()} misses {bad!r}: not a bijection on the tested prefix")
     if mode == "isomorphism":
-        for x in plan.inputs:
-            if e_ba.encode(e_ab.encode(x)) != x:
-                notes.append(f"encodings do not invert each other at {x!r}")
-                verdicts.append(Verdict.REFUTED)
-                break
-        for y in rev_inputs:
-            if e_ab.encode(e_ba.encode(y)) != y:
-                notes.append(f"encodings do not invert each other at {y!r}")
-                verdicts.append(Verdict.REFUTED)
-                break
-    members = tuple(replace(r, member=f"fwd:{r.member}") for r in fwd.members)
-    members += tuple(replace(r, member=f"bwd:{r.member}") for r in bwd.members)
-    return SimReport(
-        claim=Claim(
-            "equivalence", a.name, b.name, f"{e_ab.describe()}/{e_ba.describe()}", mode
-        ),
-        members=members,
-        aggregate=combine_verdicts(verdicts),
-        stats=Stats(
-            len(plan.inputs),
-            fwd.stats.evaluations + bwd.stats.evaluations,
-            fwd.stats.fuel_spent + bwd.stats.fuel_spent,
-        ),
-        notes=tuple(notes),
+        for there, back, values in ((e_ab, e_ba, plan.inputs), (e_ba, e_ab, rev_inputs)):
+            bad = next((v for v in values if back.encode(there.encode(v)) != v), None)
+            if bad is not None:
+                faults.append(f"encodings do not invert each other at {bad!r}")
+    members = [replace(r, member=f"fwd:{r.member}") for r in fwd.members]
+    members += [replace(r, member=f"bwd:{r.member}") for r in bwd.members]
+    return _report(
+        Claim("equivalence", a.name, b.name, f"{e_ab.describe()}/{e_ba.describe()}", mode),
+        plan,
+        members,
+        (fwd.stats, bwd.stats),
+        (f"forward: {fwd.aggregate.value}", f"backward: {bwd.aggregate.value}", *faults),
+        Verdict.REFUTED if faults else None,
     )
 
 

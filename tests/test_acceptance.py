@@ -10,6 +10,8 @@ import itertools
 from contextlib import contextmanager
 from functools import lru_cache
 
+import pytest
+
 from powerlab.core import (
     Converged,
     IdentityEncoding,
@@ -191,9 +193,14 @@ def test_criterion_06_conjugation_table():
 # 07: the anomaly
 
 
-def test_criterion_07_smaller_family_absorbs_larger():
-    with criterion(7, "plain family simulates the anchored one through the rotation (0..1000)"):
-        large, small = tri_models(3, 3, 5)
+@pytest.mark.parametrize("i_max, k_max", [(3, 5), (2, 4), (3, 6), (4, 8)])
+def test_criterion_07_smaller_family_absorbs_larger(i_max, k_max):
+    with criterion(
+        7,
+        "plain family simulates the anchored one through the rotation"
+        f" (i, j <= {i_max}, k <= {k_max}, 0..1000)",
+    ):
+        large, small = tri_models(i_max, i_max, k_max)
         small_names = {m.name for m in small.members}
         large_names = {m.name for m in large.members}
         assert small_names < large_names
@@ -201,7 +208,7 @@ def test_criterion_07_smaller_family_absorbs_larger():
         rep = check_simulation(small, large, TriPiEncoding(), plan)
         assert rep.aggregate is Verdict.VERIFIED
         by_member = {r.member: r for r in rep.members}
-        for i in range(1, 4):
+        for i in range(1, i_max + 1):
             assert by_member[f"g[{i}]"].witness == f"f[{i},1]"
 
 

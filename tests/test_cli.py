@@ -186,13 +186,20 @@ def test_exec_command(capsys, tmp_path):
     assert main(["exec", "--machine", str(cm), "--input", "four"]) == EXIT_USAGE
 
 
-def test_exec_rejects_a_second_declaration_naming_its_line(capsys, tmp_path):
-    tm = tmp_path / "twice.tm"
-    tm.write_text("start a\nstart b\nhalt b\n")
-    code = main(["exec", "--machine", str(tm), "--input", "", "--fuel", "10"])
+@pytest.mark.parametrize(
+    "file, text, message",
+    [
+        ("twice.tm", "start a\nstart b\nhalt b\n", "twice: line 2: second start declaration"),
+        ("far.cm", "registers 1\ninput 0\noutput 0\n\njump far\n", "far: line 5: unknown label 'far'"),
+    ],
+)
+def test_exec_rejects_a_bad_program_naming_its_line(capsys, tmp_path, file, text, message):
+    machine = tmp_path / file
+    machine.write_text(text)
+    code = main(["exec", "--machine", str(machine), "--input", "", "--fuel", "10"])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
-    assert err.splitlines() == ["powerlab: error: twice: line 2: second start declaration"]
+    assert err.splitlines() == [f"powerlab: error: {message}"]
 
 
 def test_exec_allocates_only_the_registers_a_machine_names(capsys, tmp_path):

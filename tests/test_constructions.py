@@ -228,14 +228,15 @@ def test_narrowness_identity():
     assert rep.cycle_lengths_histogram == ((1, 10),)
 
 
-def test_narrowness_tri_pi_prefix_100():
-    rep = narrowness(TriPiEncoding(), 100)
+@pytest.mark.parametrize("m", range(1, 41))
+def test_narrowness_tri_pi_on_whole_rows(m):
+    # the window (m + 1)^2 ends at a square: rows 0..m close into cycles
+    # of lengths 1, 3, ..., 2m + 1, so no bound serves every window
+    rep = narrowness(TriPiEncoding(), (m + 1) ** 2)
     assert rep.is_permutation_on_prefix
-    assert rep.max_cycle_length == 19
-    assert rep.bound_if_narrow == 19
-    assert rep.cycle_lengths_histogram == tuple(
-        (2 * m + 1, 1) for m in range(10)
-    )
+    assert rep.max_cycle_length == 2 * m + 1
+    assert rep.bound_if_narrow == 2 * m + 1
+    assert rep.cycle_lengths_histogram == tuple((2 * r + 1, 1) for r in range(m + 1))
     assert rep.escaped_elements == 0
 
 

@@ -244,6 +244,13 @@ def test_cm_parse_errors():
         (parse_tm, "start a\nhalt z\na 0 z 0\n", "tm: line 3: cannot parse"),
         (parse_tm, "", "tm: missing declaration of start, halt"),
         (parse_cm, "input 0\n", "cm: missing declaration of registers, output"),
+        # faults found once the whole program is read still name their line
+        (parse_cm, "registers 1\ninput 0\noutput 0\njump nowhere\n", "cm: line 4: unknown label 'nowhere'"),
+        (parse_cm, "registers 2\n# r5\ninput 0\noutput 1\ninc 5\n", "cm: line 5: bad instruction ('inc', 5)"),
+        (parse_cm, "registers 1\ninput 0\noutput 0\njump 7\n", "cm: line 4: bad instruction ('jump', 7)"),
+        (parse_tm, "start a\nhalt z\na 0 z 0 X\n", "tm: line 3: bad move 'X' in rule for (a, 0)"),
+        (parse_tm, "start a\nhalt z\n\na 2 z 0 S\n", "tm: line 4: bad symbol in rule for (a, 2)"),
+        (parse_tm, "z 0 z 0 S\nstart a\nhalt z\n", "tm: line 1: halt state 'z' has an outgoing rule"),
     ],
 )
 def test_declarations_are_read_once_and_bad_lines_name_their_line(parse, text, message):

@@ -35,7 +35,7 @@ from powerlab.constructions import (
     tri_models,
 )
 from powerlab.machines import BitsEncoding
-from powerlab.recdsl import ConstK, S, parse_term, term_map
+from powerlab.recdsl import ConstK, S, parse_term, term_map, to_text
 from powerlab.simcheck import (
     Stats,
     TestPlan,
@@ -199,6 +199,41 @@ def test_closure_of_successor_alone_refuted():
     assert report.aggregate is R
     (res,) = report.members
     assert "succ" in res.member
+
+
+@pytest.mark.parametrize(
+    "sample, verdicts, aggregate, stats",
+    [
+        (("square", "part"), "UUUU", U, Stats(6, 23, 772)),
+        (("square", "part", "succ"), "UUR" "UUR" "RRR", R, Stats(6, 33, 861)),
+    ],
+)
+def test_closure_at_a_starving_budget(sample, verdicts, aggregate, stats):
+    # at 80 fuel square exhausts from 5 up, so square*square also on 3 and
+    # 4 (the outer square on 9 and 16), and part diverges off its table:
+    # a composite is undecided where either half runs out, decided where
+    # the inner half diverges
+    d = dict(standard_suite())
+    quartic = parse_term(f"(C {to_text(d['square'])} {to_text(d['square'])})")
+    model = Model(
+        "starving",
+        Domain.NAT,
+        (
+            term_map(d["square"], "square"),
+            TableMap("part", Domain.NAT, ((0, 0), (1, 1), (2, 4))),
+            term_map(d["succ"], "succ"),
+            term_map(quartic, "quartic"),
+        ),
+    )
+    report = check_closure(model, TestPlan(inputs=tuple(range(6)), fuel=80, b_sample=sample))
+    undecided = {"square*square": 3, "square*succ": 2, "part*square": 1, "succ*square": 1}
+    assert [r.member for r in report.members] == [f"{f}*{g}" for f in sample for g in sample]
+    assert "".join(r.verdict.name[0] for r in report.members) == verdicts
+    assert [r.undecided_inputs for r in report.members] == [
+        undecided.get(r.member, 0) for r in report.members
+    ]
+    assert report.aggregate is aggregate
+    assert report.stats == stats
 
 
 def test_pullback_law_consistent_on_verified_case():
