@@ -81,10 +81,10 @@ class ProgramError(ValueError):
 
 
 class _Fault(ProgramError):
-    """A fault in one rule or instruction, ``at`` its (state, symbol) key
-    or its index.  A program built in code reports it as it stands;
-    ``_read`` reports ``what`` after the line the rule or instruction
-    came from."""
+    """A fault in one rule, instruction or declaration, ``at`` its
+    (state, symbol) key, its index or its keyword.  A program built in
+    code reports it as it stands; ``_read`` reports ``what`` after the
+    line it came from."""
 
     def __init__(self, name: str, what: str, at, where: str = ""):
         super().__init__(f"{name}: {what}{where}")
@@ -136,8 +136,8 @@ def _read(text: str, name: str, keywords: dict, line, build):
     declares ``keywords[keyword](value)``, once for each keyword.  Every
     other line goes to ``line(lineno, text)``, which raises
     ``ValueError`` for a line it cannot read and returns the key of the
-    rule or instruction it read, so that a ``_Fault`` ``build`` raises
-    there is reported at that line.
+    rule or instruction it read.  A ``_Fault`` ``build`` raises at such a
+    key, or at a keyword, is reported at that line.
     """
     found: dict = {}
     lines: dict = {}
@@ -151,6 +151,7 @@ def _read(text: str, name: str, keywords: dict, line, build):
                 if parts[0] in found:
                     raise ProgramError(f"{name}: line {lineno}: second {parts[0]} declaration")
                 found[parts[0]] = keywords[parts[0]](parts[1])
+                lines[parts[0]] = lineno
             else:
                 lines[line(lineno, body)] = lineno
         except ProgramError:
@@ -333,9 +334,9 @@ class CMProgram:
 
     def __post_init__(self):
         bound = {"reg": self.n_registers, "target": len(self.instructions) + 1}
-        for r in (self.input_reg, self.output_reg):
+        for at, r in (("input", self.input_reg), ("output", self.output_reg)):
             if not 0 <= r < self.n_registers:
-                raise ProgramError(f"{self.name}: register {r} out of range")
+                raise _Fault(self.name, f"register {r} out of range", at)
         for ix, ins in enumerate(self.instructions):
             kinds = _CM_OPS.get(ins[0])
             ok = kinds is not None and len(ins) == len(kinds) + 1

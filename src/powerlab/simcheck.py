@@ -23,24 +23,22 @@ against both maps' domains, and each map the models enumerate against
 its model's domain.  Evaluations then run unchecked, so a value the
 checker never saw (and so never validated) must not reach a map.
 
-Every check takes its sample and candidate pool from ``_sides``, which
-first validates the plan's inputs, and builds its report in ``_report``,
-the one place a ``SimReport`` and its ``Stats`` are made: the ``Stats``
-add up every runner and sub-report the check used.
+Every check takes its samples and candidate pools from one call of
+``_sides``, which first validates the plan's inputs, and evaluates
+through one ``_Runner``: one memo per check, shared by all its parts.
+``_report`` is the one place a ``SimReport`` and its ``Stats`` are made,
+and a report's ``Stats`` count the fresh evaluations made for it.
 
-A simulation or closure check evaluates through one ``_Runner``; the
-pullback law and equivalence give each sub-check its own, so a map that
-two of them hold is evaluated in each.  A runner keeps one memo per
-map object, from input value to raw result (``core._box``): a converged
-value as the value itself, a ``Diverged`` or ``FUEL_EXHAUSTED`` outcome
-as it is.  Results are compared raw, and ``Outcome`` and
-``CandidateFailure`` objects are built only for failures that reach a
-report.  Every miss is evaluated by the function
-``PartialMap._evaluator`` returns, one input at a time: the simulated
-side point by point, and each candidate only up to its first mismatch,
-so ``Stats`` counts exactly the evaluations the hunt needed.  An
-override of ``_evaluator`` must charge exactly the fuel ``_run`` would;
-wrappers that override only ``_run`` still see every call.
+The runner keeps one memo per map object, from input value to raw
+result (``core._box``): a converged value as the value itself, a
+``Diverged`` or ``FUEL_EXHAUSTED`` outcome as it is.  Results are
+compared raw, and ``Outcome`` and ``CandidateFailure`` objects are built
+only for failures that reach a report.  Every miss is evaluated by the
+function ``PartialMap._evaluator`` returns, one input at a time: the
+simulated side point by point, and each candidate only up to its first
+mismatch, so ``Stats`` counts exactly the evaluations the hunt needed.
+An override of ``_evaluator`` must charge exactly the fuel ``_run``
+would; wrappers that override only ``_run`` still see every call.
 """
 
 from __future__ import annotations
@@ -177,7 +175,7 @@ class _Runner:
 
     Every miss is evaluated by ``evaluator``, through the function
     ``PartialMap._evaluator`` returns, and counted in ``evaluations`` and
-    ``fuel_spent``.  A repeated input is a hit, so it is evaluated once.
+    ``fuel_spent`` for ``_report``.  A repeated input is a hit.
 
     Inputs are not checked here: callers pass only values validated
     against the map's domain.  That also keeps the memo sound, since
@@ -249,27 +247,29 @@ def _select(members, wanted, model_name: str):
     return out
 
 
-def _sides(a: Model, b: Model, plan: TestPlan) -> tuple:
-    """``b``'s sampled members and ``a``'s candidate pool, once the plan's
-    inputs have been checked against ``b``'s domain."""
+def _sides(a: Model, b: Model, plan: TestPlan, both: bool = False) -> list:
+    """``b``'s sampled members and ``a``'s candidate pool (then, if ``both``,
+    ``a``'s sampled members and ``b``'s pool), each model's candidates read
+    once, after the plan's inputs are checked against ``b``'s domain."""
     for x in plan.inputs:
         b.domain.check(x, f"plan for {b.name}")
-    return (
-        _select(b.members, plan.b_sample, b.name),
-        _select(a.candidates(plan.candidate_limit), plan.a_sample, a.name),
-    )
+    pool = a.candidates(plan.candidate_limit)
+    sides = [_select(b.members, plan.b_sample, b.name), _select(pool, plan.a_sample, a.name)]
+    if both:
+        b_pool = pool if b is a else b.candidates(plan.candidate_limit)
+        sides += [_select(a.members, plan.a_sample, a.name), _select(b_pool, plan.b_sample, b.name)]
+    return sides
 
 
-def _report(claim: Claim, plan: TestPlan, members, work, notes=(), aggregate=None) -> SimReport:
-    """The report of a check on ``plan``.  ``work`` holds the runners
-    and the sub-reports' ``Stats`` whose evaluations the check made; the
-    aggregate, unless given, combines the members' verdicts."""
+def _report(claim: Claim, plan: TestPlan, members, runner, notes=(), aggregate=None) -> SimReport:
+    """The report of a check on ``plan``: its ``Stats`` count the check's
+    ``runner``'s evaluations since its previous report.  The aggregate,
+    unless given, combines the members' verdicts."""
     members = tuple(members)
     if aggregate is None:
         aggregate = combine_verdicts(r.verdict for r in members)
-    stats = Stats(
-        len(plan.inputs), sum(w.evaluations for w in work), sum(w.fuel_spent for w in work)
-    )
+    stats = Stats(len(plan.inputs), runner.evaluations, runner.fuel_spent)
+    runner.evaluations = runner.fuel_spent = 0
     return SimReport(claim, members, aggregate, stats, tuple(notes))
 
 
@@ -314,30 +314,24 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
     )
 
 
-def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimReport:
-    """Does ``a`` simulate ``b`` through ``e`` on this plan?
-
-    For every sampled g in b, hunts a's candidate pool for an f with
-    encode(g(x)) = f(encode(x)) as outcomes on all planned inputs.
-    """
+def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, bs, pool) -> list:
+    """The results of ``b``'s members ``bs`` hunting ``a``'s ``pool`` through ``e`` on ``inputs``."""
     if e.source is not b.domain or e.target is not a.domain:
         raise DomainMismatch(
             f"encoding {e.describe()} maps {e.source.value} to {e.target.value}, "
             f"but the claim needs {b.domain.value} to {a.domain.value}"
         )
-    bs, pool = _sides(a, b, plan)
-    runner = _Runner(plan.fuel)
-    enc_in = {x: e.encode(x) for x in plan.inputs}
+    enc_in = {x: e.encode(x) for x in inputs}
     for y in enc_in.values():
         a.domain.check(y, f"{e.describe()} into {a.name}")
-    pairs = [(x, enc_in[x]) for x in plan.inputs]
+    pairs = [(x, enc_in[x]) for x in inputs]
     # each distinct converged value of the simulated side, encoded once;
     # the type is part of the key so that True is not taken for 1
     encoded: dict = {}
     results = []
     for g in bs:
         points = []
-        for (x, y), out in zip(pairs, runner.run_many(g, plan.inputs)):
+        for (x, y), out in zip(pairs, runner.run_many(g, inputs)):
             if out is FUEL_EXHAUSTED:
                 want = None
             elif isinstance(out, Diverged):
@@ -349,7 +343,18 @@ def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRepo
                     want = encoded[key] = e.encode(out)
             points.append((x, y, want))
         results.append(_match_member(g.name, points, pool, runner))
-    return _report(Claim("simulation", a.name, b.name, e.describe()), plan, results, (runner,))
+    return results
+
+
+def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimReport:
+    """Does ``a`` simulate ``b`` through ``e`` on this plan?
+
+    For every sampled g in b, hunts a's candidate pool for an f with
+    encode(g(x)) = f(encode(x)) as outcomes on all planned inputs.
+    """
+    runner = _Runner(plan.fuel)
+    results = _simulate(runner, a, b, e, plan.inputs, *_sides(a, b, plan))
+    return _report(Claim("simulation", a.name, b.name, e.describe()), plan, results, runner)
 
 
 def check_closure(model: Model, plan: TestPlan) -> SimReport:
@@ -368,39 +373,39 @@ def check_closure(model: Model, plan: TestPlan) -> SimReport:
                     want = runner.run(f, want)
                 points.append((x, x, None if want is FUEL_EXHAUSTED else want))
             results.append(_match_member(f"{f.name}*{g.name}", points, pool, runner))
-    return _report(Claim("closure", model.name, model.name, "identity"), plan, results, (runner,))
+    return _report(Claim("closure", model.name, model.name, "identity"), plan, results, runner)
 
 
 def check_pullback_law(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimReport:
     """Check a simulation two ways: directly, and through pulled-back
     candidates on the source side.  The two sides must agree; their
     agreement is the finite-scale shadow of the pullback law."""
-    sim = check_simulation(a, b, e, plan)
     bs, pool = _sides(a, b, plan)
-    pulled = {f.name: pullback(e, f, name=f.name) for f in pool}
     runner = _Runner(plan.fuel)
+    sim = _simulate(runner, a, b, e, plan.inputs, bs, pool)
+    pulled = {f.name: pullback(e, f, name=f.name) for f in pool}
     law_results = []
-    for g, simres in zip(bs, sim.members):
+    for g, simres in zip(bs, sim):
         points = [
             (x, x, None if out is FUEL_EXHAUSTED else out)
             for x, out in zip(plan.inputs, runner.run_many(g, plan.inputs))
         ]
         law_pool = list(pulled.values()) if simres.witness is None else [pulled[simres.witness]]
         law_results.append(_match_member(f"pullback:{g.name}", points, law_pool, runner))
-    law_agg = combine_verdicts(r.verdict for r in law_results)
-    consistent = sim.aggregate is law_agg
+    sim_agg, law_agg = (combine_verdicts(r.verdict for r in rs) for rs in (sim, law_results))
+    consistent = sim_agg is law_agg
     notes = (
-        f"direct side: {sim.aggregate.value}",
+        f"direct side: {sim_agg.value}",
         f"pullback side: {law_agg.value}",
         "pullback law: consistent" if consistent else "pullback law: violated",
     )
     return _report(
         Claim("pullback-law", a.name, b.name, e.describe()),
         plan,
-        sim.members + tuple(law_results),
-        (sim.stats, runner),
+        sim + law_results,
+        runner,
         notes,
-        sim.aggregate if consistent else Verdict.REFUTED,
+        sim_agg if consistent else Verdict.REFUTED,
     )
 
 
@@ -435,13 +440,12 @@ def check_equivalence(
     """
     if mode not in ("plain", "strong", "isomorphism"):
         raise ValueError(f"unknown equivalence mode {mode!r}")
-    fwd = check_simulation(a, b, e_ab, plan)
-    if a.domain is b.domain:
-        rev_inputs = plan.inputs
-    else:
-        rev_inputs = tuple(e_ab.encode(x) for x in plan.inputs)
-    rev_plan = replace(plan, inputs=rev_inputs, a_sample=plan.b_sample, b_sample=plan.a_sample)
-    bwd = check_simulation(b, a, e_ba, rev_plan)
+    bs, a_pool, as_, b_pool = _sides(a, b, plan, both=True)
+    runner = _Runner(plan.fuel)
+    fwd = _simulate(runner, a, b, e_ab, plan.inputs, bs, a_pool)
+    # in a's domain: the plan's inputs, or the encodings fwd checked
+    rev_inputs = plan.inputs if a.domain is b.domain else tuple(map(e_ab.encode, plan.inputs))
+    bwd = _simulate(runner, b, a, e_ba, rev_inputs, as_, b_pool)
     # each test of the modes below refutes at its first failing value; no
     # domain holds None
     faults = []
@@ -456,14 +460,14 @@ def check_equivalence(
             bad = next((v for v in values if back.encode(there.encode(v)) != v), None)
             if bad is not None:
                 faults.append(f"encodings do not invert each other at {bad!r}")
-    members = [replace(r, member=f"fwd:{r.member}") for r in fwd.members]
-    members += [replace(r, member=f"bwd:{r.member}") for r in bwd.members]
+    members = [replace(r, member=f"{d}:{r.member}") for d, rs in (("fwd", fwd), ("bwd", bwd)) for r in rs]
+    fwd_agg, bwd_agg = (combine_verdicts(r.verdict for r in rs) for rs in (fwd, bwd))
     return _report(
         Claim("equivalence", a.name, b.name, f"{e_ab.describe()}/{e_ba.describe()}", mode),
         plan,
         members,
-        (fwd.stats, bwd.stats),
-        (f"forward: {fwd.aggregate.value}", f"backward: {bwd.aggregate.value}", *faults),
+        runner,
+        (f"forward: {fwd_agg.value}", f"backward: {bwd_agg.value}", *faults),
         Verdict.REFUTED if faults else None,
     )
 
@@ -484,7 +488,12 @@ def probe_encodings(
     encodings = list(family)
     if not encodings:
         raise ValueError("empty family: nothing to probe")
-    reports = [check_simulation(a, b, e, plan) for e in encodings]
+    bs, pool = _sides(a, b, plan)
+    runner = _Runner(plan.fuel)
+    reports = []
+    for e in encodings:
+        results = _simulate(runner, a, b, e, plan.inputs, bs, pool)
+        reports.append(_report(Claim("simulation", a.name, b.name, e.describe()), plan, results, runner))
     if probe_verdict(r.aggregate for r in reports) is not Verdict.VERIFIED:
         tag = f"no encoding in {family_name} verified; refutation relative to this family only"
         reports = [replace(r, notes=r.notes + (tag,)) for r in reports]

@@ -248,6 +248,7 @@ def test_cm_parse_errors():
         (parse_cm, "registers 1\ninput 0\noutput 0\njump nowhere\n", "cm: line 4: unknown label 'nowhere'"),
         (parse_cm, "registers 2\n# r5\ninput 0\noutput 1\ninc 5\n", "cm: line 5: bad instruction ('inc', 5)"),
         (parse_cm, "registers 1\ninput 0\noutput 0\njump 7\n", "cm: line 4: bad instruction ('jump', 7)"),
+        (parse_cm, "registers 1\ninput 0\n# out\noutput 1\n", "cm: line 4: register 1 out of range"),
         (parse_tm, "start a\nhalt z\na 0 z 0 X\n", "tm: line 3: bad move 'X' in rule for (a, 0)"),
         (parse_tm, "start a\nhalt z\n\na 2 z 0 S\n", "tm: line 4: bad symbol in rule for (a, 2)"),
         (parse_tm, "z 0 z 0 S\nstart a\nhalt z\n", "tm: line 1: halt state 'z' has an outgoing rule"),

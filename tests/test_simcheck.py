@@ -1,12 +1,13 @@
 """The simulation checker itself: verdicts, witnesses, laws, probes."""
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
-from powerlab.cli import build_encoding, build_models, build_plan
+from powerlab.cli import _CHECKS, build_encoding, build_models, build_plan
 from powerlab.core import (
     FUEL_EXHAUSTED,
     BuiltinMap,
@@ -563,3 +564,69 @@ def test_repeated_plan_inputs_are_evaluated_once():
     assert _calls(wrapped) == report.stats.evaluations > 0
     for _, counted in wrapped.values():
         assert len(counted.calls) == len(set(counted.calls)), counted.name
+
+
+def _run_counted(name):
+    """Scenario ``name`` run through its check kind's runner in the
+    scenario loader, with every map of the two sides counted: its
+    reports, the counted wrappers and the counted simulated model."""
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    get = build_models(doc, SCENARIOS, 0)
+    wrapped, models = {}, {}
+
+    def counted_get(key):
+        if key not in models:
+            models[key] = _counted_model(get(key), wrapped)
+        return models[key]
+
+    _, run = _CHECKS[doc["check"]]
+    reports = run(doc, counted_get, build_plan(doc, None, None), 0)
+    return reports, wrapped, counted_get(doc["simulated"])
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "probe_stripes",
+        "probe_no_fit",
+        "tm_rec_equivalence",
+        "isomorphism_rotation",
+        "pullback_even_functions",
+    ],
+)
+def test_one_memo_per_check(name):
+    # every part of a check (each encoding of a probe, each half of an
+    # equivalence, both sides of the pullback law) shares one memo
+    reports, wrapped, simulated = _run_counted(name)
+    assert sum(r.stats.evaluations for r in reports) == _calls(wrapped)
+    simulated_ids = {id(m) for m in simulated.members}
+    for _, counted in wrapped.values():
+        # the law side runs each pool candidate again, through its
+        # pullback wrapper, on the inputs it was first run on
+        most = 2 if name == "pullback_even_functions" and id(counted) not in simulated_ids else 1
+        assert max(Counter(counted.calls).values(), default=0) <= most, counted.name
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda k, plan: check_simulation(k, k, IdentityEncoding(), plan),
+        lambda k, plan: check_closure(k, plan),
+        lambda k, plan: check_pullback_law(k, k, IdentityEncoding(), plan),
+        lambda k, plan: check_equivalence(k, k, IdentityEncoding(), IdentityEncoding(), plan),
+        lambda k, plan: probe_encodings(
+            k, k, [IdentityEncoding(), StripeEncoding(2, 0), StripeEncoding(2, 1)], plan
+        ),
+    ],
+    ids=["simulation", "closure", "pullback-law", "equivalence", "probe"],
+)
+def test_each_check_reads_the_enumerator_once(check):
+    reads = []
+
+    def enum(ix):
+        reads.append(ix)
+        return kappa_map(ix)
+
+    k = Model("k", Domain.NAT, (identity_map(),), enum)
+    check(k, TestPlan(inputs=(0, 1, 2), fuel=100, candidate_limit=5))
+    assert reads == list(range(5))
