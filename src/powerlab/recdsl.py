@@ -22,13 +22,20 @@ is the two-argument Ackermann-Peter function as a builtin.
 Evaluation is fuel-bounded: one unit per term node visited, one per
 search probe, one per builtin expansion step.  Each term is compiled
 once into nested closures, which charge these units in bulk rather than
-node by node: a term's static cost on entry, and a loop body's static
-cost at each loop head.  A charge only ever covers nodes a converging
-run certainly visits, so the total is the node-by-node count and a
-budget never changes an outcome, only whether it is reached.  Within a
-budget the evaluator either converges or runs out of fuel; it never
-certifies divergence, because an unbounded search that keeps failing
-looks the same as one that is about to succeed.
+node by node: a term's static cost on entry, a loop body's static cost
+at each loop head, and the rest of a loop's exact total at once where
+the loop has a closed form.  A recursion has one when its step moves the
+accumulator as ``max(acc + d, 0)`` or ignores it, at a fuel affine in
+it, and ignores the counter (``add``, ``mult``, ``monus``, the Ackermann
+rows as terms), or ignores the accumulator and moves with the counter
+the same way (``pred``); ``ACK``'s rows 0-2 are closed forms too.  Such
+a loop runs in O(1) steps.  A charge is only ever part of the
+node-by-node total of a converging run, so the total is the node-by-node
+count, a total above the budget exhausts at once, and a budget never
+changes an outcome, only whether it is reached.  Within a budget the
+evaluator either converges or runs out of fuel; it never certifies
+divergence, because an unbounded search that keeps failing looks the
+same as one that is about to succeed.
 """
 
 from __future__ import annotations
@@ -322,8 +329,8 @@ def classify(t: Term) -> TermClass:
 # ---------------------------------------------------------------------------
 # Evaluation.  A term is compiled once, on first use, into nested closures
 # (Feeley and Lapalme, "Using closures for code generation", 1987) and the
-# result is cached on the term object.  A compiled term is a triple
-# ``(cost, run, reads)``:
+# result is cached on the term object.  A compiled term is a tuple
+# ``(cost, run, deps, at)``:
 #
 # - ``cost`` is the term's static cost: one unit for its own node plus the
 #   static cost of every subterm an evaluation of it always enters, which
@@ -333,22 +340,39 @@ def classify(t: Term) -> TermClass:
 #   already paid ``cost``, so only loop heads charge: a recursion pays
 #   ``y`` times its step's static cost before its ``y`` iterations, a
 #   search pays one unit plus its body's static cost per probe, and ACK
-#   pays one unit per rewrite.  Leaves and compositions do no fuel work.
-# - ``reads`` is the set of argument positions the term depends on when it
-#   is loop-free, else None.  A loop-free term costs exactly its static
-#   cost and cannot fail, so a recursion whose loop-free step ignores the
-#   accumulator (``pred``, for one) pays for every iteration but computes
-#   only the last.
+#   pays for its rewrites.  Leaves and compositions do no fuel work.
+# - ``deps`` is the set of argument positions that the value or the fuel
+#   of ``run`` can depend on; changing any other argument changes
+#   neither.
+# - ``at`` maps some positions p in ``deps`` to the term's summary at p, a
+#   function called like ``run`` that returns the value and a family.  A
+#   family ``(m, d, be)`` with m 0 or 1 says: on every argument tuple that
+#   differs from this one only at p, holding x there, the value is
+#   ``max(m*x + d, 0)`` and ``run`` charges ``u + be*x``, where u is what
+#   this call charged less ``be`` times its own argument at p.  A family
+#   of None says nothing more; the value is still exact and fully paid.
+#   ``_summary`` gives a summary at every position outside ``deps`` too.
 #
-# Every charge is for nodes that a node-by-node evaluation certainly
-# visits if it converges, so a run spends the same total as that count and
-# exhausts exactly when the total exceeds the budget.
+# Summaries are built bottom-up from leaves, compositions in which the
+# outer term reads at most one inner term that moves with p, and
+# recursions, both at a leading argument the step ignores and at the
+# recursion argument.  They make a recursion's loop closed-form when its
+# step has a family at the accumulator and ignores the counter, or has
+# one at the counter and ignores the accumulator: the loop runs one real
+# iteration and charges the rest of the exact total at once, which with
+# the accumulator is an arithmetic series split where it reaches 0.  Any
+# other loop runs every iteration.
+#
+# Every charge is part of the node-by-node total that a converging
+# evaluation spends, so a run spends exactly that total and exhausts
+# exactly when the total exceeds the budget, at once when one charge
+# does.
 
 
 def _code(t: Term) -> tuple:
-    """``(cost, run, reads)`` for ``t``.  Compiles on first use, subterms
-    first and without recursion, so deep terms compile, and caches the
-    result on every term compiled."""
+    """``(cost, run, deps, at)`` for ``t``.  Compiles on first use,
+    subterms first and without recursion, so deep terms compile, and
+    caches the result on every term compiled."""
     try:
         return t._code
     except AttributeError:
@@ -379,28 +403,62 @@ def _compile(t: Term) -> tuple:
     if tt is Mu:
         return _compile_mu(t)
     if tt is S:
-        return 1, lambda a, fuel: a[0] + 1, frozenset((0,))
+        at = {0: lambda a, fuel: (a[0] + 1, (1, 1, 0))}
+        return 1, lambda a, fuel: a[0] + 1, frozenset((0,)), at
     if tt is Proj or tt is Id:
         i = t.i - 1 if tt is Proj else 0
-        return 1, lambda a, fuel: a[i], frozenset((i,))
+        at = {i: lambda a, fuel: (a[i], (1, 0, 0))}
+        return 1, lambda a, fuel: a[i], frozenset((i,)), at
     if tt is Z:
-        return 1, _zero, frozenset()
+        return 1, _zero, frozenset(), {}
     if tt is ConstK:
         k = t.k
-        return 1, lambda a, fuel: k, frozenset()
+        return 1, lambda a, fuel: k, frozenset(), {}
     if tt is Ack:
-        return 1, lambda a, fuel: _ack_expand(a[0], a[1], fuel), None
+        return 1, lambda a, fuel: _ack_expand(a[0], a[1], fuel), frozenset((0, 1)), {}
     raise TypeError(f"not a term: {t!r}")
 
 
+def _constant(run):
+    """The summary of ``run`` at a position outside its ``deps``."""
+
+    def at(a, fuel):
+        v = run(a, fuel)
+        return v, (0, v, 0)
+
+    return at
+
+
+def _summary(code: tuple, p: int):
+    """The summary of a compiled term at position p, or None."""
+    return code[3].get(p) if p in code[2] else _constant(code[1])
+
+
+def _then(v, inner: tuple, outer: tuple):
+    """The family of a composition with value v, from the family of the
+    one inner term that moves, at p, and the outer term's family at the
+    position that inner term feeds; None when the inner term's
+    truncation at 0 would show through the outer term's value or fuel."""
+    m, d, be = inner
+    if not m:
+        return 0, v, be
+    om, od, obe = outer
+    if d < 0 and (obe or om and od > 0):
+        return None
+    return om, od + d if om else v, be + obe
+
+
 def _compile_comp(t: Comp) -> tuple:
-    fcost, f, freads = _code(t.f)
+    fcode = _code(t.f)
+    fcost, f, fdeps, _ = fcode
     codes = [_code(g) for g in t.gs]
     cost = 1 + fcost + sum(c[0] for c in codes)
-    reads = None
-    if freads is not None and all(c[2] is not None for c in codes):
-        reads = frozenset().union(*(codes[j][2] for j in freads))
-    gs = [g for _, g, _ in codes]
+    moving = {}  # position -> the inner terms that depend on it
+    for j, c in enumerate(codes):
+        for p in c[2]:
+            moving.setdefault(p, []).append(j)
+    deps = frozenset(moving)
+    gs = [c[1] for c in codes]
 
     def run(a, fuel):
         # a loop, not a comprehension: one Python frame per nesting level
@@ -409,15 +467,103 @@ def _compile_comp(t: Comp) -> tuple:
             vals.append(g(a, fuel))
         return f(tuple(vals), fuel)
 
-    return cost, run, reads
+    at = {}
+    for p, js in moving.items():
+        read = [j for j in js if j in fdeps]
+        if len(read) > 1:
+            continue
+        fed = read[0] if read else -1
+        outer = _summary(fcode, fed) if read else _constant(f)
+        inner = {j: codes[j][3].get(p) for j in js}
+        if outer is not None and None not in inner.values():
+            at[p] = _comp_at(f, gs, inner, fed, outer)
+    return cost, run, deps, at
+
+
+def _comp_at(f, gs, inner: dict, fed: int, outer):
+    """A composition's summary at p: ``inner`` maps each inner term that
+    moves with p to its summary there, ``fed`` is the one of them the
+    outer term reads (-1 for none), and ``outer`` the outer term's
+    summary at that position."""
+
+    def at(a, fuel):
+        vals = []
+        ok = True
+        fam = (0, 0, 0)
+        be = 0
+        for j, g in enumerate(gs):
+            s = inner.get(j) if ok else None
+            if s is None:
+                vals.append(g(a, fuel))
+                continue
+            v, gf = s(a, fuel)
+            vals.append(v)
+            if gf is None:
+                ok = False
+            elif j == fed:
+                fam = gf
+            else:
+                be += gf[2]
+        if not ok:
+            return f(tuple(vals), fuel), None
+        v, of = outer(tuple(vals), fuel)
+        if of is None:
+            return v, None
+        fam = _then(v, fam, of)
+        return v, fam and (fam[0], fam[1], fam[2] + be)
+
+    return at
 
 
 def _compile_rec(t: PrimRec) -> tuple:
-    bcost, base, _ = _code(t.base)
-    scost, step, sreads = _code(t.step)
-    # a loop-free step that ignores the accumulator only needs its last
-    # iteration computed
-    last_only = sreads is not None and t.base.arity() not in sreads
+    bcost, base, bdeps, bat = _code(t.base)
+    scode = _code(t.step)
+    scost, step, sdeps, _ = scode
+    k = t.base.arity()  # the step's accumulator; k + 1 is its counter
+    deps = bdeps | {p for p in sdeps if p < k} | {k}
+    on_acc = _summary(scode, k) if k + 1 not in sdeps else None
+    on_ctr = _summary(scode, k + 1) if on_acc is None and k not in sdeps else None
+
+    def loop(xs, acc, y, fuel):
+        """``y`` >= 1 iterations from ``acc``, their static cost paid:
+        the value, and when they ran in closed form also the step's
+        family (at the accumulator if ``on_acc`` is set, else at the
+        counter) and its fuel at 0 there, else None and 0."""
+        if on_acc is not None:
+            left = fuel.left
+            v, fam = on_acc(xs + (acc, 0), fuel)
+            if fam is not None:
+                m, d, be = fam
+                u = left - fuel.left - be * acc
+                # the other y - 1 iterations see accumulators running
+                # from v by d while positive, then 0
+                n = y - 1
+                if not m:
+                    d = 0
+                pos = n if d >= 0 else min(n, -(v // d))
+                fuel.charge(n * u + be * (pos * v + d * pos * (pos - 1) // 2))
+                return max(v + n * d, 0), fam, u
+            acc = v
+            first = 1
+        elif on_ctr is not None:
+            # the step ignores the accumulator: run the last iteration,
+            # then pay for the others at counters 0 .. y - 2
+            n = y - 1
+            left = fuel.left
+            v, fam = on_ctr(xs + (acc, n), fuel)
+            if fam is None:
+                for c in range(n):
+                    step(xs + (acc, c), fuel)
+                return v, None, 0
+            be = fam[2]
+            u = left - fuel.left - be * n
+            fuel.charge(n * u + be * n * (n - 1) // 2)
+            return v, fam, u
+        else:
+            first = 0
+        for c in range(first, y):
+            acc = step(xs + (acc, c), fuel)
+        return acc, None, 0
 
     def run(a, fuel):
         xs = a[:-1]
@@ -425,16 +571,66 @@ def _compile_rec(t: PrimRec) -> tuple:
         acc = base(xs, fuel)
         if y:
             fuel.charge(y * scost)
-            for c in range(y - 1 if last_only else 0, y):
-                acc = step(xs + (acc, c), fuel)
+            acc = loop(xs, acc, y, fuel)[0]
         return acc
 
-    return 1 + bcost, run, None
+    def at_counter(a, fuel):
+        # the value and fuel as y moves: affine while the accumulator
+        # steps by 0 or 1 and its fuel does not grow with it
+        xs = a[:-1]
+        y = a[-1]
+        acc = base(xs, fuel)
+        if not y:
+            return acc, None
+        fuel.charge(y * scost)
+        v, fam, u = loop(xs, acc, y, fuel)
+        if fam is None:
+            return v, None
+        m, d, be = fam
+        if on_acc is not None:
+            rise = max(m * acc + d, 0) - acc
+            if rise == 0 or rise == 1 and m and not be:
+                return v, (rise, acc, scost + u + be * acc)
+        elif not be and max(d - m, 0) == acc:
+            return v, (m, d - m, scost + u)
+        return v, None
+
+    at = {k: at_counter}
+    for p in bdeps:
+        if p not in sdeps and p in bat:
+            at[p] = _rec_at(bat[p], on_acc, loop, scost)
+    return 1 + bcost, run, deps, at
+
+
+def _rec_at(based, on_acc, loop, scost: int):
+    """A recursion's summary at a leading argument its step ignores:
+    ``based`` is the base's summary there, ``loop`` the recursion's."""
+
+    def at(a, fuel):
+        xs = a[:-1]
+        y = a[-1]
+        acc, bf = based(xs, fuel)
+        if not y:
+            return acc, bf
+        fuel.charge(y * scost)
+        v, fam, _ = loop(xs, acc, y, fuel)
+        if fam is None or bf is None:
+            return v, None
+        # a loop that ignores its accumulator ignores where it starts
+        m, d, be = fam if on_acc is not None else (0, 0, 0)
+        if not m:
+            return v, _then(v, bf, (0, v, be))
+        if d < 0 and be:
+            return v, None
+        return v, _then(v, bf, (1, y * d, y * be))
+
+    return at
 
 
 def _compile_mu(t: Mu) -> tuple:
-    bcost, body, _ = _code(t.body)
+    bcost, body, bdeps, _ = _code(t.body)
     probe_cost = 1 + bcost
+    n = t.arity()
 
     def run(a, fuel):
         i = 0
@@ -444,35 +640,40 @@ def _compile_mu(t: Mu) -> tuple:
                 return i
             i += 1
 
-    return 1, run, None
+    return 1, run, frozenset(p for p in bdeps if p < n), {}
 
 
 def _ack_expand(m: int, n: int, fuel: Fuel) -> int:
-    """Ackermann-Peter by literal expansion, one fuel unit per rewrite."""
+    """Ackermann-Peter by expansion, one fuel unit per rewrite.  Rows 0-2
+    are closed forms, charged their exact rewrite counts at once."""
     left = fuel.left
     stack = [m]
     while stack:
-        left -= 1
+        m = stack.pop()
+        if m == 0:
+            cost, n = 1, n + 1
+        elif m == 1:
+            cost, n = 2 * n + 2, n + 2
+        elif m == 2:
+            cost, n = (2 * n + 7) * n + 5, 2 * n + 3
+        elif n == 0:
+            cost, n = 1, 1
+            stack.append(m - 1)
+        else:
+            cost, n = 1, n - 1
+            stack.append(m - 1)
+            stack.append(m)
+        left -= cost
         if left < 0:
             fuel.left = left
             raise _OutOfFuel
-        m = stack.pop()
-        if m == 0:
-            n += 1
-        elif n == 0:
-            stack.append(m - 1)
-            n = 1
-        else:
-            stack.append(m - 1)
-            stack.append(m)
-            n -= 1
     fuel.left = left
     return n
 
 
 def _evaluate(t: Term, args: tuple, fuel: Fuel):
     """The raw result (see ``core._box``) of ``t`` on ``args``."""
-    cost, run, _ = _code(t)
+    cost, run, _, _ = _code(t)
     try:
         fuel.charge(cost)
         return run(args, fuel)

@@ -5,9 +5,9 @@ import pickle
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from powerlab.core import Converged, Diverged, FUEL_EXHAUSTED, apply, apply_with_cost
+from powerlab.core import Converged, Diverged, FUEL_EXHAUSTED, Fuel, apply, apply_with_cost
 from powerlab.recdsl import (
     Ack,
     ArityError,
@@ -21,6 +21,9 @@ from powerlab.recdsl import (
     S,
     TermClass,
     Z,
+    _code,
+    _evaluate,
+    _subterms,
     ackermann,
     classify,
     compose_unary,
@@ -40,6 +43,7 @@ from powerlab.terms import (
     SIGN,
     SQUARE,
     ack_row_term,
+    const_of,
     standard_suite,
 )
 
@@ -301,6 +305,189 @@ def test_fuel_matches_node_by_node_reference_on_loopy_terms(t, x):
 def test_fuel_matches_node_by_node_reference_on_suite(name, term):
     for x in range(9):
         _assert_exact_fuel(term, x)
+
+
+# Terms of arity 1-3 biased towards the shapes that evaluate in closed form:
+# the library terms composed with projections, constants and S, and
+# recursions whose steps read the accumulator, the counter or a leading
+# argument.  Their values grow fast, so the reference gives up past a
+# node count, and such cases are skipped.
+
+
+class _TooBig(Exception):
+    pass
+
+
+class _CappedCount(list):
+    """A one-element node counter for ``ref_eval`` that raises past a limit."""
+
+    def __setitem__(self, i, v):
+        if v > 50_000:
+            raise _TooBig
+        super().__setitem__(i, v)
+
+
+def ref_cost_args(t, args):
+    cost = _CappedCount([0])
+    value = ref_eval(t, tuple(args), cost)
+    return value, cost[0]
+
+
+def _spend(t, args, budget):
+    """(outcome, fuel spent) of the evaluator on a tuple of arguments;
+    running out costs the whole budget."""
+    fuel = Fuel(budget)
+    raw = _evaluate(t, tuple(args), fuel)
+    if raw is FUEL_EXHAUSTED:
+        return raw, budget
+    return Converged(raw), budget - fuel.left
+
+
+_UNARY = (S(), PRED, ack_row_term(1), ack_row_term(2))
+# outer terms: the library, and terms that ignore an argument they pay for
+_OUTER = (ADD, MULT, MONUS, PRED, ack_row_term(2), Proj(1, 2), Proj(2, 2), ConstK(2))
+
+
+def _wrap(leaf, chain):
+    for f in chain:
+        leaf = Comp(f, (leaf,))
+    return leaf
+
+
+@lru_cache(maxsize=None)
+def shape_terms(n, depth=2):
+    """Terms of arity n (1-4) of nesting depth at most ``depth``; a leaf
+    is a projection or a constant inside up to three unary terms."""
+    leaves = st.builds(
+        _wrap,
+        st.builds(Proj, st.integers(1, n), st.just(n))
+        | st.builds(lambda k: const_of(k, n), st.integers(0, 3)),
+        st.lists(st.sampled_from(_UNARY), max_size=3),
+    )
+    if depth == 0:
+        return leaves
+    outer = st.sampled_from(_OUTER) | rec_terms(2, depth - 1) | rec_terms(3, depth - 1)
+    inner = shape_terms(n, depth - 1)
+    comps = outer.flatmap(
+        lambda f: st.lists(inner, min_size=f.arity(), max_size=f.arity()).map(
+            lambda gs: Comp(f, tuple(gs))
+        )
+    )
+    parts = [leaves, comps]
+    if 2 <= n <= 3:
+        parts.append(rec_terms(n, depth - 1))
+    return st.one_of(*parts)
+
+
+@lru_cache(maxsize=None)
+def rec_terms(n, depth):
+    """Recursions of arity n (2-3), their steps built like ``shape_terms``."""
+    return st.builds(PrimRec, shape_terms(n - 1, depth), shape_terms(n + 1, depth))
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(shape_terms(n), st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    )
+)
+def test_fuel_matches_node_by_node_reference_on_closed_form_shapes(case):
+    t, args = case
+    try:
+        value, cost = ref_cost_args(t, args)
+    except _TooBig:
+        assume(False)
+    _assert_exact_spend(t, args, value, cost)
+
+
+def _assert_exact_spend(t, args, value, cost):
+    """Exact spend on budgets one above, at and one below the cost."""
+    assert _spend(t, args, cost + 1) == (Converged(value), cost)
+    assert _spend(t, args, cost) == (Converged(value), cost)
+    if cost > 1:
+        assert _spend(t, args, cost - 1) == (FUEL_EXHAUSTED, cost - 1)
+
+
+# Loops over loops whose inner summary is exact only under a side
+# condition; random shapes rarely reach them.  Each runs at (0, 0..5).
+_EDGES = {
+    "steady value, fuel growing with the accumulator":
+        "(R (K 2) (C (R (K 3) (C (P 1 2) (P 2 3) (C (C (R Z (P 3 3)) I I) (P 2 3)))) (P 1 3) (P 2 3)))",
+    "successor after a decrement truncated at 0":
+        "(R (C (C (R Z (P 3 3)) I I) (P 1 1)) (C (R (P 1 1) (C S (P 2 3))) (C (R (P 1 1) (C (C (R Z (P 3 3)) I I) (P 2 3))) (C (K 3) (P 1 3)) (C (K 3) (P 1 3))) (C S (C (C (R Z (P 3 3)) I I) (P 3 3)))))",
+    "rise by one, fuel growing with the accumulator":
+        "(R (C S (P 1 1)) (C (R (P 1 1) (C (R (P 1 1) (C S (P 2 3))) (P 1 3) (P 2 3))) (C S (P 1 3)) (C (P 2 2) (C S (C S (P 1 3))) (P 2 3))))",
+    "monus reaching 0 inside a loop":
+        "(R (K 1) (C (R (P 1 1) (C (C (R Z (P 3 3)) I I) (P 2 3))) (P 2 3) (C (R (P 1 1) (C (C (R Z (P 3 3)) I I) (P 2 3))) (C (K 3) (P 1 3)) (C S (P 1 3)))))",
+    "counter recursion whose base breaks the pattern":
+        "(R (K 2) (C (R (K 3) (P 3 3)) (P 1 3) (P 2 3)))",
+    "counter step whose fuel grows with the counter":
+        "(R Z (C (C (R Z (P 3 3)) I I) (P 3 3)))",
+    "ignored accumulator still paid for":
+        "(R (K 3) (C (R (P 1 1) (C (K 2) (C (C (R Z (P 3 3)) I I) (P 2 3)))) (P 2 3) (C (K 2) (P 1 3))))",
+}
+
+
+@pytest.mark.parametrize("text", _EDGES.values(), ids=list(_EDGES))
+def test_fuel_matches_node_by_node_reference_at_closed_form_edges(text):
+    t = parse_term(text)
+    for y in range(6):
+        _assert_exact_spend(t, (0, y), *ref_cost_args(t, (0, y)))
+
+
+def _all_subterms(t):
+    out, stack = [], [t]
+    while stack:
+        cur = stack.pop()
+        out.append(cur)
+        stack.extend(_subterms(cur))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(loopy_terms, st.integers(1, 3).flatmap(shape_terms)),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    st.integers(0, 3),
+)
+@example(MULT, [2, 3, 0, 0], 1)
+@example(Mu(MONUS), [2, 0, 0, 0], 1)
+def test_changing_an_argument_outside_deps_changes_neither_value_nor_cost(t, xs, other):
+    for sub in _all_subterms(t):
+        args = xs[: sub.arity()]
+        deps = _code(sub)[2]
+        for p in range(sub.arity()):
+            if p in deps:
+                continue
+            moved = args[:p] + [other] + args[p + 1 :]
+            try:
+                assert ref_cost_args(sub, moved) == ref_cost_args(sub, args)
+            except _TooBig:
+                pass
+
+
+def test_large_inputs_stay_closed_form():
+    """Node by node, neither would finish: 3n^2 + 5n + 5 and
+    3n^2 + 15n + 16 are the exact costs, checked against the reference
+    for small n."""
+    row2 = ack_row_term(2)
+    for n in range(40):
+        assert ref_cost(SQUARE, n) == (n * n, 3 * n * n + 5 * n + 5)
+        assert ref_cost(row2, n) == (2 * n + 3, 3 * n * n + 15 * n + 16)
+    n = 10**6
+    for t, value, cost in (
+        (SQUARE, n * n, 3 * n * n + 5 * n + 5),
+        (row2, 2 * n + 3, 3 * n * n + 15 * n + 16),
+    ):
+        assert apply_with_cost(term_map(t), n, cost) == (Converged(value), cost)
+        assert apply_with_cost(term_map(t), n, cost - 1) == (FUEL_EXHAUSTED, cost - 1)
+
+
+@pytest.mark.parametrize("m,top", [(0, 60), (1, 60), (2, 60), (3, 4)])
+def test_ack_rows_charge_the_exact_rewrite_count(m, top):
+    t = Comp(Ack(), (ConstK(m), Id()))
+    for n in range(top + 1):
+        _assert_exact_fuel(t, n)
 
 
 def test_charges_one_unit_per_node():
