@@ -63,7 +63,7 @@ class Domain(Enum):
             # bool is an int subclass and must not slip through
             return type(x) is int and x >= 0
         if self is Domain.BITS:
-            return type(x) is str and set(x) <= {"0", "1"}
+            return type(x) is str and not x.strip("01")
         return is_pure_list(x)
 
     def check(self, x: Value, who: str) -> None:

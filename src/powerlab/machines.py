@@ -13,7 +13,12 @@ Every non-halt state reachable in the table must handle all three
 symbols, and the halt state has no outgoing rules.  The input is written
 at the head with blanks everywhere else; on halting, the output is the
 maximal block of non-blank cells containing the head (empty if the head
-rests on a blank).
+rests on a blank).  Each step costs one unit of fuel.  A run rule
+``q s q s L`` or ``q s q s R``, which keeps the state and the symbol,
+crosses the whole run of ``s`` in its direction at once and is charged
+the run's length, as the steps one at a time would be; a budget too
+small for that charge runs out.  A run of blanks reaching past the
+written tape never ends, so it spends the whole budget at once.
 
 Counter machine text format, line oriented, ``#`` comments::
 
@@ -51,7 +56,6 @@ from powerlab.core import (
     Model,
     Outcome,
     PartialMap,
-    _OutOfFuel,
     apply,
     bijection,
 )
@@ -73,6 +77,8 @@ from powerlab.terms import ack_row_term
 
 BLANK = "_"
 _SYMBOLS = ("0", "1", BLANK)
+_BLANK = ord(BLANK)
+_BLANKS = BLANK.encode()
 _MOVES = {"L": -1, "R": 1, "S": 0}
 
 
@@ -126,6 +132,38 @@ class TMProgram:
                     raise ProgramError(
                         f"{self.name}: state {st!r} has no rule for symbol {sym!r}"
                     )
+        object.__setattr__(self, "_rows", _build_rows(self))
+
+
+# The halt state's number in a built program; the other states are 0, 1, ...
+_HALT = -1
+
+
+def _build_rows(p: TMProgram) -> tuple:
+    """The form ``TMMap`` runs: ``(rows, start)``.
+
+    States are numbered in the order they first appear, the start state
+    first, and the halt state is ``_HALT``.  A tape cell holds the ASCII
+    code of its symbol, and row ``q`` maps the code of each symbol to the
+    rule for ``(q, symbol)``: ``(next state, written code, move, run)``,
+    the move being -1, 0 or 1.  ``run`` is true for a rule that keeps the
+    state and the symbol and moves, so that it crosses a whole run of its
+    symbol; ``TMMap`` does that in one dispatch.
+    """
+    number = {p.halt: _HALT}
+    for st in (p.start, *(st for st, _ in p.transitions)):
+        number.setdefault(st, len(number) - 1)
+    rows = []
+    for st in number:
+        if st == p.halt:
+            continue
+        row = [None] * (_BLANK + 1)
+        for sym in _SYMBOLS:
+            nst, wsym, mv = p.transitions[(st, sym)]
+            run = nst == st and wsym == sym and mv != "S"
+            row[ord(sym)] = (number[nst], ord(wsym), _MOVES[mv], run)
+        rows.append(tuple(row))
+    return tuple(rows), number[p.start]
 
 
 def _read(text: str, name: str, keywords: dict, line, build):
@@ -193,32 +231,50 @@ class TMMap(PartialMap):
     program: TMProgram
 
     def _run(self, x: str, fuel: Fuel):
-        tape = {i: c for i, c in enumerate(x)}
+        rows, state = self.program._rows
+        # the input and one blank; the tape doubles when the head leaves it
+        tape = bytearray(x + BLANK, "ascii")
+        n = len(tape)
         head = 0
-        state = self.program.start
-        trans = self.program.transitions
-        halt = self.program.halt
-        while state != halt:
-            try:
-                fuel.charge()
-            except _OutOfFuel:
+        left = fuel.left
+        while state != _HALT:
+            left -= 1
+            if left < 0:
+                fuel.left = -1
                 return FUEL_EXHAUSTED
-            sym = tape.get(head, BLANK)
-            state, wsym, mv = trans[(state, sym)]
-            if wsym == BLANK:
-                tape.pop(head, None)
+            sym = tape[head]
+            state, wsym, mv, run = rows[state][sym]
+            if run:
+                # the rule applies on every cell of the run of sym it
+                # moves across: take them all at once, one step each
+                end = head + mv
+                while 0 <= end < n and tape[end] == sym:
+                    end += mv
+                if sym == _BLANK and not 0 <= end < n:
+                    # blanks all the way out: the machine never halts
+                    fuel.left = -1
+                    return FUEL_EXHAUSTED
+                left -= (end - head) * mv - 1
+                if left < 0:
+                    fuel.left = -1
+                    return FUEL_EXHAUSTED
+                head = end
             else:
                 tape[head] = wsym
-            head += _MOVES[mv]
-        if head not in tape:
+                head += mv
+            if head < 0:
+                tape[:0] = _BLANKS * n
+                head += n
+                n += n
+            elif head == n:
+                tape += _BLANKS * n
+                n += n
+        fuel.left = left
+        if tape[head] == _BLANK:
             return ""
-        lo = head
-        while lo - 1 in tape:
-            lo -= 1
-        hi = head
-        while hi + 1 in tape:
-            hi += 1
-        return "".join(tape[i] for i in range(lo, hi + 1))
+        lo = tape.rfind(_BLANK, 0, head) + 1
+        hi = tape.find(_BLANK, head)
+        return tape[lo : hi if hi >= 0 else n].decode()
 
 
 def tm_map(p: TMProgram, name: Optional[str] = None) -> PartialMap:
@@ -294,20 +350,29 @@ def tm_witness_models() -> tuple[Model, Model]:
 # Bit-string coding of the naturals
 
 
+def _nat_to_bits(n: int) -> str:
+    return bin(n + 1)[3:]
+
+
+def _bits_to_nat(b: str) -> int:
+    return int("1" + b, 2) - 1
+
+
 def nat_to_bits(n: int) -> str:
     """Bijective coding: 0 -> "", then drop the leading 1 of bin(n + 1)."""
     Domain.NAT.check(n, "nat_to_bits")
-    return bin(n + 1)[3:]
+    return _nat_to_bits(n)
 
 
 def bits_to_nat(b: str) -> int:
     Domain.BITS.check(b, "bits_to_nat")
-    return int("1" + b, 2) - 1
+    return _bits_to_nat(b)
 
 
 def BitsEncoding() -> Encoding:
-    """The bijection from naturals to bit strings."""
-    return bijection("bits", "bits-inv", Domain.NAT, Domain.BITS, nat_to_bits, bits_to_nat)
+    """The bijection from naturals to bit strings.  ``Encoding`` checks
+    the domain of each value, so it is built on the unchecked conversions."""
+    return bijection("bits", "bits-inv", Domain.NAT, Domain.BITS, _nat_to_bits, _bits_to_nat)
 
 
 # --------------------------------------------------------------------------

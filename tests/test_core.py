@@ -43,6 +43,25 @@ def test_domain_membership():
     assert not Domain.LIST.contains("()")
 
 
+@pytest.mark.parametrize(
+    "x, member",
+    [
+        ("", True),
+        ("0", True),
+        ("0110", True),
+        ("012", False),
+        ("0 1", False),
+        ("01\n", False),
+        ("\uff10\uff11", False),  # full-width digits
+        (b"01", False),
+        (1, False),
+        (None, False),
+    ],
+)
+def test_bits_domain_membership(x, member):
+    assert Domain.BITS.contains(x) is member
+
+
 def test_apply_identity_builtin():
     assert apply(identity_map(), 7, 100) == Converged(7)
     out, spent = apply_with_cost(identity_map(), 7, 100)

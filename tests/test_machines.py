@@ -3,10 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powerlab.core import Converged, Diverged, FUEL_EXHAUSTED, Fuel, apply, apply_with_cost
+from powerlab.core import (
+    FUEL_EXHAUSTED,
+    Converged,
+    Diverged,
+    DomainMismatch,
+    Fuel,
+    apply,
+    apply_with_cost,
+)
 from powerlab.machines import (
     _CM_OPS,
     _SYMBOLS,
+    BLANK,
     BitsEncoding,
     CMProgram,
     ProgramError,
@@ -63,6 +72,17 @@ def test_bits_encoding_object():
     assert e.encode(5) == "10" and e.decode("10") == 5
     inv = e.inverse()
     assert inv.encode("10") == 5 and inv.decode(5) == "10"
+
+
+def test_bits_encoding_still_checks_its_domains():
+    e, inv = BitsEncoding(), BitsEncoding().inverse()
+    calls = [
+        (e.encode, -1), (e.encode, True), (e.decode, "2"),
+        (inv.encode, "2"), (inv.decode, -1), (nat_to_bits, -1), (bits_to_nat, "2"),
+    ]
+    for fn, v in calls:
+        with pytest.raises(DomainMismatch):
+            fn(v)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +373,36 @@ def ref_cm(p, x, budget):
     return Converged(regs.get(p.output_reg, 0)), spent
 
 
+_STEP = {"L": -1, "R": 1, "S": 0}
+
+
+def ref_tm(p, x, budget):
+    """Run ``p`` on ``x`` one step at a time on a dict tape, each step
+    costing one unit; running out costs the whole budget.  Returns
+    (outcome, spent)."""
+    tape = dict(enumerate(x))
+    head = spent = 0
+    state = p.start
+    while state != p.halt:
+        if spent == budget:
+            return FUEL_EXHAUSTED, budget
+        spent += 1
+        state, wsym, mv = p.transitions[(state, tape.get(head, BLANK))]
+        if wsym == BLANK:
+            tape.pop(head, None)
+        else:
+            tape[head] = wsym
+        head += _STEP[mv]
+    if head not in tape:
+        return Converged(""), spent
+    lo = hi = head
+    while lo - 1 in tape:
+        lo -= 1
+    while hi + 1 in tape:
+        hi += 1
+    return Converged("".join(tape[i] for i in range(lo, hi + 1))), spent
+
+
 def assert_exact_spend(p, x, cap=10**6):
     """Same outcome and spend as the reference at ``cap``; a converging
     run converges at exactly its spend and runs out one unit below it."""
@@ -501,3 +551,70 @@ def test_cm_counting_loops_are_fused():
     assert fused(*counting_loop(0, [1, 1, 2, 3], 0)) == 1
     assert fused(*counting_loop(0, [1, 0], 0)) == 0  # increments its counter
     assert fused(("decjz", 0, 4), ("inc", 1), ("decjz", 2, 3), ("jump", 0)) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(complete_tm_programs(), st.text(alphabet="01", max_size=8))
+def test_tm_spend_matches_reference(p, x):
+    m = tm_map(p)
+    budgets = {1, 2, 5, 40}
+    out, spent = ref_tm(p, x, 2000)
+    if out != FUEL_EXHAUSTED:
+        budgets.update(b for b in (spent, spent - 1) if b >= 1)
+    for b in sorted(budgets):
+        assert apply_with_cost(m, x, b) == ref_tm(p, x, b), (render_tm(p), x, b)
+
+
+def _tm(*rules, start="a", halt="z"):
+    """A program from ``"state symbol new-state write move"`` rules; each
+    state's unlisted symbols halt in place."""
+    table = {}
+    for rule in rules:
+        st, sym, nst, wsym, mv = rule.split()
+        table[(st, sym)] = (nst, wsym, mv)
+    for st in {k[0] for k in table}:
+        for sym in _SYMBOLS:
+            table.setdefault((st, sym), (halt, sym, "S"))
+    return TMProgram("hand", start, halt, table)
+
+
+def test_tm_run_rule_is_charged_its_run():
+    # 7 steps right over the ones, 1 onto the blank, 7 carrying back, 1 to halt
+    m = tm_map(tm_binary_successor())
+    assert ref_tm(tm_binary_successor(), "1111111", 100) == (Converged("00000000"), 16)
+    assert apply_with_cost(m, "1111111", 16) == (Converged("00000000"), 16)
+    assert apply_with_cost(m, "1111111", 15) == (FUEL_EXHAUSTED, 15)
+    cell = Fuel(15)
+    assert m._run("1111111", cell) == FUEL_EXHAUSTED and cell.left == -1
+
+
+@pytest.mark.parametrize("move", ["L", "R"])
+def test_tm_outward_blank_run_exhausts_the_budget_at_once(move):
+    # stepping either machine would take 10**12 steps
+    m = tm_map(_tm(f"a _ a _ {move}"))
+    assert apply_with_cost(m, "", 10**12) == (FUEL_EXHAUSTED, 10**12)
+    # crosses the input, then runs on over blanks in state b
+    m = tm_map(_tm(f"a 0 a 0 {move}", f"a 1 a 1 {move}", f"a _ b _ {move}", f"b _ b _ {move}"))
+    assert apply_with_cost(m, "0110", 10**12) == (FUEL_EXHAUSTED, 10**12)
+
+
+def test_tm_blank_run_between_written_cells_ends():
+    # b crosses the blanks a left behind until it meets the 1 it wrote
+    m = tm_map(_tm("a _ c 1 R", "c _ d _ R", "d _ e _ R", "e _ b 1 L", "b _ b _ L", "b 1 z 0 S"))
+    assert apply_with_cost(m, "", 100) == ref_tm(m.program, "", 100) == (Converged("0"), 7)
+    assert apply_with_cost(m, "", 6) == (FUEL_EXHAUSTED, 6)
+
+
+@pytest.mark.parametrize("move", ["L", "R"])
+def test_tm_tape_grows_geometrically_at_either_end(move):
+    # writes a cell and moves on forever: 3 * 10**5 fresh cells, which a
+    # tape grown one cell at a time would copy quadratically
+    m = tm_map(_tm(f"a _ b 1 {move}", f"b _ a 0 {move}"))
+    assert apply_with_cost(m, "", 3 * 10**5) == (FUEL_EXHAUSTED, 3 * 10**5)
+    assert apply_with_cost(m, "", 6) == ref_tm(m.program, "", 6)
+
+
+def test_tm_identity_takes_no_steps():
+    m = tm_map(tm_identity())
+    assert apply_with_cost(m, "0110", 5) == (Converged("0110"), 0)
+    assert apply_with_cost(m, "", 1) == (Converged(""), 0)
