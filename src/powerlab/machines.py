@@ -13,12 +13,8 @@ Every non-halt state reachable in the table must handle all three
 symbols, and the halt state has no outgoing rules.  The input is written
 at the head with blanks everywhere else; on halting, the output is the
 maximal block of non-blank cells containing the head (empty if the head
-rests on a blank).  Each step costs one unit of fuel.  A run rule
-``q s q s L`` or ``q s q s R``, which keeps the state and the symbol,
-crosses the whole run of ``s`` in its direction at once and is charged
-the run's length, as the steps one at a time would be; a budget too
-small for that charge runs out.  A run of blanks reaching past the
-written tape never ends, so it spends the whole budget at once.
+rests on a blank).  Each step costs one unit of fuel.  The tape holds
+every cell the head has visited, blank or not.
 
 Counter machine text format, line oriented, ``#`` comments::
 
@@ -145,10 +141,8 @@ def _build_rows(p: TMProgram) -> tuple:
     States are numbered in the order they first appear, the start state
     first, and the halt state is ``_HALT``.  A tape cell holds the ASCII
     code of its symbol, and row ``q`` maps the code of each symbol to the
-    rule for ``(q, symbol)``: ``(next state, written code, move, run)``,
-    the move being -1, 0 or 1.  ``run`` is true for a rule that keeps the
-    state and the symbol and moves, so that it crosses a whole run of its
-    symbol; ``TMMap`` does that in one dispatch.
+    rule for ``(q, symbol)``: ``(next state, written code, move)``, the
+    move being -1, 0 or 1.
     """
     number = {p.halt: _HALT}
     for st in (p.start, *(st for st, _ in p.transitions)):
@@ -160,8 +154,7 @@ def _build_rows(p: TMProgram) -> tuple:
         row = [None] * (_BLANK + 1)
         for sym in _SYMBOLS:
             nst, wsym, mv = p.transitions[(st, sym)]
-            run = nst == st and wsym == sym and mv != "S"
-            row[ord(sym)] = (number[nst], ord(wsym), _MOVES[mv], run)
+            row[ord(sym)] = (number[nst], ord(wsym), _MOVES[mv])
         rows.append(tuple(row))
     return tuple(rows), number[p.start]
 
@@ -226,6 +219,15 @@ def render_tm(p: TMProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _widen(tape: bytearray, n: int, left: bool) -> None:
+    """Doubles the ``n`` cells of ``tape`` with blanks at its left or
+    right end."""
+    if left:
+        tape[:0] = _BLANKS * n
+    else:
+        tape.extend(_BLANKS * n)
+
+
 @dataclass(frozen=True)
 class TMMap(PartialMap):
     program: TMProgram
@@ -243,31 +245,15 @@ class TMMap(PartialMap):
                 fuel.left = -1
                 return FUEL_EXHAUSTED
             sym = tape[head]
-            state, wsym, mv, run = rows[state][sym]
-            if run:
-                # the rule applies on every cell of the run of sym it
-                # moves across: take them all at once, one step each
-                end = head + mv
-                while 0 <= end < n and tape[end] == sym:
-                    end += mv
-                if sym == _BLANK and not 0 <= end < n:
-                    # blanks all the way out: the machine never halts
-                    fuel.left = -1
-                    return FUEL_EXHAUSTED
-                left -= (end - head) * mv - 1
-                if left < 0:
-                    fuel.left = -1
-                    return FUEL_EXHAUSTED
-                head = end
-            else:
-                tape[head] = wsym
-                head += mv
+            state, wsym, mv = rows[state][sym]
+            tape[head] = wsym
+            head += mv
             if head < 0:
-                tape[:0] = _BLANKS * n
+                _widen(tape, n, True)
                 head += n
                 n += n
             elif head == n:
-                tape += _BLANKS * n
+                _widen(tape, n, False)
                 n += n
         fuel.left = left
         if tape[head] == _BLANK:

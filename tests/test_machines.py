@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from powerlab import machines
 from powerlab.core import (
     FUEL_EXHAUSTED,
     Converged,
@@ -578,7 +579,7 @@ def _tm(*rules, start="a", halt="z"):
     return TMProgram("hand", start, halt, table)
 
 
-def test_tm_run_rule_is_charged_its_run():
+def test_tm_successor_spends_exactly_its_steps():
     # 7 steps right over the ones, 1 onto the blank, 7 carrying back, 1 to halt
     m = tm_map(tm_binary_successor())
     assert ref_tm(tm_binary_successor(), "1111111", 100) == (Converged("00000000"), 16)
@@ -588,16 +589,6 @@ def test_tm_run_rule_is_charged_its_run():
     assert m._run("1111111", cell) == FUEL_EXHAUSTED and cell.left == -1
 
 
-@pytest.mark.parametrize("move", ["L", "R"])
-def test_tm_outward_blank_run_exhausts_the_budget_at_once(move):
-    # stepping either machine would take 10**12 steps
-    m = tm_map(_tm(f"a _ a _ {move}"))
-    assert apply_with_cost(m, "", 10**12) == (FUEL_EXHAUSTED, 10**12)
-    # crosses the input, then runs on over blanks in state b
-    m = tm_map(_tm(f"a 0 a 0 {move}", f"a 1 a 1 {move}", f"a _ b _ {move}", f"b _ b _ {move}"))
-    assert apply_with_cost(m, "0110", 10**12) == (FUEL_EXHAUSTED, 10**12)
-
-
 def test_tm_blank_run_between_written_cells_ends():
     # b crosses the blanks a left behind until it meets the 1 it wrote
     m = tm_map(_tm("a _ c 1 R", "c _ d _ R", "d _ e _ R", "e _ b 1 L", "b _ b _ L", "b 1 z 0 S"))
@@ -605,13 +596,40 @@ def test_tm_blank_run_between_written_cells_ends():
     assert apply_with_cost(m, "", 6) == (FUEL_EXHAUSTED, 6)
 
 
+@pytest.fixture
+def widenings(monkeypatch):
+    """The size of the tape at each time ``TMMap`` widens it."""
+    sizes = []
+    widen = machines._widen
+
+    def counted(tape, n, left):
+        sizes.append(n)
+        widen(tape, n, left)
+
+    monkeypatch.setattr(machines, "_widen", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("move", ["L", "R"])
-def test_tm_tape_grows_geometrically_at_either_end(move):
-    # writes a cell and moves on forever: 3 * 10**5 fresh cells, which a
-    # tape grown one cell at a time would copy quadratically
+def test_tm_tape_doubles_at_either_end(widenings, move):
+    # writes a cell and moves on forever: 3 * 10**5 fresh cells from the
+    # one blank cell take 19 doublings, not a widening for each cell
     m = tm_map(_tm(f"a _ b 1 {move}", f"b _ a 0 {move}"))
     assert apply_with_cost(m, "", 3 * 10**5) == (FUEL_EXHAUSTED, 3 * 10**5)
+    assert widenings == [2**k for k in range(19)]
     assert apply_with_cost(m, "", 6) == ref_tm(m.program, "", 6)
+
+
+@pytest.mark.parametrize("move", ["L", "R"])
+@pytest.mark.parametrize("rules", [["a _ a _ {}"], ["a _ b _ {}", "b _ a _ {}"]])
+def test_tm_tape_keeps_every_visited_blank(widenings, rules, move):
+    # a walk outward over blanks is stepped cell by cell, and the tape
+    # keeps each blank it crosses: its memory grows with the steps taken,
+    # to between one and two bytes a step, where the reference's dict
+    # tape holds no blank at all
+    m = tm_map(_tm(*(rule.format(move) for rule in rules)))
+    assert apply_with_cost(m, "", 10**5) == ref_tm(m.program, "", 10**5) == (FUEL_EXHAUSTED, 10**5)
+    assert 10**5 <= 2 * widenings[-1] <= 2 * 10**5
 
 
 def test_tm_identity_takes_no_steps():
