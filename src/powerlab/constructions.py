@@ -11,21 +11,23 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import partial
+from itertools import count
 from math import isqrt
 from typing import Callable, Optional, Sequence
 
 from powerlab.core import (
     BuiltinMap,
-    Converged,
     Domain,
     Encoding,
+    FUEL_EXHAUSTED,
+    Fuel,
     Model,
     PartialMap,
     bijection,
     identity_map,
     pushforward,
 )
-from powerlab.recdsl import Term, TermClass, classify, eval_term, term_map, ackermann
+from powerlab.recdsl import Ack, Term, TermClass, _evaluate, classify, term_map
 from powerlab.terms import standard_suite
 
 
@@ -315,25 +317,30 @@ def GodelEncoding() -> Encoding:
 # A diagonal past the primitive-recursive maps
 
 
-def diag_h(encoding_term: Term, n: int, bound: int, fuel: int = 10**6) -> int:
+def diag_h(encoding_term: Term, n: int, fuel: int) -> int:
     """Value of the diagonal through an encoding given as a term: the
-    first value of the encoding exceeding ackermann(n, n).
+    first value of the encoding, at 0, 1, 2, ..., that exceeds ACK(n, n).
 
     The term must be primitive recursive (so the chase is honest) and
-    unary.  Searches past ``bound`` raise instead of spinning.
+    unary.  One budget of ``fuel`` bounds ACK(n, n) and the whole
+    search; every evaluation charges at least one unit, so the search
+    ends within ``fuel`` evaluations, and running out raises.
     """
     if classify(encoding_term) is not TermClass.PRIM:
         raise ValueError("diag_h needs a primitive-recursive encoding term")
     if encoding_term.arity() != 1:
         raise ValueError("diag_h needs a unary encoding term")
-    target = ackermann(n, n)
-    for i in range(bound):
-        out = eval_term(encoding_term, [i], fuel)
-        if not isinstance(out, Converged):
-            raise ValueError(f"fuel exhausted while evaluating the encoding term at {i}")
-        if out.value > target:
-            return out.value
-    raise ValueError(f"search bound exceeded: no value above {target} below index {bound}")
+    Domain.NAT.check(n, "diag_h")
+    cell = Fuel(fuel)
+    target = _evaluate(Ack(), (n, n), cell)
+    if target is FUEL_EXHAUSTED:
+        raise ValueError(f"fuel exhausted: ACK({n}, {n}) needs more than {fuel}")
+    for i in count():
+        out = _evaluate(encoding_term, (i,), cell)
+        if out is FUEL_EXHAUSTED:
+            raise ValueError(f"fuel exhausted: no value above {target} at inputs below {i}")
+        if out > target:
+            return out
 
 
 # --------------------------------------------------------------------------

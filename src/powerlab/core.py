@@ -179,21 +179,13 @@ class BuiltinMap(PartialMap):
         return evaluate
 
 
-@dataclass(frozen=True)
-class TableMap(PartialMap):
-    """Finite-table map, defined exactly on the listed inputs."""
-
-    table: tuple  # pairs (input, output)
-
-    def _run(self, x: Value, fuel: Fuel):
-        try:
-            fuel.charge()
-        except _OutOfFuel:
-            return FUEL_EXHAUSTED
-        for k, v in self.table:
-            if k == x:
-                return v
-        return Diverged("outside table")
+def TableMap(name: str, domain: Domain, table) -> BuiltinMap:
+    """Finite-table map, defined exactly on the inputs of the (input,
+    output) pairs listed; the first pair listed for an input wins."""
+    lookup: dict = {}
+    for k, v in table:
+        lookup.setdefault(k, v)
+    return BuiltinMap(name, domain, lookup.get)
 
 
 def apply(m: PartialMap, x: Value, fuel: int) -> Outcome:

@@ -702,44 +702,6 @@ def compose_unary(t1: Term, t2: Term) -> Term:
     return Comp(t1, (t2,))
 
 
-def ackermann(m: int, n: int, max_m: int = 3, max_n: int = 10) -> int:
-    """Ackermann-Peter value via memoised descent through the three
-    defining equations.  Desk-scale bounds guard against runaway growth;
-    widen them explicitly if you mean it."""
-    for v in (m, n):
-        Domain.NAT.check(v, "ackermann")
-    if m > max_m or n > max_n:
-        raise ValueError(
-            f"ack bound exceeded: ackermann({m},{n}) with bounds m<={max_m}, n<={max_n}"
-        )
-    memo: dict = {}
-    stack = [(m, n)]
-    while stack:
-        mm, nn = stack[-1]
-        if (mm, nn) in memo:
-            stack.pop()
-            continue
-        if mm == 0:
-            memo[(mm, nn)] = nn + 1
-            stack.pop()
-        elif nn == 0:
-            if (mm - 1, 1) in memo:
-                memo[(mm, nn)] = memo[(mm - 1, 1)]
-                stack.pop()
-            else:
-                stack.append((mm - 1, 1))
-        elif (mm, nn - 1) not in memo:
-            stack.append((mm, nn - 1))
-        else:
-            inner = memo[(mm, nn - 1)]
-            if (mm - 1, inner) in memo:
-                memo[(mm, nn)] = memo[(mm - 1, inner)]
-                stack.pop()
-            else:
-                stack.append((mm - 1, inner))
-    return memo[(m, n)]
-
-
 @dataclass(frozen=True)
 class TermMap(PartialMap):
     """A unary term packaged as a partial map over the naturals."""

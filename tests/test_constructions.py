@@ -301,18 +301,35 @@ def test_diag_h_frozen_values():
     double = parse_term("(R Z (C S (C S (P 3 3))))")
     double1 = parse_term("(C (R Z (C S (C S (P 3 3)))) Z I)")
     del double
-    assert diag_h(double1, 2, 100) == 8
-    assert diag_h(parse_term("I"), 0, 100) == 2
+    assert diag_h(double1, 2, 10**6) == 8
+    assert diag_h(parse_term("I"), 0, 10**6) == 2
 
 
 def test_diag_h_rejects_general_terms():
     with pytest.raises(ValueError):
-        diag_h(parse_term("(M (P 2 2))"), 0, 100)
+        diag_h(parse_term("(M (P 2 2))"), 0, 10**6)
 
 
 def test_diag_h_bound():
-    with pytest.raises(ValueError, match="bound"):
-        diag_h(parse_term("Z"), 0, 10)
+    with pytest.raises(ValueError, match="fuel exhausted"):
+        diag_h(parse_term("Z"), 0, 1000)
+
+
+@pytest.mark.parametrize(
+    "text,escapes",
+    [
+        ("I", (2, 4, 8, 62)),
+        ("(C (R Z (C S (C S (P 3 3)))) Z I)", (2, 4, 8, 62)),  # double
+        ("(C (R Z (C (R (P 1 1) (C S (P 2 3))) (P 2 3) (P 1 3))) I I)", (4, 4, 9, 64)),  # square
+    ],
+)
+def test_diag_h_escapes_each_probe_until_ack_runs_out(text, escapes):
+    # the first image point above ACK(n, n) = 1, 3, 7, 61 climbs with n;
+    # and ACK(4, 4) = A(3, A(4, 3)) runs out of a budget of 10**12
+    probe = parse_term(text)
+    assert tuple(diag_h(probe, n, 10**6) for n in range(4)) == escapes
+    with pytest.raises(ValueError, match="fuel exhausted"):
+        diag_h(probe, 4, 10**12)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,8 @@ def test_table_map():
     t = TableMap("tab", Domain.NAT, ((1, 5), (2, 9)))
     assert apply(t, 1, 10) == Converged(5)
     assert isinstance(apply(t, 3, 10), Diverged)
+    # the first pair listed for an input wins
+    assert apply(TableMap("tab", Domain.NAT, ((1, 5), (1, 7))), 1, 10) == Converged(5)
 
 
 def test_compose_encodings_values():

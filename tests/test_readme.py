@@ -1,4 +1,5 @@
-"""Every command of README's "Command line" section runs cleanly."""
+"""Every command of README's "Command line" section runs cleanly, and
+every path its "Layout" block lists exists."""
 
 import re
 import shlex
@@ -40,3 +41,18 @@ def test_readme_command_exits_0_and_writes_no_error(line, tmp_path, monkeypatch,
         args = [str(ROOT / a) if a.startswith("scenarios/") else a for a in argv[1:]]
         assert main(args) == 0, argv
         assert capsys.readouterr().err == "", argv
+
+
+def _layout_paths() -> list:
+    """The paths listed in README's "Layout" block, one per line."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```\n(.*?)```", section, re.S)
+    if block is None:
+        raise ValueError("README's Layout section has no code block")
+    return [line.split()[0] for line in block.group(1).splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("path", _layout_paths())
+def test_readme_layout_path_exists(path):
+    assert (ROOT / path).exists(), path

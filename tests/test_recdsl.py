@@ -24,7 +24,6 @@ from powerlab.recdsl import (
     _code,
     _evaluate,
     _subterms,
-    ackermann,
     classify,
     compose_unary,
     eval_term,
@@ -497,25 +496,31 @@ def test_charges_one_unit_per_node():
 
 
 # ---------------------------------------------------------------------------
-# Two-argument recursion desk: values frozen from the standard table
+# ACK: values frozen from the standard table
+
+
+def ack(m, n, fuel=10**15):
+    return eval_term(Ack(), (m, n), fuel)
 
 
 def test_ack_values():
-    assert ackermann(0, 5) == 6
-    assert ackermann(1, 4) == 6
-    assert ackermann(2, 2) == 7
-    assert ackermann(3, 3) == 61
-    assert ackermann(3, 10) == 8189
+    assert ack(0, 5) == Converged(6)
+    assert ack(1, 4) == Converged(6)
+    assert ack(2, 2) == Converged(7)
+    assert ack(3, 3) == Converged(61)
+    assert ack(3, 10) == Converged(8189)
+    assert ack(4, 1) == Converged(65533)
     for m in range(4):
         for n in range(8):
-            assert ackermann(m, n, max_n=16) == ref_ack_rewrites(m, n)[0]
+            assert ack(m, n) == Converged(ref_ack_rewrites(m, n)[0])
 
 
-def test_ack_bounds_enforced():
-    with pytest.raises(ValueError, match="bound"):
-        ackermann(4, 1)
-    with pytest.raises(ValueError, match="bound"):
-        ackermann(3, 11)
+def test_ack_runs_out_of_fuel():
+    # fuel is the only bound: A(4, 2) = 2^65536 - 3 and A(5, 5) exhaust
+    # their budgets quickly, while A(3, 11) converges
+    assert ack(4, 2) == FUEL_EXHAUSTED
+    assert ack(5, 5, 10**18) == FUEL_EXHAUSTED
+    assert ack(3, 11) == Converged(16381)
 
 
 def test_ack_term_and_rows_agree():
