@@ -324,7 +324,7 @@ def test_diag_h_bound():
     ],
 )
 def test_diag_h_escapes_each_probe_until_ack_runs_out(text, escapes):
-    # the first image point above ACK(n, n) = 1, 3, 7, 61 climbs with n;
+    # the first image point above ACK(n, n) = 1, 3, 7, 61 climbs with n,
     # and ACK(4, 4) = A(3, A(4, 3)) runs out of a budget of 10**12
     probe = parse_term(text)
     assert tuple(diag_h(probe, n, 10**6) for n in range(4)) == escapes

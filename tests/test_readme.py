@@ -13,11 +13,15 @@ ROOT = Path(__file__).resolve().parent.parent
 LOOP = re.compile(r"for (\w+) in ([^;]*); do (.*); done")
 
 
+def _section(title: str) -> str:
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _commands() -> list:
     """The command lines of the section's shell blocks; a ``for`` loop
     around one command is one line."""
-    text = (ROOT / "README.md").read_text()
-    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    section = _section("Command line")
     blocks = re.findall(r"```sh\n(.*?)```", section, re.S)
     lines = [line for block in blocks for line in block.splitlines() if line.strip()]
     if not lines:
@@ -45,9 +49,7 @@ def test_readme_command_exits_0_and_writes_no_error(line, tmp_path, monkeypatch,
 
 def _layout_paths() -> list:
     """The paths listed in README's "Layout" block, one per line."""
-    text = (ROOT / "README.md").read_text()
-    section = text.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
-    block = re.search(r"```\n(.*?)```", section, re.S)
+    block = re.search(r"```\n(.*?)```", _section("Layout"), re.S)
     if block is None:
         raise ValueError("README's Layout section has no code block")
     return [line.split()[0] for line in block.group(1).splitlines() if line.strip()]

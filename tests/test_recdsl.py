@@ -515,7 +515,7 @@ def test_ack_values():
             assert ack(m, n) == Converged(ref_ack_rewrites(m, n)[0])
 
 
-def test_ack_runs_out_of_fuel():
+def test_ack_bounds_enforced():
     # fuel is the only bound: A(4, 2) = 2^65536 - 3 and A(5, 5) exhaust
     # their budgets quickly, while A(3, 11) converges
     assert ack(4, 2) == FUEL_EXHAUSTED
