@@ -737,10 +737,9 @@ def _parse_inputs_flag(text: str) -> dict:
 
 def _cmd_run(args) -> int:
     path = Path(args.scenario)
+    text = path.read_text()
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}")
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}")
     inputs = _parse_inputs_flag(args.inputs) if args.inputs else None
@@ -848,11 +847,8 @@ def _cmd_exec(args) -> int:
     if lang not in _MACHINES:
         raise ScenarioError(f"{path} must end in .tm or .cm")
     parse, to_map, domain = _MACHINES[lang]
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}")
-    out = apply(to_map(parse(text, name=path.stem)), _parse_value(args.input, domain), args.fuel)
+    program = to_map(parse(path.read_text(), name=path.stem))
+    out = apply(program, _parse_value(args.input, domain), args.fuel)
     print(outcome_to_text(outcome_to_json(out)))
     if isinstance(out, Converged):
         return EXIT_VERIFIED
@@ -924,7 +920,12 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args)
     except SystemExit:
         raise
-    except (ScenarioError, ValueError, KeyError, OSError) as exc:
+    except OSError as exc:
+        # a file that cannot be read or written: its path and the reason
+        message = str(exc) if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        sys.stderr.write(f"powerlab: error: {message}\n")
+        return EXIT_USAGE
+    except (ScenarioError, ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         sys.stderr.write(f"powerlab: error: {message}\n")
         return EXIT_USAGE

@@ -561,7 +561,7 @@ def run_cm(p: CMProgram, n: int, fuel: int) -> Outcome:
 
 # Compiled programs grow with the values of constants, not with the
 # length of the term's text: (K k) is k increments.  The largest program
-# compiled from the standard suite has 314 instructions.
+# compiled from the standard suite, floor-sqrt, has 272 instructions.
 MAX_COMPILED_INSTRUCTIONS = 10**5
 
 
@@ -609,38 +609,18 @@ class _Gen:
         self.loop(r)
 
     def move(self, src: int, dst: int):
-        """dst += src, zeroing src."""
+        """dst = src, zeroing src."""
+        self.clear(dst)
         self.loop(src, dst)
 
-    def copy(self, src: int, dst: int, scratch: int):
-        """dst = src, preserving src, trashing scratch."""
-        self.clear(dst)
-        self.clear(scratch)
-        self.loop(src, dst, scratch)
-        self.move(scratch, src)
-
-
-def _uses(t: Term, pos: int):
-    """Upper bound on how often t reads its argument at 1-based ``pos``
-    over one evaluation; inf when a loop may read it repeatedly."""
-    tt = type(t)
-    if tt in (Z, ConstK):
-        return 0
-    if tt in (S, Id):
-        return 1 if pos == 1 else 0
-    if tt is Proj:
-        return 1 if pos == t.i else 0
-    if tt is Comp:
-        return sum(_uses(g, pos) for g in t.gs)
-    if tt is PrimRec:
-        if pos == t.base.arity() + 1:
-            return 1  # the recursion depth is read once, to set the counter
-        if _uses(t.step, pos) == 0:
-            return _uses(t.base, pos)
-        return float("inf")
-    if tt is Mu:
-        return float("inf") if _uses(t.body, pos) else 0
-    return float("inf")
+    def copy(self, src: int, dst: int):
+        """dst = src, preserving src, through a scratch register of its
+        own that every copy leaves at zero."""
+        if src != dst:
+            scratch = self.reg()
+            self.clear(dst)
+            self.loop(src, dst, scratch)
+            self.loop(scratch, src)
 
 
 def _fold_ack(t: Term) -> Term:
@@ -668,83 +648,56 @@ def _fold_ack(t: Term) -> Term:
     return t
 
 
-def _load(gen: _Gen, src: int, dst: int, may_drain: bool):
-    """dst = src.  Draining moves (cheap, src destroyed); otherwise copy
-    through a scratch register (src preserved)."""
-    if may_drain:
-        gen.clear(dst)
-        gen.move(src, dst)
-    else:
-        gen.copy(src, dst, gen.reg())
-
-
-def _emit(t: Term, args: list, out: int, gen: _Gen, dead: set):
+def _emit(t: Term, args: list, out: int, gen: _Gen):
     """Code computing t(args) into register ``out``.
 
-    Argument registers are preserved except those in ``dead``, which the
-    code may drain when it provably reads them exactly once.  Every path
-    clears its destinations before use, so the same block is safe to
-    re-enter inside loops.  ``out`` is always distinct from ``args``.
+    Argument registers other than ``out`` are preserved.  Every case
+    writes ``out`` only after its last read of ``args``, so ``out`` may be
+    any register that is dead afterwards, an argument among them.  Every
+    path clears its destinations before use, so the same block is safe to
+    re-enter inside loops.
     """
     tt = type(t)
     if tt is Z:
         gen.clear(out)
     elif tt is S:
-        _load(gen, args[0], out, args[0] in dead)
+        gen.copy(args[0], out)
         gen.emit("inc", out)
     elif tt is Id:
-        _load(gen, args[0], out, args[0] in dead)
+        gen.copy(args[0], out)
     elif tt is ConstK:
         gen.clear(out)
         for _ in range(t.k):
             gen.emit("inc", out)
     elif tt is Proj:
-        _load(gen, args[t.i - 1], out, args[t.i - 1] in dead)
+        gen.copy(args[t.i - 1], out)
     elif tt is Comp:
-        arity = t.arity()
-        vals = []
-        for gi, g in enumerate(t.gs):
-            grant = set()
-            for p in range(1, arity + 1):
-                r = args[p - 1]
-                if (
-                    r in dead
-                    and _uses(g, p) == 1
-                    and all(_uses(h, p) == 0 for h in t.gs[gi + 1 :])
-                ):
-                    grant.add(r)
-            v = gen.reg()
-            _emit(g, args, v, gen, grant)
-            vals.append(v)
-        drainable = {vals[i] for i in range(len(vals)) if _uses(t.f, i + 1) == 1}
-        _emit(t.f, vals, out, gen, drainable)
+        if len(t.gs) == 1:
+            # the inner term's value is dead once the outer term has read it
+            vals = [out]
+        else:
+            vals = [gen.reg() for _ in t.gs]
+        for g, v in zip(t.gs, vals):
+            _emit(g, args, v, gen)
+        _emit(t.f, vals, out, gen)
     elif tt is PrimRec:
         xs = args[:-1]
         acc = gen.reg()
         count = gen.reg()
         ctr = gen.reg()
-        tmp = gen.reg()
-        base_grant = {
-            xs[p - 1]
-            for p in range(1, len(xs) + 1)
-            if xs[p - 1] in dead and _uses(t.step, p) == 0 and _uses(t.base, p) == 1
-        }
-        _emit(t.base, xs, acc, gen, base_grant)
-        _load(gen, args[-1], count, args[-1] in dead)
+        _emit(t.base, xs, acc, gen)
+        gen.copy(args[-1], count)
         gen.clear(ctr)
         loop = gen.label()
         done = gen.label()
         gen.place(loop)
         gen.emit("decjz", count, done)
-        # the accumulator is rebuilt from tmp below, so the step may
-        # drain it when it reads it just once
-        step_grant = {acc} if _uses(t.step, len(xs) + 1) == 1 else set()
-        _emit(t.step, xs + [acc, ctr], tmp, gen, step_grant)
-        _load(gen, tmp, acc, may_drain=True)
+        # the step writes the next accumulator over the one it reads
+        _emit(t.step, xs + [acc, ctr], acc, gen)
         gen.emit("inc", ctr)
         gen.emit("jump", loop)
         gen.place(done)
-        _load(gen, acc, out, may_drain=True)
+        gen.move(acc, out)
     elif tt is Mu:
         idx = gen.reg()
         val = gen.reg()
@@ -752,12 +705,12 @@ def _emit(t: Term, args: list, out: int, gen: _Gen, dead: set):
         loop = gen.label()
         found = gen.label()
         gen.place(loop)
-        _emit(t.body, args + [idx], val, gen, set())
+        _emit(t.body, args + [idx], val, gen)
         gen.emit("decjz", val, found)
         gen.emit("inc", idx)
         gen.emit("jump", loop)
         gen.place(found)
-        _load(gen, idx, out, may_drain=True)
+        gen.move(idx, out)
     else:
         raise CompileError(f"unsupported construct: {to_text(t)}")
 
@@ -772,7 +725,7 @@ def compile_rec_to_cm(t: Term, name: Optional[str] = None) -> CMProgram:
     gen = _Gen()
     arg = gen.reg()
     out = gen.reg()
-    _emit(folded, [arg], out, gen, {arg})
+    _emit(folded, [arg], out, gen)
     gen.emit("halt")
     name = name or f"cm[{to_text(t)}]"
     return CMProgram(name, max(gen.n_regs, 1), arg, out, _link(gen.ops, gen.labels, name))

@@ -543,6 +543,11 @@ def _compile_rec(t: PrimRec) -> tuple:
                 pos = n if d >= 0 else min(n, -(v // d))
                 fuel.charge(n * u + be * (pos * v + d * pos * (pos - 1) // 2))
                 return max(v + n * d, 0), fam, u
+            if v == acc:
+                # the step left the accumulator as it found it, so each
+                # of the other y - 1 iterations repeats this one
+                fuel.charge((y - 1) * (left - fuel.left))
+                return v, None, 0
             acc = v
             first = 1
         elif on_ctr is not None:

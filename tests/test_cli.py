@@ -1,8 +1,10 @@
 """Front end: bundled scenarios, output formats, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
+import os
 import pickle
 import shutil
 from pathlib import Path
@@ -466,6 +468,29 @@ def test_deeply_nested_term_exits_cleanly(capsys, tmp_path):
     p.write_text(json.dumps(doc))
     code = main(["run", str(p)])
     _assert_one_line_usage_error(code, capsys)
+
+
+def test_file_errors_name_the_path_and_the_reason(capsys, tmp_path):
+    (tmp_path / "dir.cm").mkdir()
+    runs = []
+    for file, code in (("nope.cm", errno.ENOENT), ("dir.cm", errno.EISDIR)):
+        doc = {
+            "name": "files",
+            "check": "closure",
+            "models": {"m": {"kind": "cm-programs", "members": [{"name": "a", "file": file}]}},
+            "model": "m",
+            "plan": {"inputs": {"range": [0, 1]}, "fuel": 10},
+        }
+        p = tmp_path / f"{file}.json"
+        p.write_text(json.dumps(doc))
+        runs.append((["run", str(p)], tmp_path / file, code))
+    out = tmp_path / "no" / "dir" / "x.cm"
+    runs.append((["compile", "--term", "S", "--output", str(out)], out, errno.ENOENT))
+    for argv, path, code in runs:
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"powerlab: error: {path}: {os.strerror(code)}"]
 
 
 def _mistyped(**changes):

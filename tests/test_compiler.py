@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powerlab.core import Converged, apply
 from powerlab.machines import CompileError, cm_map, compile_rec_to_cm, render_cm, run_cm
@@ -19,7 +20,8 @@ from powerlab.recdsl import (
     eval_term,
     parse_term,
 )
-from powerlab.terms import ADD, FLOOR_SQRT, standard_suite
+from powerlab.terms import ADD, FLOOR_SQRT, SQUARE, standard_suite
+from test_recdsl import loopy_terms, shape_terms
 
 FUEL = 10**6
 
@@ -83,6 +85,21 @@ def test_whole_suite_matches_interpreter_on_small_inputs():
             assert direct == compiled, (name, n, direct, compiled)
 
 
+@settings(max_examples=200, deadline=None)
+@given(loopy_terms | shape_terms(1), st.integers(0, 8))
+def test_compiled_terms_match_the_interpreter_where_both_converge(t, x):
+    direct = eval_term(t, (x,), 10**5)
+    compiled = run_cm(compile_rec_to_cm(t), x, 10**5)
+    if isinstance(direct, Converged) and isinstance(compiled, Converged):
+        assert compiled == direct
+
+
+def test_compiled_square_takes_fewer_than_n4_steps():
+    # each iteration of a recursion updates its accumulator in place, so
+    # square costs O(n^3) steps (698,335 at 40), not O(n^4) (11,942,814)
+    assert run_cm(compile_rec_to_cm(SQUARE), 40, 10**6) == Converged(1600)
+
+
 def test_mu_divergence_is_fuel_exhaustion_on_both_sides():
     t = Mu(Comp(S(), (Proj(2, 2),)))
     direct, compiled = both(t, 0, fuel=2000)
@@ -93,7 +110,7 @@ def test_mu_divergence_is_fuel_exhaustion_on_both_sides():
 # sha256 of ``render_cm`` of the 18 compiled suite programs, concatenated
 # in suite order: the compiler's output, instruction for instruction.  A
 # change that moves it on purpose updates it and says why.
-COMPILED_SUITE_SHA256 = "9e5beb980ac374c66e5d1136264309ae6f089d6adef79203298380c189d36ca1"
+COMPILED_SUITE_SHA256 = "9eec3f5d0c525973f5453075fcc235ab68c4c4b2ffe00b11f263be685d1459b7"
 
 
 def test_compiled_suite_programs_are_unchanged():

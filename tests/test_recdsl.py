@@ -424,6 +424,10 @@ _EDGES = {
         "(R Z (C (C (R Z (P 3 3)) I I) (P 3 3)))",
     "ignored accumulator still paid for":
         "(R (K 3) (C (R (P 1 1) (C (K 2) (C (C (R Z (P 3 3)) I I) (P 2 3)))) (P 2 3) (C (K 2) (P 1 3))))",
+    "counter summary over a loop with no closed form":
+        "(R (K 1) (C S (C (R Z (C (R (P 1 1) (C S (P 2 3))) (P 2 3) (P 3 3))) (P 1 3) (P 2 3))))",
+    "leading-argument summary over a loop with no closed form":
+        "(R (K 1) (C S (C (R (P 1 1) (C (R (P 1 1) (C S (P 2 3))) (P 2 3) (P 3 3))) (P 2 3) (C (K 2) (P 1 3)))))",
 }
 
 
@@ -480,6 +484,16 @@ def test_large_inputs_stay_closed_form():
     ):
         assert apply_with_cost(term_map(t), n, cost) == (Converged(value), cost)
         assert apply_with_cost(term_map(t), n, cost - 1) == (FUEL_EXHAUSTED, cost - 1)
+
+
+def test_monus_from_zero_charges_its_iterations_exactly():
+    """pred(0) gives no family, but it leaves monus's accumulator at 0, so
+    each iteration repeats the first: 7y + 2 in all, charged at once."""
+    for y in range(30):
+        assert ref_cost_args(MONUS, (0, y)) == (0, 7 * y + 2)
+    n = 10**6
+    assert _spend(MONUS, (0, n), 7 * n + 2) == (Converged(0), 7 * n + 2)
+    assert _spend(MONUS, (0, n), 7 * n + 1) == (FUEL_EXHAUSTED, 7 * n + 1)
 
 
 @pytest.mark.parametrize("m,top", [(0, 60), (1, 60), (2, 60), (3, 4)])

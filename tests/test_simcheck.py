@@ -278,6 +278,44 @@ def test_equivalence_isomorphism_checks_mutual_inverse():
     assert any("invert" in n for n in bad.notes)
 
 
+def test_a_candidate_undecided_at_one_point_is_no_witness():
+    # x for every x, one step dearer per unit of x: fuel 17 decides 0..4 only
+    t = parse_term("(C (R (P 1 1) (C S (P 3 3))) I I)")
+    m = Model("slow-ident", Domain.NAT, (term_map(t, "slow"),))
+    report = check_simulation(m, m, IdentityEncoding(), plan_over_range(0, 5, 17))
+    assert [(r.verdict, r.undecided_inputs) for r in report.members] == [(U, 1)]
+    assert report.aggregate is U
+
+
+def test_pullback_law_refutes_when_the_two_sides_disagree():
+    # decode is no left inverse of encode, so pulling back does not undo it
+    def decode(y):
+        return None if y % 2 else y // 2 + 1
+
+    e = Encoding("double", Domain.NAT, Domain.NAT, lambda x: 2 * x, decode)
+    a = Model("plus2", Domain.NAT, (BuiltinMap("plus2", Domain.NAT, lambda y: y + 2),))
+    b = Model("succ", Domain.NAT, (term_map(S(), "succ"),))
+    report = check_pullback_law(a, b, e, plan_over_range(0, 4, 10**4))
+    assert report.notes == (
+        "direct side: verified", "pullback side: refuted", "pullback law: violated"
+    )
+    assert report.aggregate is R
+
+
+def test_isomorphism_tests_inversion_at_the_last_input():
+    # the encoding back swaps 5 and 6, so only the last input fails to return
+    def swap(x):
+        return {5: 6, 6: 5}.get(x, x)
+
+    e = Encoding("swap56", Domain.NAT, Domain.NAT, swap, swap)
+    k = Model("ident", Domain.NAT, (identity_map(),))
+    plan = plan_over_range(0, 5, 10**4)
+    report = check_equivalence(k, k, IdentityEncoding(), e, plan, mode="isomorphism")
+    fault = "encodings do not invert each other at 5"
+    assert report.notes == ("forward: verified", "backward: verified", fault, fault)
+    assert report.aggregate is R
+
+
 def test_equivalence_rejects_unknown_mode():
     k = Model("k0", Domain.NAT, (kappa_map(0),))
     with pytest.raises(ValueError):
