@@ -473,7 +473,7 @@ def test_deeply_nested_term_exits_cleanly(capsys, tmp_path):
 def test_file_errors_name_the_path_and_the_reason(capsys, tmp_path):
     (tmp_path / "dir.cm").mkdir()
     runs = []
-    for file, code in (("nope.cm", errno.ENOENT), ("dir.cm", errno.EISDIR)):
+    for file, number in (("nope.cm", errno.ENOENT), ("dir.cm", errno.EISDIR)):
         doc = {
             "name": "files",
             "check": "closure",
@@ -483,14 +483,14 @@ def test_file_errors_name_the_path_and_the_reason(capsys, tmp_path):
         }
         p = tmp_path / f"{file}.json"
         p.write_text(json.dumps(doc))
-        runs.append((["run", str(p)], tmp_path / file, code))
+        runs.append((["run", str(p)], tmp_path / file, os.strerror(number)))
     out = tmp_path / "no" / "dir" / "x.cm"
-    runs.append((["compile", "--term", "S", "--output", str(out)], out, errno.ENOENT))
-    for argv, path, code in runs:
+    runs.append((["compile", "--term", "S", "--output", str(out)], out, os.strerror(errno.ENOENT)))
+    for argv, path, reason in runs:
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [f"powerlab: error: {path}: {os.strerror(code)}"]
+        assert captured.err.splitlines() == [f"powerlab: error: {path}: {reason}"]
 
 
 def _mistyped(**changes):
