@@ -403,6 +403,15 @@ def _term(m: dict, base_dir: Path):
     return term_map(parse_term(m["term"]), m["name"])
 
 
+def _read_text(path: Path) -> str:
+    """The text of a file the user names, as UTF-8; other bytes are a
+    ``ScenarioError`` giving the path and the reason."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})")
+
+
 _PROGRAM = {
     "name": Field(str), "file": Field(str, None), "lines": Field(list, None, items=Field(str)),
 }
@@ -414,7 +423,7 @@ def _programs(parse, to_map, domain: Domain):
 
     def make(m: dict, base_dir: Path):
         if m["file"] is not None:
-            text = (base_dir / m["file"]).read_text()
+            text = _read_text(base_dir / m["file"])
         elif m["lines"] is not None:
             text = "\n".join(m["lines"]) + "\n"
         else:
@@ -572,7 +581,16 @@ def run_scenario(
 # Rendering
 
 
-def report_to_json(r: SimReport) -> dict:
+def report_to_json(r: SimReport, outcomes: dict) -> dict:
+    """``r`` as a dict.  ``outcomes`` maps ``id(outcome)`` to its dict, so
+    every failure that holds one ``Outcome`` object shares one dict."""
+
+    def outcome(out: Outcome) -> dict:
+        j = outcomes.get(id(out))
+        if j is None:
+            j = outcomes[id(out)] = outcome_to_json(out)
+        return j
+
     return {
         "claim": {
             "kind": r.claim.kind,
@@ -592,8 +610,8 @@ def report_to_json(r: SimReport) -> dict:
                     {
                         "candidate": f.candidate,
                         "input": value_to_json(f.input),
-                        "expected": outcome_to_json(f.expected),
-                        "got": outcome_to_json(f.got),
+                        "expected": outcome(f.expected),
+                        "got": outcome(f.got),
                     }
                     for f in m.failures
                 ],
@@ -610,12 +628,15 @@ def report_to_json(r: SimReport) -> dict:
 
 
 def scenario_to_json(name: str, check: str, reports: list, aggregate: Verdict) -> dict:
-    """The document both output formats render."""
+    """The document both output formats render.  Its reports share one
+    dict per ``Outcome`` object; the reports keep each object alive, so
+    no id is reused while the document is built."""
+    outcomes: dict = {}
     return {
         "scenario": name,
         "check": check,
         "aggregate": aggregate.value,
-        "reports": [report_to_json(r) for r in reports],
+        "reports": [report_to_json(r, outcomes) for r in reports],
     }
 
 
@@ -627,15 +648,21 @@ def indented_json(o) -> str:
     it, for documents built from plain dicts with string keys, lists and
     JSON scalars, as reports are.  ``indent`` makes ``json`` fall back to
     its pure-Python encoder; this writer calls the C string escaper
-    directly and is several times faster on reports."""
+    directly and is several times faster on reports.  A dict that the
+    document holds as a value in several dicts, as reports hold their
+    outcomes, is written once per indentation: the cache of this one call
+    maps ``(id(v), indentation)`` to its text.  ``o`` keeps every dict
+    alive meanwhile, so no id is reused."""
     chunks: list = []
-    _write_json(o, "\n", chunks)
+    _write_json(o, "\n", chunks, {})
     return "".join(chunks)
 
 
-def _write_json(o, newline: str, out: list) -> None:
+def _write_json(o, newline: str, out: list, written: dict) -> None:
     """Append ``o`` to ``out``; ``newline`` is a line break followed by
-    the indentation of the line ``o`` starts on."""
+    the indentation of the line ``o`` starts on.  A dict that is a
+    value in a dict is looked up in ``written`` by its id and its
+    indentation; on a miss its text is written, joined and kept there."""
     t = type(o)
     if t is str:
         out.append(_json_string(o))
@@ -659,14 +686,24 @@ def _write_json(o, newline: str, out: list) -> None:
                 out.append(lead)
                 out.append(_json_string(k))
                 out.append(": ")
-                _write_json(o[k], inner, out)
+                v = o[k]
+                if type(v) is dict:
+                    key = (id(v), inner)
+                    text = written.get(key)
+                    if text is None:
+                        part: list = []
+                        _write_json(v, inner, part, written)
+                        text = written[key] = "".join(part)
+                    out.append(text)
+                else:
+                    _write_json(v, inner, out, written)
                 lead = sep
             out.append(newline + "}")
         else:
             out.append("[")
             for item in o:
                 out.append(lead)
-                _write_json(item, inner, out)
+                _write_json(item, inner, out, written)
                 lead = sep
             out.append(newline + "]")
     else:
@@ -737,7 +774,7 @@ def _parse_inputs_flag(text: str) -> dict:
 
 def _cmd_run(args) -> int:
     path = Path(args.scenario)
-    text = path.read_text()
+    text = _read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -847,7 +884,7 @@ def _cmd_exec(args) -> int:
     if lang not in _MACHINES:
         raise ScenarioError(f"{path} must end in .tm or .cm")
     parse, to_map, domain = _MACHINES[lang]
-    program = to_map(parse(path.read_text(), name=path.stem))
+    program = to_map(parse(_read_text(path), name=path.stem))
     out = apply(program, _parse_value(args.input, domain), args.fuel)
     print(outcome_to_text(outcome_to_json(out)))
     if isinstance(out, Converged):

@@ -26,10 +26,13 @@ from powerlab.cli import (
     indented_json,
     json_to_value,
     main,
+    render_structured,
     run_scenario,
+    scenario_to_json,
     value_to_json,
 )
 from powerlab.core import Domain
+from powerlab.simcheck import combine_verdicts, probe_verdict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -663,6 +666,76 @@ def test_indented_json_rejects_what_json_dumps_rejects():
             json.dumps(doc, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             indented_json(doc)
+
+
+def test_indented_json_writes_a_shared_dict_once_per_indentation():
+    # one dict object twice at one depth and once deeper: a cache keyed
+    # by the object alone would paste the shallow text into the deep slot
+    shared = {"status": "converged", "value": [3, []], "z": {"y": None}}
+    doc = {"a": shared, "b": shared, "c": {"d": shared}, "e": [shared, {"f": shared}]}
+    assert indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _bundled_document(name):
+    """A bundled scenario's name, check, reports and aggregate, as ``run``
+    computes them."""
+    path = SCENARIOS / f"{name}.json"
+    name, check, reports = run_scenario(json.loads(path.read_text()), path.parent)
+    combine = probe_verdict if check == "probe" else combine_verdicts
+    return name, check, reports, combine(r.aggregate for r in reports)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_structured_output_of_a_bundled_scenario_matches_json_dumps(name):
+    document = _bundled_document(name)
+    expected = json.dumps(scenario_to_json(*document), sort_keys=True, indent=2) + "\n"
+    assert render_structured(*document) == expected
+
+
+def _failure_outcomes(reports, get):
+    return [
+        get(f, side)
+        for r in reports
+        for m in get(r, "members")
+        for f in get(m, "failures")
+        for side in ("expected", "got")
+    ]
+
+
+def test_a_document_holds_one_dict_per_outcome_object():
+    name, check, reports, aggregate = _bundled_document("probe_stripes")
+    doc = scenario_to_json(name, check, reports, aggregate)
+    outcomes = _failure_outcomes(reports, getattr)
+    dicts = _failure_outcomes(doc["reports"], dict.__getitem__)
+    assert len({id(o) for o in outcomes}) < len(outcomes)
+    assert len({id(d) for d in dicts}) == len({id(o) for o in outcomes})
+
+
+def test_a_file_that_is_not_utf8_exits_naming_its_path(capsys, tmp_path):
+    scenario = tmp_path / "bom.json"
+    scenario.write_bytes(b"\xff\xfe{}")
+    program = tmp_path / "bom.cm"
+    program.write_bytes(b"\xff\xferegisters 1\n")
+    member = tmp_path / "member.json"
+    member.write_text(json.dumps({
+        "name": "bytes",
+        "check": "closure",
+        "models": {"m": {"kind": "cm-programs", "members": [{"name": "a", "file": "bom.cm"}]}},
+        "model": "m",
+        "plan": {"inputs": {"range": [0, 1]}, "fuel": 10},
+    }))
+    runs = [
+        (["run", str(scenario)], scenario),
+        (["run", str(member)], program),
+        (["exec", "--machine", str(program), "--input", "0"], program),
+    ]
+    for argv, path in runs:
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"powerlab: error: {path}: not UTF-8 (invalid start byte at byte 0)"
+        ]
 
 
 def _model_a(**spec):
