@@ -37,8 +37,13 @@ only for failures that reach a report.  Every miss is evaluated by the
 function ``PartialMap._evaluator`` returns, one input at a time: the
 simulated side point by point, and each candidate only up to its first
 mismatch, so ``Stats`` counts exactly the evaluations the hunt needed.
-An override of ``_evaluator`` must charge exactly the fuel ``_run``
-would; wrappers that override only ``_run`` still see every call.
+The two loops that evaluate, ``_Runner.run_many`` and ``_match_member``,
+call that function themselves, store each result in the memo, count in
+locals and add their totals to the runner once, on every exit.  A point
+costs one comparison when it matches; only a mismatch asks whether it
+was undecided.  An override of ``_evaluator`` must charge exactly the
+fuel ``_run`` would; wrappers that override only ``_run`` still see
+every call.
 """
 
 from __future__ import annotations
@@ -173,9 +178,11 @@ class _Runner:
     second side reuses what the first evaluated; and ``id(m)`` is a sound
     key because a check holds all its maps alive until it ends.
 
-    Every miss is evaluated by ``evaluator``, through the function
-    ``PartialMap._evaluator`` returns, and counted in ``evaluations`` and
-    ``fuel_spent`` for ``_report``.  A repeated input is a hit.
+    Every miss is evaluated through the function ``PartialMap._evaluator``
+    returns, by the loop that needs it (``run_many`` or
+    ``_match_member``), which stores the result in the memo and adds what
+    it counted to ``evaluations`` and ``fuel_spent`` for ``_report``.  A
+    repeated input is a hit.
 
     Inputs are not checked here: callers pass only values validated
     against the map's domain.  That also keeps the memo sound, since
@@ -197,21 +204,6 @@ class _Runner:
             memo = self.memos[id(m)] = {}
         return memo
 
-    def evaluator(self, m: PartialMap, memo: dict):
-        """A function that evaluates ``m`` at one input not yet in
-        ``memo``, which is ``m``'s memo, records its raw result there and
-        returns it."""
-        run = m._evaluator(self.fuel)
-
-        def evaluate(x: Value):
-            got, used = run(x)
-            memo[x] = got
-            self.evaluations += 1
-            self.fuel_spent += used
-            return got
-
-        return evaluate
-
     def run(self, m: PartialMap, x: Value):
         """The raw result of ``m`` at ``x``."""
         return self.run_many(m, (x,))[0]
@@ -219,11 +211,19 @@ class _Runner:
     def run_many(self, m: PartialMap, xs) -> list:
         """The raw results of ``m`` at each of ``xs``, in order."""
         memo = self.memo(m)
-        evaluate = self.evaluator(m, memo)
+        run = m._evaluator(self.fuel)
+        evaluations = spent = 0
         out = []
         for x in xs:
             got = memo.get(x)
-            out.append(evaluate(x) if got is None else got)
+            if got is None:
+                got, used = run(x)
+                memo[x] = got
+                evaluations += 1
+                spent += used
+            out.append(got)
+        self.evaluations += evaluations
+        self.fuel_spent += spent
         return out
 
     def outcome(self, raw) -> Outcome:
@@ -281,28 +281,40 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
     Each candidate is evaluated only up to its first mismatch, and the
     candidates after a witness not at all.  Mismatches are kept raw until
     the member turns out not to be verified."""
+    fuel = runner.fuel
+    evaluations = spent = 0
     unknown_candidate = None
     failures = []  # (candidate, x, expected, got), raw
     for f in pool:
         memo = runner.memo(f)
         undecided = 0
-        evaluate = None
+        run = None
         for x, y, want in points:
             got = memo.get(y)
             if got is None:
-                if evaluate is None:
-                    evaluate = runner.evaluator(f, memo)
-                got = evaluate(y)
-            if want is None or got is FUEL_EXHAUSTED:
-                undecided += 1
-            elif got != want:
-                failures.append((f.name, x, want, got))
-                break
+                if run is None:
+                    run = f._evaluator(fuel)
+                got, used = run(y)
+                memo[y] = got
+                evaluations += 1
+                spent += used
+            if got != want:
+                # no raw result is None, and FUEL_EXHAUSTED equals no
+                # value and no Diverged: one test decides a matching point
+                if want is None or got is FUEL_EXHAUSTED:
+                    undecided += 1
+                else:
+                    failures.append((f.name, x, want, got))
+                    break
         else:
             if undecided == 0:
+                runner.evaluations += evaluations
+                runner.fuel_spent += spent
                 return MemberResult(g_name, Verdict.VERIFIED, f.name, (), 0)
             if unknown_candidate is None:
                 unknown_candidate = f.name
+    runner.evaluations += evaluations
+    runner.fuel_spent += spent
     verdict = Verdict.REFUTED if unknown_candidate is None else Verdict.UNKNOWN
     box = runner.outcome
     return MemberResult(

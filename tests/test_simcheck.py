@@ -38,6 +38,7 @@ from powerlab.constructions import (
 from powerlab.machines import BitsEncoding
 from powerlab.recdsl import ConstK, S, parse_term, term_map, to_text
 from powerlab.simcheck import (
+    CandidateFailure,
     Stats,
     TestPlan,
     _Runner,
@@ -285,6 +286,67 @@ def test_a_candidate_undecided_at_one_point_is_no_witness():
     report = check_simulation(m, m, IdentityEncoding(), plan_over_range(0, 5, 17))
     assert [(r.verdict, r.undecided_inputs) for r in report.members] == [(U, 1)]
     assert report.aggregate is U
+
+
+# The point table of the witness hunt: what the simulated side wants at a
+# point (a value, a Diverged, or nothing, being undecided) against what the
+# one candidate gives there.  Values are fresh objects on every call, so a
+# point matches by equality, never by identity.
+
+_POINT_FUEL = 2
+_STARVED = parse_term("(C S (C S S))")  # needs 5 units, so exhausts at _POINT_FUEL
+
+
+def _point_map(name, result):
+    if result == "exhausted":
+        return term_map(_STARVED, name)
+    if result == "diverged":
+        return BuiltinMap(name, Domain.NAT, lambda n: None)
+    k = {"value": 1, "other": 2}[result]
+    return BuiltinMap(name, Domain.NAT, lambda n: (n + k) * 10**30)
+
+
+_POINT_VERDICT = {
+    ("value", "value"): V,
+    ("value", "other"): R,
+    ("value", "diverged"): R,
+    ("value", "exhausted"): U,
+    ("diverged", "value"): R,
+    ("diverged", "other"): R,
+    ("diverged", "diverged"): V,
+    ("diverged", "exhausted"): U,
+    ("undecided", "value"): U,
+    ("undecided", "other"): U,
+    ("undecided", "diverged"): U,
+    ("undecided", "exhausted"): U,
+}
+
+
+@pytest.mark.parametrize("got", ["value", "other", "diverged", "exhausted"])
+@pytest.mark.parametrize("want", ["value", "diverged", "undecided"])
+def test_point_table_of_the_witness_hunt(want, got):
+    g = _point_map("g", "exhausted" if want == "undecided" else want)
+    f = _point_map("f", got)
+    inputs = (3, 4)
+    report = check_simulation(
+        Model("a", Domain.NAT, (f,)),
+        Model("b", Domain.NAT, (g,)),
+        IdentityEncoding(),
+        TestPlan(inputs=inputs, fuel=_POINT_FUEL),
+    )
+    verdict = _POINT_VERDICT[want, got]
+    g_runs = [apply_with_cost(g, x, _POINT_FUEL) for x in inputs]
+    # a refuted candidate stops at its first point; the others run on both
+    f_runs = [apply_with_cost(f, x, _POINT_FUEL) for x in inputs[: 1 if verdict is R else 2]]
+    (r,) = report.members
+    assert r.verdict is verdict
+    assert r.witness == ("f" if verdict is V else None)
+    assert r.failures == (
+        (CandidateFailure("f", 3, g_runs[0][0], f_runs[0][0]),) if verdict is R else ()
+    )
+    assert r.undecided_inputs == (2 if want == "undecided" else 0)
+    runs = g_runs + f_runs
+    assert report.stats == Stats(2, len(runs), sum(spent for _, spent in runs))
 
 
 def test_pullback_law_refutes_when_the_two_sides_disagree():
@@ -547,13 +609,24 @@ def _calls(wrapped):
     return sum(len(c.calls) for _, c in wrapped.values())
 
 
+SQUARE_ROW_STATS = Stats(1001, 23057, 23057)
+PROBE_STRIPES_STATS = [
+    Stats(33, 665, 328630),
+    Stats(33, 1155, 613544),
+    Stats(33, 678, 328156),
+    Stats(33, 665, 328845),
+    Stats(33, 662, 328638),
+    Stats(33, 653, 329064),
+]
+
+
 def test_stats_and_run_calls_on_the_square_rows():
     large, small = tri_models(3, 3, 5)
     wrapped = {}
     a, b = _counted_model(small, wrapped), _counted_model(large, wrapped)
     report = check_simulation(a, b, TriPiEncoding(), plan_over_range(0, 1000, 10**5))
     assert report.aggregate is V
-    assert report.stats == Stats(1001, 23057, 23057)
+    assert report.stats == SQUARE_ROW_STATS
     assert _calls(wrapped) == 23057
 
 
@@ -571,14 +644,30 @@ def test_stats_and_run_calls_on_probe_stripes():
         (report,) = probe_encodings(a, b, [e], plan)
         stats.append(report.stats)
         assert _calls(wrapped) - before == report.stats.evaluations
-    assert stats == [
-        Stats(33, 665, 328630),
-        Stats(33, 1155, 613544),
-        Stats(33, 678, 328156),
-        Stats(33, 665, 328845),
-        Stats(33, 662, 328638),
-        Stats(33, 653, 329064),
-    ]
+    assert stats == PROBE_STRIPES_STATS
+
+
+# Unwrapped, the maps take their own ``_evaluator``: the square rows are
+# builtin maps, the path the anomaly runs, and it counts as ``_run`` does.
+
+
+def test_stats_on_the_square_rows_through_their_own_evaluator():
+    large, small = tri_models(3, 3, 5)
+    plan = plan_over_range(0, 1000, 10**5)
+    maps = list(large.members) + list(small.candidates(plan.candidate_limit))
+    assert all(type(m)._evaluator is BuiltinMap._evaluator for m in maps)
+    report = check_simulation(small, large, TriPiEncoding(), plan)
+    assert report.aggregate is V
+    assert report.stats == SQUARE_ROW_STATS
+
+
+def test_stats_on_probe_stripes_through_their_own_evaluator():
+    doc = json.loads((SCENARIOS / "probe_stripes.json").read_text())
+    get = build_models(doc, SCENARIOS, 0)
+    a, b = get(doc["simulator"]), get(doc["simulated"])
+    plan = build_plan(doc, None, None)
+    family = [build_encoding(spec) for spec in doc["encodings"]]
+    assert [probe_encodings(a, b, [e], plan)[0].stats for e in family] == PROBE_STRIPES_STATS
 
 
 def test_repeated_plan_inputs_are_evaluated_once():
@@ -619,22 +708,14 @@ def _run_counted(name):
 
     _, run = _CHECKS[doc["check"]]
     reports = run(doc, counted_get, build_plan(doc, None, None), 0)
-    return reports, wrapped, counted_get(doc["simulated"])
+    return reports, wrapped, counted_get(doc.get("simulated", doc.get("model")))
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "probe_stripes",
-        "probe_no_fit",
-        "tm_rec_equivalence",
-        "isomorphism_rotation",
-        "pullback_even_functions",
-    ],
-)
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
 def test_one_memo_per_check(name):
     # every part of a check (each encoding of a probe, each half of an
-    # equivalence, both sides of the pullback law) shares one memo
+    # equivalence, both sides of the pullback law, every composite of a
+    # closure) shares one memo, and the reports count every evaluation
     reports, wrapped, simulated = _run_counted(name)
     assert sum(r.stats.evaluations for r in reports) == _calls(wrapped)
     simulated_ids = {id(m) for m in simulated.members}
