@@ -326,6 +326,25 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
     )
 
 
+class _Expected(dict):
+    """What each raw result of the simulated side asks of a candidate,
+    keyed by (type, raw result) so that True is not taken for 1: each
+    distinct converged value encoded once, None (undecided) for an
+    exhausted result, and a ``Diverged`` as the very object returned,
+    which is never stored."""
+
+    def __init__(self, encode):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, key):
+        out = key[1]
+        if isinstance(out, Diverged):
+            return out
+        want = self[key] = None if out is FUEL_EXHAUSTED else self.encode(out)
+        return want
+
+
 def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, bs, pool) -> list:
     """The results of ``b``'s members ``bs`` hunting ``a``'s ``pool`` through ``e`` on ``inputs``."""
     if e.source is not b.domain or e.target is not a.domain:
@@ -336,25 +355,12 @@ def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, b
     enc_in = {x: e.encode(x) for x in inputs}
     for y in enc_in.values():
         a.domain.check(y, f"{e.describe()} into {a.name}")
-    pairs = [(x, enc_in[x]) for x in inputs]
-    # each distinct converged value of the simulated side, encoded once;
-    # the type is part of the key so that True is not taken for 1
-    encoded: dict = {}
+    ys = [enc_in[x] for x in inputs]
+    expected = _Expected(e.encode)
     results = []
     for g in bs:
-        points = []
-        for (x, y), out in zip(pairs, runner.run_many(g, inputs)):
-            if out is FUEL_EXHAUSTED:
-                want = None
-            elif isinstance(out, Diverged):
-                want = out
-            else:
-                key = (type(out), out)
-                want = encoded.get(key)
-                if want is None:
-                    want = encoded[key] = e.encode(out)
-            points.append((x, y, want))
-        results.append(_match_member(g.name, points, pool, runner))
+        wants = [expected[type(out), out] for out in runner.run_many(g, inputs)]
+        results.append(_match_member(g.name, list(zip(inputs, ys, wants)), pool, runner))
     return results
 
 

@@ -349,6 +349,18 @@ def test_point_table_of_the_witness_hunt(want, got):
     assert report.stats == Stats(2, len(runs), sum(spent for _, spent in runs))
 
 
+def test_each_divergence_is_expected_as_the_object_its_member_returned():
+    # Diverged objects are equal whatever their reason, so only the reason
+    # shows which member's object a failure holds
+    b = Model("b", Domain.NAT, tuple(_point_map(n, "diverged") for n in ("g1", "g2")))
+    a = Model("a", Domain.NAT, (_point_map("f", "value"),))
+    report = check_simulation(a, b, IdentityEncoding(), TestPlan(inputs=(3,), fuel=_POINT_FUEL))
+    assert [r.failures[0].expected.reason for r in report.members] == [
+        "g1 is undefined here",
+        "g2 is undefined here",
+    ]
+
+
 def test_pullback_law_refutes_when_the_two_sides_disagree():
     # decode is no left inverse of encode, so pulling back does not undo it
     def decode(y):
