@@ -138,14 +138,24 @@ class PartialMap:
     def _run(self, x: Value, fuel: Fuel):
         raise InvalidMap(f"invalid map: {self.name!r} has no evaluation rule")
 
-    def _evaluator(self, fuel: int):
+    def _evaluator(self, fuel: int, table: Optional[dict] = None):
         """A function from one input, already in the domain, to its raw
         result and the fuel spent on it, each call under its own budget
         of ``fuel`` (at least 1), as ``_apply_unchecked`` reports them.
 
-        This default calls ``_run``, so a subclass that overrides only
-        ``_run`` still sees every evaluation.  An override must give the
-        same results and charge exactly the fuel ``_run`` would."""
+        ``table``, when given, is the term-result table of one check's
+        runner, whose evaluations all have the same budget: it maps a
+        ``Term`` object, by identity and held alive, to a dict from
+        input to (raw result, fuel spent).  A map that runs a term reads
+        and fills it, a wrapper passes it on to its inner map, and any
+        other map ignores it.  A hit charges the fuel recorded for it,
+        so results and spend are the same with a table, without one, or
+        through ``_run``.
+
+        This default calls ``_run`` and ignores the table, so a subclass
+        that overrides only ``_run`` still sees every evaluation.  An
+        override must give the same results and charge exactly the fuel
+        ``_run`` would."""
         return partial(_apply_unchecked, self, fuel)
 
 
@@ -165,7 +175,7 @@ class BuiltinMap(PartialMap):
             return Diverged(f"{self.name} is undefined here")
         return v
 
-    def _evaluator(self, fuel: int):
+    def _evaluator(self, fuel: int, table: Optional[dict] = None):
         # one unit per point, as ``_run`` charges; a budget is at least 1
         fn = self.fn
         name = self.name
@@ -352,16 +362,29 @@ class PushforwardMap(PartialMap):
     inner: PartialMap
     off_range: str = "diverge"
 
+    def _conjugate(self, run):
+        """This map as a function from one input to (raw result, fuel
+        spent), given ``run``, the same for the inner map: off the range
+        it spends nothing, and otherwise what the inner map spent."""
+        decode, encode = self.encoding.decode, self.encoding.encode
+        fix = self.off_range == "fix"
+
+        def evaluate(y: Value):
+            x = decode(y)
+            if x is None:
+                return (y if fix else Diverged("outside encoding range")), 0
+            out, spent = run(x)
+            if isinstance(out, (Diverged, FuelExhausted)):
+                return out, spent
+            return encode(out), spent
+
+        return evaluate
+
     def _run(self, y: Value, fuel: Fuel):
-        x = self.encoding.decode(y)
-        if x is None:
-            if self.off_range == "fix":
-                return y
-            return Diverged("outside encoding range")
-        out = self.inner._run(x, fuel)
-        if isinstance(out, (Diverged, FuelExhausted)):
-            return out
-        return self.encoding.encode(out)
+        return self._conjugate(_on_cell(self.inner, fuel))(y)[0]
+
+    def _evaluator(self, fuel: int, table: Optional[dict] = None):
+        return self._conjugate(self.inner._evaluator(fuel, table))
 
 
 @dataclass(frozen=True)
@@ -373,14 +396,35 @@ class PullbackMap(PartialMap):
     encoding: Encoding
     inner: PartialMap
 
+    def _conjugate(self, run):
+        """This map as a function from one input to (raw result, fuel
+        spent), given ``run``, the same for the inner map, whose spend
+        it reports, also where the result leaves the range."""
+        decode, encode = self.encoding.decode, self.encoding.encode
+
+        def evaluate(x: Value):
+            out, spent = run(encode(x))
+            if isinstance(out, (Diverged, FuelExhausted)):
+                return out, spent
+            back = decode(out)
+            if back is None:
+                return Diverged("left the encoding range"), spent
+            return back, spent
+
+        return evaluate
+
     def _run(self, x: Value, fuel: Fuel):
-        out = self.inner._run(self.encoding.encode(x), fuel)
-        if isinstance(out, (Diverged, FuelExhausted)):
-            return out
-        back = self.encoding.decode(out)
-        if back is None:
-            return Diverged("left the encoding range")
-        return back
+        return self._conjugate(_on_cell(self.inner, fuel))(x)[0]
+
+    def _evaluator(self, fuel: int, table: Optional[dict] = None):
+        return self._conjugate(self.inner._evaluator(fuel, table))
+
+
+def _on_cell(m: PartialMap, fuel: Fuel):
+    """``m._run`` on the shared budget ``fuel``, in the form a wrapper's
+    ``_conjugate`` takes; the budget itself counts the spend, so the
+    spend given is 0."""
+    return lambda x: (m._run(x, fuel), 0)
 
 
 def pushforward(

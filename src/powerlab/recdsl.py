@@ -51,6 +51,7 @@ from powerlab.core import (
     Outcome,
     PartialMap,
     _OutOfFuel,
+    _apply_unchecked,
     _box,
 )
 
@@ -715,6 +716,26 @@ class TermMap(PartialMap):
 
     def _run(self, x, fuel: Fuel):
         return _evaluate(self.term, (x,), fuel)
+
+    def _evaluator(self, fuel: int, table: Optional[dict] = None):
+        # the term's entry in ``table``: every map over this very Term
+        # object reuses what any of them ran, and a hit charges the fuel
+        # recorded for it
+        t = self.term
+        if table is None:
+            table = {}
+        entry = table.get(id(t))
+        if entry is None:
+            entry = table[id(t)] = (t, {})  # holds t, so its id stays taken
+        results = entry[1]
+
+        def evaluate(x):
+            got = results.get(x)
+            if got is None:
+                got = results[x] = _apply_unchecked(self, fuel, x)
+            return got
+
+        return evaluate
 
 
 def term_map(t: Term, name: Optional[str] = None) -> PartialMap:

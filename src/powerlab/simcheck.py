@@ -44,6 +44,13 @@ costs one comparison when it matches; only a mismatch asks whether it
 was undecided.  An override of ``_evaluator`` must charge exactly the
 fuel ``_run`` would; wrappers that override only ``_run`` still see
 every call.
+
+Below the memos the runner keeps one term-result table, and gives it to
+every evaluator it asks for: from a ``Term`` object to its results and
+spends by input.  So a pushed-forward or pulled-back candidate whose
+inner term the simulated side has already run at that input reuses the
+result, and still counts as one evaluation that spent the recorded
+fuel.  The table dies with the runner, so no result outlives its check.
 """
 
 from __future__ import annotations
@@ -184,6 +191,15 @@ class _Runner:
     it counted to ``evaluations`` and ``fuel_spent`` for ``_report``.  A
     repeated input is a hit.
 
+    Under the memos lies ``table``, the runner's one term-result table
+    (see ``PartialMap._evaluator``), passed to every evaluator: a term
+    that any map of the check has run at an input, the map itself or a
+    wrapper's inner map, is not run there again, and a hit charges the
+    fuel recorded for it, so a miss in the memo counts as one
+    evaluation with the same spend either way.  Recorded spends are
+    sound because the budget never changes within the runner; the
+    table lives and dies with the runner, never on a map or a term.
+
     Inputs are not checked here: callers pass only values validated
     against the map's domain.  That also keeps the memo sound, since
     equal values of one domain have one type (``True`` and ``1`` would
@@ -194,6 +210,7 @@ class _Runner:
             raise ValueError("fuel must be at least 1")
         self.fuel = fuel
         self.memos: dict = {}
+        self.table: dict = {}
         self.evaluations = 0
         self.fuel_spent = 0
         self._boxes: dict = {}
@@ -211,7 +228,7 @@ class _Runner:
     def run_many(self, m: PartialMap, xs) -> list:
         """The raw results of ``m`` at each of ``xs``, in order."""
         memo = self.memo(m)
-        run = m._evaluator(self.fuel)
+        run = m._evaluator(self.fuel, self.table)
         evaluations = spent = 0
         out = []
         for x in xs:
@@ -293,7 +310,7 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
             got = memo.get(y)
             if got is None:
                 if run is None:
-                    run = f._evaluator(fuel)
+                    run = f._evaluator(fuel, runner.table)
                 got, used = run(y)
                 memo[y] = got
                 evaluations += 1

@@ -24,6 +24,7 @@ from powerlab.core import (
     apply_with_cost,
     compose_encodings,
     identity_map,
+    pullback,
     pushforward,
 )
 from powerlab.constructions import (
@@ -36,7 +37,7 @@ from powerlab.constructions import (
     tri_models,
 )
 from powerlab.machines import BitsEncoding
-from powerlab.recdsl import ConstK, S, parse_term, term_map, to_text
+from powerlab.recdsl import ConstK, S, TermMap, parse_term, term_map, to_text
 from powerlab.simcheck import (
     CandidateFailure,
     Stats,
@@ -53,7 +54,7 @@ from powerlab.simcheck import (
     probe_encodings,
     probe_verdict,
 )
-from powerlab.terms import standard_suite
+from powerlab.terms import HALF, standard_suite
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -521,18 +522,24 @@ def _halve(n):
 
 def _runner_maps():
     """Every kind of map the runner meets: the square-row members, the
-    suite's terms, a builtin that diverges, a table, and a pushforward
-    off its range under both policies."""
+    suite's terms, a builtin that diverges, a table, a pushforward off
+    its range under both policies and one over ``half``, which runs out
+    at fuel 6 and 1, and a pullback whose inner result leaves the range
+    (odd x + 1 is even) and one whose result stays on it."""
     large, _ = tri_models(3, 3, 5)  # the smaller model's members are among these
     succ = term_map(S(), "succ")
+    odd = StripeEncoding(2, 1)
     return (
         list(large.members)
         + [term_map(t, n) for n, t in standard_suite()]
         + [
             BuiltinMap("halve", Domain.NAT, _halve),
             TableMap("table", Domain.NAT, ((0, 5), (3, 7), (8, 0))),
-            pushforward(StripeEncoding(2, 1), succ, off_range="diverge"),
-            pushforward(StripeEncoding(2, 1), succ, off_range="fix"),
+            pushforward(odd, succ, off_range="diverge"),
+            pushforward(odd, succ, off_range="fix"),
+            pushforward(odd, term_map(HALF, "half")),
+            pullback(odd, succ),
+            pullback(odd, term_map(parse_term("(C S S)"), "plus2")),
         ]
     )
 
@@ -557,6 +564,92 @@ def test_runner_matches_apply_with_cost(fuel):
         diverged += sum(isinstance(out, Diverged) for out, _ in want)
     assert (exhausted > 0) == (fuel < 10**6)
     assert diverged > 0
+
+
+def _term_of(m):
+    """The ``Term`` object a map runs, through its wrappers, or None."""
+    while not isinstance(m, TermMap):
+        m = getattr(m, "inner", None)
+        if m is None:
+            return None
+    return m.term
+
+
+@pytest.mark.parametrize("fuel", [10**6, 6, 1])
+def test_evaluator_with_a_term_table_matches_apply_with_cost(fuel, monkeypatch):
+    xs = range(41)
+    runs = []
+    real_run = TermMap._run
+
+    def counted_run(self, x, cell):
+        runs.append(x)
+        return real_run(self, x, cell)
+
+    monkeypatch.setattr(TermMap, "_run", counted_run)
+    shared = 0
+    for m in _runner_maps():
+        want = [apply_with_cost(m, x, fuel) for x in xs]
+        table = {}
+        assert [(_box(r), spent) for r, spent in map(m._evaluator(fuel, table), xs)] == want, m.name
+        t = _term_of(m)
+        if t is None:
+            assert table == {}, m.name
+            continue
+        # another map over the same Term fills a table at every input
+        # this map's term was asked; this map then runs nothing itself
+        asked = table[id(t)][1]
+        filled = {}
+        fill = term_map(t, "other")._evaluator(fuel, filled)
+        for y in asked:
+            fill(y)
+        assert filled[id(t)] == (t, asked), m.name
+        del runs[:]
+        assert [(_box(r), spent) for r, spent in map(m._evaluator(fuel, filled), xs)] == want, m.name
+        assert runs == [], m.name
+        shared += 1
+    assert shared == 18 + 5
+
+
+def test_wrappers_charge_as_their_run_does():
+    odd = StripeEncoding(2, 1)
+    half = pushforward(odd, term_map(HALF, "half"))
+    for fuel in (6, 1):
+        evaluate = half._evaluator(fuel, {})
+        assert evaluate(4) == (Diverged(), 0)  # off the range: nothing spent
+        assert evaluate(7) == (FUEL_EXHAUSTED, fuel)  # half(3) runs out
+    out, spent = pullback(odd, term_map(S(), "succ"))._evaluator(10, {})(3)
+    assert (out, out.reason, spent) == (Diverged(), "left the encoding range", 1)
+
+
+# The term-result table lives as long as one check's runner.
+
+
+SUITE_STRIPE_SCENARIOS = [
+    "example_r1", "example_r2", "pullback_even_functions", "probe_stripes", "probe_no_fit",
+]
+
+
+@pytest.mark.parametrize("name", SUITE_STRIPE_SCENARIOS)
+def test_each_term_runs_once_per_input_in_a_check(name, monkeypatch):
+    runs = Counter()
+    real_run = TermMap._run
+
+    def counted_run(self, x, cell):
+        runs[id(self.term), x] += 1
+        return real_run(self, x, cell)
+
+    monkeypatch.setattr(TermMap, "_run", counted_run)
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    get = build_models(doc, SCENARIOS, 0)
+    _, run = _CHECKS[doc["check"]]
+    plan = build_plan(doc, None, None)
+    first = run(doc, get, plan, 0)
+    assert set(runs.values()) == {1}
+    once = Counter(runs)
+    # a second check on the same models runs every term again
+    second = run(doc, get, plan, 0)
+    assert runs == once + once
+    assert second == first
 
 
 # ---------------------------------------------------------------------------
