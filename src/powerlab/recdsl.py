@@ -720,20 +720,25 @@ class TermMap(PartialMap):
     def _evaluator(self, fuel: int, table: Optional[dict] = None):
         # the term's entry in ``table``: every map over this very Term
         # object reuses what any of them ran, and a hit charges the fuel
-        # recorded for it
+        # recorded for it.  Results and spends sit in two dicts, not as
+        # pairs, because a dict of ints leaves the garbage collector
+        # nothing to track, and thousands of live pairs set it off.
         t = self.term
         if table is None:
             table = {}
         entry = table.get(id(t))
         if entry is None:
-            entry = table[id(t)] = (t, {})  # holds t, so its id stays taken
-        results = entry[1]
+            entry = table[id(t)] = (t, {}, {})  # holds t, so its id stays taken
+        _, results, spends = entry
 
         def evaluate(x):
             got = results.get(x)
             if got is None:
-                got = results[x] = _apply_unchecked(self, fuel, x)
-            return got
+                got, spent = _apply_unchecked(self, fuel, x)
+                results[x] = got
+                spends[x] = spent
+                return got, spent
+            return got, spends[x]
 
         return evaluate
 

@@ -597,12 +597,12 @@ def test_evaluator_with_a_term_table_matches_apply_with_cost(fuel, monkeypatch):
             continue
         # another map over the same Term fills a table at every input
         # this map's term was asked; this map then runs nothing itself
-        asked = table[id(t)][1]
+        _, asked, spends = table[id(t)]
         filled = {}
         fill = term_map(t, "other")._evaluator(fuel, filled)
         for y in asked:
             fill(y)
-        assert filled[id(t)] == (t, asked), m.name
+        assert filled[id(t)] == (t, asked, spends), m.name
         del runs[:]
         assert [(_box(r), spent) for r, spent in map(m._evaluator(fuel, filled), xs)] == want, m.name
         assert runs == [], m.name
