@@ -145,8 +145,8 @@ class PartialMap:
 
         ``table``, when given, is the term-result table of one check's
         runner, whose evaluations all have the same budget: it maps a
-        ``Term`` object, by identity and held alive, to a dict from
-        input to (raw result, fuel spent).  A map that runs a term reads
+        ``Term`` object, by identity and held alive, to that term's raw
+        results and fuel spends by input.  A map that runs a term reads
         and fills it, a wrapper passes it on to its inner map, and any
         other map ignores it.  A hit charges the fuel recorded for it,
         so results and spend are the same with a table, without one, or
