@@ -76,12 +76,18 @@ class _OutOfFuel(Exception):
 
 
 class Fuel:
-    """Mutable step budget shared by nested evaluations."""
+    """Mutable step budget shared by nested evaluations, each starting
+    from ``budget``.  ``table``, when set, is one check's term-result
+    table: a ``Term`` object, by identity and held alive, to its raw
+    results and fuel spends by input.  ``TermMap._run`` reads and fills
+    it on the whole budget, so it serves every term under any wrapper."""
 
-    __slots__ = ("left",)
+    __slots__ = ("left", "budget", "table")
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, table: Optional[dict] = None):
         self.left = budget
+        self.budget = budget
+        self.table = table
 
     def charge(self, n: int = 1) -> None:
         self.left -= n
@@ -140,23 +146,26 @@ class PartialMap:
 
     def _evaluator(self, fuel: int, table: Optional[dict] = None):
         """A function from one input, already in the domain, to its raw
-        result and the fuel spent on it, each call under its own budget
-        of ``fuel`` (at least 1), as ``_apply_unchecked`` reports them.
+        result and the fuel spent on it: each call runs ``_run`` on one
+        ``Fuel`` cell, reset to ``fuel`` (at least 1), that carries the
+        runner's ``table``.  Running out costs the whole budget, and a
+        table hit the recorded spend, so no result or spend depends on
+        the table.  ``BuiltinMap`` overrides this; an override must give
+        the same results and charge the fuel ``_run`` would."""
+        run = self._run
+        cell = Fuel(fuel, table)
 
-        ``table``, when given, is the term-result table of one check's
-        runner, whose evaluations all have the same budget: it maps a
-        ``Term`` object, by identity and held alive, to that term's raw
-        results and fuel spends by input.  A map that runs a term reads
-        and fills it, a wrapper passes it on to its inner map, and any
-        other map ignores it.  A hit charges the fuel recorded for it,
-        so results and spend are the same with a table, without one, or
-        through ``_run``.
+        def evaluate(x: Value):
+            cell.left = fuel
+            try:
+                out = run(x, cell)
+            except _OutOfFuel:  # defensive: evaluators normally catch this themselves
+                return FUEL_EXHAUSTED, fuel
+            if isinstance(out, FuelExhausted):
+                return FUEL_EXHAUSTED, fuel
+            return out, fuel - cell.left
 
-        This default calls ``_run`` and ignores the table, so a subclass
-        that overrides only ``_run`` still sees every evaluation.  An
-        override must give the same results and charge exactly the fuel
-        ``_run`` would."""
-        return partial(_apply_unchecked, self, fuel)
+        return evaluate
 
 
 @dataclass(frozen=True)
@@ -209,23 +218,8 @@ def apply_with_cost(m: PartialMap, x: Value, fuel: int) -> tuple[Outcome, int]:
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     m.domain.check(x, m.name)
-    out, used = _apply_unchecked(m, fuel, x)
+    out, used = PartialMap._evaluator(m, fuel)(x)
     return _box(out), used
-
-
-def _apply_unchecked(m: PartialMap, fuel: int, x: Value) -> tuple:
-    """One evaluation of ``m`` on an ``x`` already known to lie in its
-    domain, under a budget already known to be at least 1: its raw
-    result and the fuel it spent.  Running out of fuel costs the whole
-    budget."""
-    cell = Fuel(fuel)
-    try:
-        out = m._run(x, cell)
-    except _OutOfFuel:  # defensive: evaluators normally catch this themselves
-        return FUEL_EXHAUSTED, fuel
-    if isinstance(out, FuelExhausted):
-        return FUEL_EXHAUSTED, fuel
-    return out, fuel - cell.left
 
 
 def identity_map(domain: Domain = Domain.NAT, name: str = "identity") -> PartialMap:
@@ -362,29 +356,14 @@ class PushforwardMap(PartialMap):
     inner: PartialMap
     off_range: str = "diverge"
 
-    def _conjugate(self, run):
-        """This map as a function from one input to (raw result, fuel
-        spent), given ``run``, the same for the inner map: off the range
-        it spends nothing, and otherwise what the inner map spent."""
-        decode, encode = self.encoding.decode, self.encoding.encode
-        fix = self.off_range == "fix"
-
-        def evaluate(y: Value):
-            x = decode(y)
-            if x is None:
-                return (y if fix else Diverged("outside encoding range")), 0
-            out, spent = run(x)
-            if isinstance(out, (Diverged, FuelExhausted)):
-                return out, spent
-            return encode(out), spent
-
-        return evaluate
-
     def _run(self, y: Value, fuel: Fuel):
-        return self._conjugate(_on_cell(self.inner, fuel))(y)[0]
-
-    def _evaluator(self, fuel: int, table: Optional[dict] = None):
-        return self._conjugate(self.inner._evaluator(fuel, table))
+        x = self.encoding.decode(y)
+        if x is None:
+            return y if self.off_range == "fix" else Diverged("outside encoding range")
+        out = self.inner._run(x, fuel)
+        if isinstance(out, (Diverged, FuelExhausted)):
+            return out
+        return self.encoding.encode(out)
 
 
 @dataclass(frozen=True)
@@ -396,35 +375,14 @@ class PullbackMap(PartialMap):
     encoding: Encoding
     inner: PartialMap
 
-    def _conjugate(self, run):
-        """This map as a function from one input to (raw result, fuel
-        spent), given ``run``, the same for the inner map, whose spend
-        it reports, also where the result leaves the range."""
-        decode, encode = self.encoding.decode, self.encoding.encode
-
-        def evaluate(x: Value):
-            out, spent = run(encode(x))
-            if isinstance(out, (Diverged, FuelExhausted)):
-                return out, spent
-            back = decode(out)
-            if back is None:
-                return Diverged("left the encoding range"), spent
-            return back, spent
-
-        return evaluate
-
     def _run(self, x: Value, fuel: Fuel):
-        return self._conjugate(_on_cell(self.inner, fuel))(x)[0]
-
-    def _evaluator(self, fuel: int, table: Optional[dict] = None):
-        return self._conjugate(self.inner._evaluator(fuel, table))
-
-
-def _on_cell(m: PartialMap, fuel: Fuel):
-    """``m._run`` on the shared budget ``fuel``, in the form a wrapper's
-    ``_conjugate`` takes; the budget itself counts the spend, so the
-    spend given is 0."""
-    return lambda x: (m._run(x, fuel), 0)
+        out = self.inner._run(self.encoding.encode(x), fuel)
+        if isinstance(out, (Diverged, FuelExhausted)):
+            return out
+        back = self.encoding.decode(out)
+        if back is None:
+            return Diverged("left the encoding range")
+        return back
 
 
 def pushforward(

@@ -51,7 +51,6 @@ from powerlab.core import (
     Outcome,
     PartialMap,
     _OutOfFuel,
-    _apply_unchecked,
     _box,
 )
 
@@ -715,32 +714,24 @@ class TermMap(PartialMap):
     term: Term
 
     def _run(self, x, fuel: Fuel):
-        return _evaluate(self.term, (x,), fuel)
-
-    def _evaluator(self, fuel: int, table: Optional[dict] = None):
-        # the term's entry in ``table``: every map over this very Term
-        # object reuses what any of them ran, and a hit charges the fuel
-        # recorded for it.  Results and spends sit in two dicts, not as
-        # pairs, because a dict of ints leaves the garbage collector
-        # nothing to track, and thousands of live pairs set it off.
+        # on the runner's whole budget a result depends only on the term
+        # and the input, so every map over this very Term object shares
+        # it there (``PartialMap._evaluator``), at the recorded spend.
+        # Results and spends sit in two dicts, not as pairs: a dict of
+        # ints leaves the garbage collector nothing to track.
         t = self.term
-        if table is None:
-            table = {}
-        entry = table.get(id(t))
-        if entry is None:
-            entry = table[id(t)] = (t, {}, {})  # holds t, so its id stays taken
-        _, results, spends = entry
-
-        def evaluate(x):
-            got = results.get(x)
-            if got is None:
-                got, spent = _apply_unchecked(self, fuel, x)
-                results[x] = got
-                spends[x] = spent
-                return got, spent
-            return got, spends[x]
-
-        return evaluate
+        table = fuel.table
+        if table is None or fuel.left != fuel.budget:
+            return _evaluate(t, (x,), fuel)
+        # an entry holds t, so its id stays taken
+        _, results, spends = table.get(id(t)) or table.setdefault(id(t), (t, {}, {}))
+        got = results.get(x)
+        if got is None:
+            got = results[x] = _evaluate(t, (x,), fuel)
+            spends[x] = fuel.budget - fuel.left
+        else:
+            fuel.left -= spends[x]
+        return got
 
 
 def term_map(t: Term, name: Optional[str] = None) -> PartialMap:

@@ -41,16 +41,16 @@ The two loops that evaluate, ``_Runner.run_many`` and ``_match_member``,
 call that function themselves, store each result in the memo, count in
 locals and add their totals to the runner once, on every exit.  A point
 costs one comparison when it matches; only a mismatch asks whether it
-was undecided.  An override of ``_evaluator`` must charge exactly the
-fuel ``_run`` would; wrappers that override only ``_run`` still see
-every call.
+was undecided.  Maps implement ``_run``; ``BuiltinMap`` alone also
+overrides ``_evaluator``, and charges the fuel its ``_run`` would.
 
-Below the memos the runner keeps one term-result table, and gives it to
-every evaluator it asks for: from a ``Term`` object to its results and
-spends by input.  So a pushed-forward or pulled-back candidate whose
-inner term the simulated side has already run at that input reuses the
-result, and still counts as one evaluation that spent the recorded
-fuel.  The table dies with the runner, so no result outlives its check.
+Below the memos the runner keeps one term-result table, from a ``Term``
+object to its results and spends by input.  Every evaluator carries it,
+in its ``Fuel`` cell, to every map an evaluation enters, so a
+pushed-forward or pulled-back candidate whose inner term the simulated
+side has already run at that input reuses the result, and still counts
+as one evaluation that spent the recorded fuel.  The table dies with
+the runner, so no result outlives its check.
 """
 
 from __future__ import annotations
@@ -192,12 +192,10 @@ class _Runner:
     repeated input is a hit.
 
     Under the memos lies ``table``, the runner's one term-result table
-    (see ``PartialMap._evaluator``), passed to every evaluator: a term
-    that any map of the check has run at an input, the map itself or a
-    wrapper's inner map, is not run there again, and a hit charges the
-    fuel recorded for it, so a miss in the memo counts as one
-    evaluation with the same spend either way.  Recorded spends are
-    sound because the budget never changes within the runner; the
+    (see ``core.Fuel``), which every evaluator carries in its ``Fuel``
+    cell, so a memo miss counts as one evaluation with the same spend
+    whether the table held its term's result or not.  Recorded spends
+    are sound because the budget never changes within the runner; the
     table lives and dies with the runner, never on a map or a term.
 
     Inputs are not checked here: callers pass only values validated

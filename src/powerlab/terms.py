@@ -94,28 +94,31 @@ def ack_row_term(m: int) -> Term:
 ACK2 = Comp(Ack(), (ConstK(2), Id()))
 
 
+_SUITE = (  # built once: every model of the suite shares its Term objects
+    ("zero", Z()),
+    ("succ", S()),
+    ("ident", Id()),
+    ("const4", ConstK(4)),
+    ("const7", ConstK(7)),
+    ("pred", PRED),
+    ("plus3", add_const(3)),
+    ("plus10", add_const(10)),
+    ("double", times_const(2)),
+    ("triple", times_const(3)),
+    ("square", SQUARE),
+    ("half", HALF),
+    ("monus5", monus_const(5)),
+    ("positive", SIGN),
+    ("floor-sqrt", FLOOR_SQRT),
+    ("ceil-half", CEIL_HALF),
+    ("ack2", ACK2),
+    ("ack2-row", ack_row_term(2)),
+)
+
+
 def standard_suite() -> tuple:
     """Named unary benchmark terms, all total, spanning the constructors."""
-    return (
-        ("zero", Z()),
-        ("succ", S()),
-        ("ident", Id()),
-        ("const4", ConstK(4)),
-        ("const7", ConstK(7)),
-        ("pred", PRED),
-        ("plus3", add_const(3)),
-        ("plus10", add_const(10)),
-        ("double", times_const(2)),
-        ("triple", times_const(3)),
-        ("square", SQUARE),
-        ("half", HALF),
-        ("monus5", monus_const(5)),
-        ("positive", SIGN),
-        ("floor-sqrt", FLOOR_SQRT),
-        ("ceil-half", CEIL_HALF),
-        ("ack2", ACK2),
-        ("ack2-row", ack_row_term(2)),
-    )
+    return _SUITE
 
 
 def rec_suite_model(name: str = "rec-suite") -> Model:

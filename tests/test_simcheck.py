@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from powerlab.cli import _CHECKS, build_encoding, build_models, build_plan
+from powerlab import recdsl
 from powerlab.core import (
     FUEL_EXHAUSTED,
     BuiltinMap,
@@ -20,6 +21,7 @@ from powerlab.core import (
     Model,
     PartialMap,
     TableMap,
+    _OutOfFuel,
     _box,
     apply_with_cost,
     compose_encodings,
@@ -575,39 +577,75 @@ def _term_of(m):
     return m.term
 
 
-@pytest.mark.parametrize("fuel", [10**6, 6, 1])
-def test_evaluator_with_a_term_table_matches_apply_with_cost(fuel, monkeypatch):
-    xs = range(41)
+@pytest.fixture
+def interpreted(monkeypatch):
+    """Every term interpretation (``recdsl._evaluate``) made from here
+    on, as (term, arguments), in order."""
     runs = []
-    real_run = TermMap._run
+    real = recdsl._evaluate
 
-    def counted_run(self, x, cell):
-        runs.append(x)
-        return real_run(self, x, cell)
+    def counted(t, args, fuel):
+        runs.append((t, args))
+        return real(t, args, fuel)
 
-    monkeypatch.setattr(TermMap, "_run", counted_run)
+    monkeypatch.setattr(recdsl, "_evaluate", counted)
+    return runs
+
+
+@pytest.mark.parametrize("fuel", [10**6, 6, 1])
+def test_evaluator_with_a_term_table_matches_apply_with_cost(fuel, interpreted):
+    xs = range(41)
     shared = 0
     for m in _runner_maps():
         want = [apply_with_cost(m, x, fuel) for x in xs]
-        table = {}
-        assert [(_box(r), spent) for r, spent in map(m._evaluator(fuel, table), xs)] == want, m.name
+        runner = _Runner(fuel)
+        del interpreted[:]
+        assert [_fuel_added(runner, m, x) for x in xs] == want, m.name
         t = _term_of(m)
         if t is None:
-            assert table == {}, m.name
+            assert runner.table == {} and interpreted == [], m.name
             continue
-        # another map over the same Term fills a table at every input
-        # this map's term was asked; this map then runs nothing itself
-        _, asked, spends = table[id(t)]
-        filled = {}
-        fill = term_map(t, "other")._evaluator(fuel, filled)
-        for y in asked:
-            fill(y)
-        assert filled[id(t)] == (t, asked, spends), m.name
-        del runs[:]
-        assert [(_box(r), spent) for r, spent in map(m._evaluator(fuel, filled), xs)] == want, m.name
-        assert runs == [], m.name
+        # another map over the same Term, run in a second runner at every
+        # input this map's term was asked, fills the same table; this map
+        # then interprets nothing itself in that runner
+        asked = [args[0] for u, args in interpreted if u is t]
+        assert len(asked) == len(interpreted), m.name
+        filled = _Runner(fuel)
+        filled.run_many(term_map(t, "other"), asked)
+        assert filled.table == runner.table, m.name
+        del interpreted[:]
+        assert [_fuel_added(filled, m, x) for x in xs] == want, m.name
+        assert interpreted == [], m.name
         shared += 1
     assert shared == 18 + 5
+
+
+@dataclass(frozen=True, eq=False)
+class _Charged(PartialMap):
+    """Charges one unit, then runs ``inner`` on the same budget."""
+
+    inner: PartialMap = None
+
+    def _run(self, x, fuel):
+        try:
+            fuel.charge()
+        except _OutOfFuel:
+            return FUEL_EXHAUSTED
+        return self.inner._run(x, fuel)
+
+
+@pytest.mark.parametrize("charged_first", [True, False])
+def test_a_term_entered_on_less_than_the_whole_budget_skips_the_table(charged_first):
+    # at a budget of exactly half(9)'s cost the bare map converges and
+    # the charged one runs out; neither may take the other's result
+    half = term_map(HALF, "half")
+    charged = _Charged("charged", Domain.NAT, half)
+    _, cost = apply_with_cost(half, 9, 10**6)
+    assert apply_with_cost(half, 9, cost) == (Converged(4), cost)
+    assert apply_with_cost(charged, 9, cost) == (FUEL_EXHAUSTED, cost)
+    maps = [charged, half] if charged_first else [half, charged]
+    runner = _Runner(cost)
+    assert [_fuel_added(runner, m, 9) for m in maps] == [apply_with_cost(m, 9, cost) for m in maps]
 
 
 def test_wrappers_charge_as_their_run_does():
@@ -630,25 +668,18 @@ SUITE_STRIPE_SCENARIOS = [
 
 
 @pytest.mark.parametrize("name", SUITE_STRIPE_SCENARIOS)
-def test_each_term_runs_once_per_input_in_a_check(name, monkeypatch):
-    runs = Counter()
-    real_run = TermMap._run
-
-    def counted_run(self, x, cell):
-        runs[id(self.term), x] += 1
-        return real_run(self, x, cell)
-
-    monkeypatch.setattr(TermMap, "_run", counted_run)
+def test_each_term_runs_once_per_input_in_a_check(name, interpreted):
+    # counted by term text: structurally equal terms are one term here
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
     get = build_models(doc, SCENARIOS, 0)
     _, run = _CHECKS[doc["check"]]
     plan = build_plan(doc, None, None)
     first = run(doc, get, plan, 0)
-    assert set(runs.values()) == {1}
-    once = Counter(runs)
+    once = Counter((to_text(t), args) for t, args in interpreted)
+    assert set(once.values()) == {1}
     # a second check on the same models runs every term again
     second = run(doc, get, plan, 0)
-    assert runs == once + once
+    assert Counter((to_text(t), args) for t, args in interpreted) == once + once
     assert second == first
 
 
@@ -814,6 +845,22 @@ def _run_counted(name):
     _, run = _CHECKS[doc["check"]]
     reports = run(doc, counted_get, build_plan(doc, None, None), 0)
     return reports, wrapped, counted_get(doc.get("simulated", doc.get("model")))
+
+
+def test_maps_that_override_only_run_share_the_term_table(interpreted):
+    # the counted wrappers run their inner maps on the budget the runner
+    # gave them, table and all, so wrapped or bare the check interprets
+    # the same number of (term, input) pairs
+    doc = json.loads((SCENARIOS / "probe_stripes.json").read_text())
+    get = build_models(doc, SCENARIOS, 0)
+    _, run = _CHECKS[doc["check"]]
+    bare = run(doc, get, build_plan(doc, None, None), 0)
+    bare_runs = list(interpreted)
+    del interpreted[:]
+    reports, wrapped, _ = _run_counted("probe_stripes")
+    assert reports == bare
+    assert len(interpreted) == len(bare_runs) == 611
+    assert _calls(wrapped) == sum(r.stats.evaluations for r in reports) == 1307
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
