@@ -282,8 +282,13 @@ def narrowness(e: Encoding, prefix: int) -> NarrownessReport:
 # Pairing bijection between pure lists and the naturals
 
 
+GODEL_MAX_BITS = 2**16
+
+
 def godel_encode(x: tuple) -> int:
-    """nil to 0; a pair (a, b) to 2^code(a) * (2*code(b) + 1)."""
+    """nil to 0; a pair (a, b) to 2^code(a) * (2*code(b) + 1).  Each level
+    of left nesting raises 2 to the code below, and six levels would make
+    2^65536, so a code longer than ``GODEL_MAX_BITS`` bits raises."""
     Domain.LIST.check(x, "godel_encode")
     return _godel_enc(x)
 
@@ -291,7 +296,10 @@ def godel_encode(x: tuple) -> int:
 def _godel_enc(x: tuple) -> int:
     if len(x) == 0:
         return 0
-    return (2 ** _godel_enc(x[0])) * (2 * _godel_enc(x[1]) + 1)
+    a, odd = _godel_enc(x[0]), 2 * _godel_enc(x[1]) + 1
+    if a + odd.bit_length() > GODEL_MAX_BITS:
+        raise ValueError(f"godel code longer than GODEL_MAX_BITS ({GODEL_MAX_BITS} bits)")
+    return odd << a
 
 
 def godel_decode(n: int) -> tuple:

@@ -456,6 +456,14 @@ def test_oversized_godel_code_exits_cleanly(capsys):
     _assert_one_line_usage_error(code, capsys)
 
 
+def test_godel_code_past_its_cap_exits_cleanly(capsys):
+    # six levels of left nesting would make the code 2^65536
+    code = main(["encode", "--scheme", "godel", "[[[[[[[],[]],[]],[]],[]],[]],[]]"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err == "powerlab: error: godel code longer than GODEL_MAX_BITS (65536 bits)\n"
+
+
 def test_deeply_nested_term_exits_cleanly(capsys, tmp_path):
     depth = 1200
     doc = {

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from powerlab.core import Converged, Diverged, DomainMismatch, apply, pushforward
 from powerlab.constructions import (
+    GODEL_MAX_BITS,
     GodelEncoding,
     OracleH,
     OracleStripeEncoding,
@@ -283,6 +284,22 @@ def test_godel_round_trip(x):
 @given(st.integers(0, 2**16))
 def test_godel_round_trip_numeric(n):
     assert godel_encode(godel_decode(n)) == n
+
+
+def test_godel_encode_refuses_a_code_past_its_cap():
+    # each level of left nesting raises 2 to the code below it: five
+    # levels make 2^16, and a sixth would make 2^65536
+    x = ((), ())
+    for _ in range(4):
+        x = (x, ())
+    assert godel_encode(x) == 2**16
+    with pytest.raises(ValueError, match="GODEL_MAX_BITS"):
+        godel_encode((x, ()))
+    # the longest code allowed has exactly GODEL_MAX_BITS bits
+    longest = godel_encode((godel_decode(GODEL_MAX_BITS - 1), ()))
+    assert longest.bit_length() == GODEL_MAX_BITS
+    with pytest.raises(ValueError, match="GODEL_MAX_BITS"):
+        godel_encode((godel_decode(GODEL_MAX_BITS), ()))
 
 
 def test_godel_encoding_object():
