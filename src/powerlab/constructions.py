@@ -288,7 +288,7 @@ GODEL_MAX_BITS = 2**16
 def godel_encode(x: tuple) -> int:
     """nil to 0; a pair (a, b) to 2^code(a) * (2*code(b) + 1).  Each level
     of left nesting raises 2 to the code below, and six levels would make
-    2^65536, so a code longer than ``GODEL_MAX_BITS`` bits raises."""
+    2^65536, so a code longer than ``GODEL_MAX_BITS`` bits raises ``ValueError``."""
     Domain.LIST.check(x, "godel_encode")
     return _godel_enc(x)
 
