@@ -89,6 +89,7 @@ from powerlab.machines import (
 )
 from powerlab.recdsl import parse_term, term_map
 from powerlab.simcheck import (
+    MemberResult,
     SimReport,
     TestPlan,
     Verdict,
@@ -628,9 +629,11 @@ def report_to_json(r: SimReport, outcomes: dict) -> dict:
 
 
 def scenario_to_json(name: str, check: str, reports: list, aggregate: Verdict) -> dict:
-    """The document both output formats render.  Its reports share one
-    dict per ``Outcome`` object; the reports keep each object alive, so
-    no id is reused while the document is built."""
+    """The document ``--format text`` renders, and the reference whose
+    ``json.dumps(doc, sort_keys=True, indent=2)`` bytes ``render_structured``
+    writes.  Its reports share one dict per ``Outcome`` object; the
+    reports keep each object alive, so no id is reused while the
+    document is built."""
     outcomes: dict = {}
     return {
         "scenario": name,
@@ -642,77 +645,140 @@ def scenario_to_json(name: str, check: str, reports: list, aggregate: Verdict) -
 
 _json_string = json.encoder.encode_basestring_ascii
 
+# ``render_structured``'s document, one template per object of its fixed
+# schema: each key in sorted order, and each indentation, as
+# ``json.dumps(doc, sort_keys=True, indent=2)`` writes them.  Each ``%s``
+# takes a value already written as JSON.
+_DOCUMENT = (
+    "{\n"
+    '  "aggregate": %s,\n'
+    '  "check": %s,\n'
+    '  "reports": %s,\n'
+    '  "scenario": %s\n'
+    "}\n"
+)
+_REPORT = (
+    "{\n"
+    '      "aggregate": %s,\n'
+    '      "claim": {\n'
+    '        "encoding": %s,\n'
+    '        "kind": %s,\n'
+    '        "left": %s,\n'
+    '        "mode": %s,\n'
+    '        "right": %s\n'
+    "      },\n"
+    '      "members": %s,\n'
+    '      "notes": %s,\n'
+    '      "stats": {\n'
+    '        "evaluations": %s,\n'
+    '        "fuel_spent": %s,\n'
+    '        "inputs": %s\n'
+    "      }\n"
+    "    }"
+)
+_MEMBER = (
+    "{\n"
+    '          "failures": %s,\n'
+    '          "member": %s,\n'
+    '          "undecided_inputs": %s,\n'
+    '          "verdict": %s,\n'
+    '          "witness": %s\n'
+    "        }"
+)
+_FAILURE = (
+    "{\n"
+    '              "candidate": %s,\n'
+    '              "expected": %s,\n'
+    '              "got": %s,\n'
+    '              "input": %s\n'
+    "            }"
+)
+_CONVERGED = '{\n                "status": "converged",\n                "value": %s\n              }'
+_DIVERGED = '{\n                "status": "diverged"\n              }'
+_EXHAUSTED = '{\n                "status": "fuel-exhausted"\n              }'
 
-def indented_json(o) -> str:
-    """``o`` exactly as ``json.dumps(o, sort_keys=True, indent=2)`` writes
-    it, for documents built from plain dicts with string keys, lists and
-    JSON scalars, as reports are.  ``indent`` makes ``json`` fall back to
-    its pure-Python encoder; this writer calls the C string escaper
-    directly and is several times faster on reports.  A dict that the
-    document holds as a value in several dicts, as reports hold their
-    outcomes, is written once per indentation: the cache of this one call
-    maps ``(id(v), indentation)`` to its text.  ``o`` keeps every dict
-    alive meanwhile, so no id is reused."""
-    chunks: list = []
-    _write_json(o, "\n", chunks, {})
-    return "".join(chunks)
+
+def _list(items: list, newline: str) -> str:
+    """Items already written as JSON, as a JSON list; ``newline`` is a
+    line break followed by the indentation of the line the list starts on."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
-def _write_json(o, newline: str, out: list, written: dict) -> None:
-    """Append ``o`` to ``out``; ``newline`` is a line break followed by
-    the indentation of the line ``o`` starts on.  A dict that is a
-    value in a dict is looked up in ``written`` by its id and its
-    indentation; on a miss its text is written, joined and kept there."""
-    t = type(o)
+def _text_or_null(s: Optional[str]) -> str:
+    return "null" if s is None else _json_string(s)
+
+
+def _value_text(v, newline: str) -> str:
+    """``value_to_json(v)`` as JSON; ``newline`` as in ``_list``."""
+    t = type(v)
+    if t is int:
+        return int.__repr__(v)
     if t is str:
-        out.append(_json_string(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif t is int:
-        out.append(int.__repr__(o))
-    elif t is dict or t is list or t is tuple:
-        if not o:
-            out.append("{}" if t is dict else "[]")
-            return
+        return _json_string(v)
+    if t is tuple:
+        if not v:
+            return "[]"
         inner = newline + "  "
-        lead, sep = inner, "," + inner
-        if t is dict:
-            out.append("{")
-            for k in sorted(o):
-                out.append(lead)
-                out.append(_json_string(k))
-                out.append(": ")
-                v = o[k]
-                if type(v) is dict:
-                    key = (id(v), inner)
-                    text = written.get(key)
-                    if text is None:
-                        part: list = []
-                        _write_json(v, inner, part, written)
-                        text = written[key] = "".join(part)
-                    out.append(text)
-                else:
-                    _write_json(v, inner, out, written)
-                lead = sep
-            out.append(newline + "}")
-        else:
-            out.append("[")
-            for item in o:
-                out.append(lead)
-                _write_json(item, inner, out, written)
-                lead = sep
-            out.append(newline + "]")
-    else:
-        # floats, and anything json rejects with the same TypeError
-        out.append(json.dumps(o))
+        return "[" + inner + _value_text(v[0], inner) + "," + inner + _value_text(v[1], inner) + newline + "]"
+    # no value of a domain: whatever a map returned, as ``json`` writes it
+    return json.dumps(value_to_json(v), sort_keys=True, indent=2).replace("\n", newline)
+
+
+def _outcome_text(out: Outcome) -> str:
+    """``outcome_to_json(out)`` as JSON, at a failure's indentation."""
+    if isinstance(out, Converged):
+        return _CONVERGED % _value_text(out.value, "\n                ")
+    if isinstance(out, Diverged):
+        return _DIVERGED
+    if isinstance(out, FuelExhausted):
+        return _EXHAUSTED
+    raise TypeError(out)
 
 
 def render_structured(name: str, check: str, reports: list, aggregate: Verdict) -> str:
-    return indented_json(scenario_to_json(name, check, reports, aggregate)) + "\n"
+    """``json.dumps(scenario_to_json(...), sort_keys=True, indent=2)`` and a
+    line break, written straight from the reports by the templates above.
+    Strings go through ``json``'s C escaper.  Each ``Outcome`` object is
+    written once and its text reused, looked up by id: the reports keep
+    every outcome alive meanwhile, so no id is reused."""
+    esc = _json_string
+    texts: dict = {}
+
+    def outcome(out: Outcome) -> str:
+        text = texts.get(id(out))
+        if text is None:
+            text = texts[id(out)] = _outcome_text(out)
+        return text
+
+    def member(m: MemberResult) -> str:
+        failures = [
+            _FAILURE % (
+                esc(f.candidate), outcome(f.expected), outcome(f.got),
+                _value_text(f.input, "\n              "),
+            )
+            for f in m.failures
+        ]
+        return _MEMBER % (
+            _list(failures, "\n          "), esc(m.member), m.undecided_inputs,
+            esc(m.verdict.value), _text_or_null(m.witness),
+        )
+
+    def report(r: SimReport) -> str:
+        c, s = r.claim, r.stats
+        return _REPORT % (
+            esc(r.aggregate.value),
+            esc(c.encoding), esc(c.kind), esc(c.left), _text_or_null(c.mode), esc(c.right),
+            _list([member(m) for m in r.members], "\n      "),
+            _list([esc(note) for note in r.notes], "\n      "),
+            s.evaluations, s.fuel_spent, s.inputs,
+        )
+
+    return _DOCUMENT % (
+        esc(aggregate.value), esc(check), _list([report(r) for r in reports], "\n  "), esc(name)
+    )
 
 
 def _render_member_line(m: dict) -> str:

@@ -23,6 +23,11 @@ against both maps' domains, and each map the models enumerate against
 its model's domain.  Evaluations then run unchecked, so a value the
 checker never saw (and so never validated) must not reach a map.
 
+No encoding is trusted to be injective: ``_simulate`` maps each code it
+computes, for an input or a converged output, back to the value it came
+from, and a second value with the same code refutes the check with a
+note naming both values and their code.
+
 Every check takes its samples and candidate pools from one call of
 ``_sides``, which first validates the plan's inputs, and evaluates
 through one ``_Runner``: one memo per check, shared by all its parts.
@@ -360,23 +365,45 @@ class _Expected(dict):
         return want
 
 
-def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, bs, pool) -> list:
-    """The results of ``b``'s members ``bs`` hunting ``a``'s ``pool`` through ``e`` on ``inputs``."""
+def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, bs, pool) -> tuple:
+    """The results of ``b``'s members ``bs`` hunting ``a``'s ``pool`` through
+    ``e`` on ``inputs``, and the notes of its faults: a second value that
+    ``e`` gives a code it already gave another, among the inputs and the
+    distinct converged outputs it encodes.  The encoding is then not
+    injective, and the check is refuted by the note, whatever the hunt
+    found; only the first collision is named.  No ``decode`` is read, so
+    nothing the encoding says about itself is trusted."""
     if e.source is not b.domain or e.target is not a.domain:
         raise DomainMismatch(
             f"encoding {e.describe()} maps {e.source.value} to {e.target.value}, "
             f"but the claim needs {b.domain.value} to {a.domain.value}"
         )
-    enc_in = {x: e.encode(x) for x in inputs}
+    sources: dict = {}  # each code given, to the first value given it
+    faults: list = []
+
+    def encode(x):
+        y = e.encode(x)
+        first = sources.setdefault(y, x)
+        if first != x and not faults:
+            faults.append(f"{e.describe()} is not injective: {first!r} and {x!r} both encode to {y!r}")
+        return y
+
+    enc_in = {x: encode(x) for x in inputs}
     for y in enc_in.values():
         a.domain.check(y, f"{e.describe()} into {a.name}")
     ys = [enc_in[x] for x in inputs]
-    expected = _Expected(e.encode)
+    expected = _Expected(encode)
     results = []
     for g in bs:
         wants = [expected[type(out), out] for out in runner.run_many(g, inputs)]
         results.append(_match_member(g.name, list(zip(inputs, ys, wants)), pool, runner))
-    return results
+    return results, faults
+
+
+def _refuted_by(faults) -> Optional[Verdict]:
+    """The aggregate that faults force on a report, or None to combine
+    its members' verdicts."""
+    return Verdict.REFUTED if faults else None
 
 
 def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimReport:
@@ -386,8 +413,9 @@ def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRepo
     encode(g(x)) = f(encode(x)) as outcomes on all planned inputs.
     """
     runner = _Runner(plan.fuel)
-    results = _simulate(runner, a, b, e, plan.inputs, *_sides(a, b, plan))
-    return _report(Claim("simulation", a.name, b.name, e.describe()), plan, results, runner)
+    results, faults = _simulate(runner, a, b, e, plan.inputs, *_sides(a, b, plan))
+    claim = Claim("simulation", a.name, b.name, e.describe())
+    return _report(claim, plan, results, runner, faults, _refuted_by(faults))
 
 
 def check_closure(model: Model, plan: TestPlan) -> SimReport:
@@ -415,7 +443,7 @@ def check_pullback_law(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRe
     agreement is the finite-scale shadow of the pullback law."""
     bs, pool = _sides(a, b, plan)
     runner = _Runner(plan.fuel)
-    sim = _simulate(runner, a, b, e, plan.inputs, bs, pool)
+    sim, faults = _simulate(runner, a, b, e, plan.inputs, bs, pool)
     pulled = {f.name: pullback(e, f, name=f.name) for f in pool}
     law_results = []
     for g, simres in zip(bs, sim):
@@ -431,6 +459,7 @@ def check_pullback_law(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRe
         f"direct side: {sim_agg.value}",
         f"pullback side: {law_agg.value}",
         "pullback law: consistent" if consistent else "pullback law: violated",
+        *faults,
     )
     return _report(
         Claim("pullback-law", a.name, b.name, e.describe()),
@@ -438,7 +467,7 @@ def check_pullback_law(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRe
         sim + law_results,
         runner,
         notes,
-        sim_agg if consistent else Verdict.REFUTED,
+        sim_agg if consistent and not faults else Verdict.REFUTED,
     )
 
 
@@ -475,13 +504,13 @@ def check_equivalence(
         raise ValueError(f"unknown equivalence mode {mode!r}")
     bs, a_pool, as_, b_pool = _sides(a, b, plan, both=True)
     runner = _Runner(plan.fuel)
-    fwd = _simulate(runner, a, b, e_ab, plan.inputs, bs, a_pool)
+    fwd, faults = _simulate(runner, a, b, e_ab, plan.inputs, bs, a_pool)
     # in a's domain: the plan's inputs, or the encodings fwd checked
     rev_inputs = plan.inputs if a.domain is b.domain else tuple(map(e_ab.encode, plan.inputs))
-    bwd = _simulate(runner, b, a, e_ba, rev_inputs, as_, b_pool)
+    bwd, bwd_faults = _simulate(runner, b, a, e_ba, rev_inputs, as_, b_pool)
+    faults += bwd_faults
     # each test of the modes below refutes at its first failing value; no
     # domain holds None
-    faults = []
     if mode != "plain":
         prefix = _domain_prefix(a.domain, len(plan.inputs))
         for enc, values in ((e_ab, prefix), (e_ba, plan.inputs)):
@@ -501,7 +530,7 @@ def check_equivalence(
         members,
         runner,
         (f"forward: {fwd_agg.value}", f"backward: {bwd_agg.value}", *faults),
-        Verdict.REFUTED if faults else None,
+        _refuted_by(faults),
     )
 
 
@@ -525,8 +554,9 @@ def probe_encodings(
     runner = _Runner(plan.fuel)
     reports = []
     for e in encodings:
-        results = _simulate(runner, a, b, e, plan.inputs, bs, pool)
-        reports.append(_report(Claim("simulation", a.name, b.name, e.describe()), plan, results, runner))
+        results, faults = _simulate(runner, a, b, e, plan.inputs, bs, pool)
+        claim = Claim("simulation", a.name, b.name, e.describe())
+        reports.append(_report(claim, plan, results, runner, faults, _refuted_by(faults)))
     if probe_verdict(r.aggregate for r in reports) is not Verdict.VERIFIED:
         tag = f"no encoding in {family_name} verified; refutation relative to this family only"
         reports = [replace(r, notes=r.notes + (tag,)) for r in reports]

@@ -23,7 +23,6 @@ from powerlab.cli import (
     ScenarioError,
     build_encoding,
     build_plan,
-    indented_json,
     json_to_value,
     main,
     render_structured,
@@ -31,8 +30,17 @@ from powerlab.cli import (
     scenario_to_json,
     value_to_json,
 )
-from powerlab.core import Domain
-from powerlab.simcheck import combine_verdicts, probe_verdict
+from powerlab.core import FUEL_EXHAUSTED, Converged, Diverged, Domain
+from powerlab.simcheck import (
+    CandidateFailure,
+    Claim,
+    MemberResult,
+    SimReport,
+    Stats,
+    Verdict,
+    combine_verdicts,
+    probe_verdict,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -647,41 +655,52 @@ def test_tri_prefix_cap(capsys):
 
 _TRICKY_CHARS = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "😀"])
 _JSON_TEXT = st.text(st.one_of(_TRICKY_CHARS, st.characters()))
-_JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(10**40), max_value=10**40),
-    st.floats(),
-    _JSON_TEXT,
+_NATURALS = st.integers(min_value=0, max_value=10**40)
+_VALUES = st.one_of(
+    _NATURALS,
+    st.text("01"),
+    st.recursive(st.just(()), lambda inner: st.tuples(inner, inner), max_leaves=6),
 )
-_JSON_DOCS = st.recursive(
-    _JSON_LEAVES,
-    lambda inner: st.one_of(st.lists(inner, max_size=5), st.dictionaries(_JSON_TEXT, inner, max_size=5)),
-    max_leaves=40,
-)
+_OUTCOMES = st.one_of(_VALUES.map(Converged), st.builds(Diverged), st.just(FUEL_EXHAUSTED))
 
 
-@settings(max_examples=100, deadline=None)
-@given(_JSON_DOCS)
-def test_indented_json_matches_json_dumps(doc):
-    assert indented_json(doc) + "\n" == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+@st.composite
+def _documents(draw):
+    """A scenario name, a check kind, a list of reports and an aggregate.
+    Every string is one of a few texts, as each text costs hypothesis
+    milliseconds to draw, and the failures share a few outcome objects."""
+    text = st.sampled_from(draw(st.lists(_JSON_TEXT, min_size=1, max_size=3)))
+    shared = st.sampled_from(draw(st.lists(_OUTCOMES, min_size=1, max_size=3)))
+    failure = st.builds(CandidateFailure, text, _VALUES, shared, shared)
+    member = st.builds(
+        MemberResult, text, st.sampled_from(Verdict), st.none() | text,
+        st.lists(failure, max_size=3).map(tuple), _NATURALS,
+    )
+    claim = st.builds(Claim, text, text, text, text, st.none() | text)
+    report = st.builds(
+        SimReport, claim, st.lists(member, max_size=3).map(tuple), st.sampled_from(Verdict),
+        st.builds(Stats, _NATURALS, _NATURALS, _NATURALS), st.lists(text, max_size=2).map(tuple),
+    )
+    return draw(text), draw(text), draw(st.lists(report, max_size=3)), draw(st.sampled_from(Verdict))
 
 
-def test_indented_json_rejects_what_json_dumps_rejects():
-    for doc in (object(), {"a": [1, object()]}, {1, 2}):
-        with pytest.raises(TypeError):
-            json.dumps(doc, sort_keys=True, indent=2)
-        with pytest.raises(TypeError):
-            indented_json(doc)
+@settings(max_examples=40, deadline=None)
+@given(_documents())
+def test_structured_output_of_generated_reports_matches_json_dumps(document):
+    name, check, reports, aggregate = document
+    expected = json.dumps(scenario_to_json(name, check, reports, aggregate), sort_keys=True, indent=2)
+    assert render_structured(name, check, reports, aggregate) == expected + "\n"
 
 
-def test_indented_json_writes_a_shared_dict_once_per_indentation():
-    # one dict object twice at one depth and once deeper: a cache keyed
-    # by the object alone would paste the shallow text into the deep slot
-    shared = {"status": "converged", "value": [3, []], "z": {"y": None}}
-    doc = {"a": shared, "b": shared, "c": {"d": shared}, "e": [shared, {"f": shared}]}
-    assert indented_json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+def test_structured_output_writes_a_value_outside_the_domains_as_json_does():
+    # a Python map may return anything; the report still says what
+    values = (True, None, 1.5, [1, (2, ())], -3)
+    failures = tuple(CandidateFailure("f", v, Converged(v), FUEL_EXHAUSTED) for v in values)
+    member = MemberResult("g", Verdict.REFUTED, None, failures, 0)
+    report = SimReport(Claim("simulation", "a", "b", "e"), (member,), Verdict.REFUTED, Stats(1, 2, 3))
+    document = ("odd", "simulation", [report], Verdict.REFUTED)
+    expected = json.dumps(scenario_to_json(*document), sort_keys=True, indent=2) + "\n"
+    assert render_structured(*document) == expected
 
 
 def _bundled_document(name):

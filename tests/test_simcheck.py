@@ -393,6 +393,53 @@ def test_isomorphism_tests_inversion_at_the_last_input():
     assert report.aggregate is R
 
 
+def _zero(x):
+    return 0
+
+
+_ZERO = Encoding("zero", Domain.NAT, Domain.NAT, _zero, _zero)
+_COLLISION = "zero is not injective: 0 and 1 both encode to 0"
+
+
+def _example_r2_plain():
+    doc = json.loads((SCENARIOS / "example_r2.json").read_text())
+    return build_models(doc, SCENARIOS, 0)("plain")
+
+
+def test_a_constant_encoding_verifies_nothing():
+    # every input and every output encodes to 0, so one identity map agrees
+    # with every member of the suite on every encoded input
+    plain = _example_r2_plain()
+    ident = Model("ident", Domain.NAT, (BuiltinMap("id", Domain.NAT, lambda n: n),))
+    plan = plan_over_range(0, 20, 10**6)
+    report = check_simulation(ident, plain, _ZERO, plan)
+    assert report.notes == (_COLLISION,)
+    assert report.aggregate is R
+    assert all(m.verdict is V for m in report.members)
+    reports = [
+        check_pullback_law(ident, plain, _ZERO, plan),
+        *probe_encodings(ident, plain, [_ZERO], plan),
+        check_equivalence(ident, plain, _ZERO, IdentityEncoding(), plan),
+        check_equivalence(plain, ident, IdentityEncoding(), _ZERO, plan),
+    ]
+    for r in reports:
+        assert _COLLISION in r.notes
+        assert r.aggregate is R
+
+
+def test_an_output_that_shares_an_input_code_is_a_collision():
+    # injective on the inputs 0..2, but the output 7 encodes as the input 1
+    def code(x):
+        return 1 if x == 7 else x
+
+    e = Encoding("fold7", Domain.NAT, Domain.NAT, code, code)
+    seven = Model("seven", Domain.NAT, (kappa_map(7),))
+    one = Model("one", Domain.NAT, (kappa_map(1),))
+    report = check_simulation(one, seven, e, plan_over_range(0, 2, 100))
+    assert report.notes == ("fold7 is not injective: 1 and 7 both encode to 1",)
+    assert report.aggregate is R
+
+
 def test_equivalence_rejects_unknown_mode():
     k = Model("k0", Domain.NAT, (kappa_map(0),))
     with pytest.raises(ValueError):
