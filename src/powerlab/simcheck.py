@@ -23,10 +23,11 @@ against both maps' domains, and each map the models enumerate against
 its model's domain.  Evaluations then run unchecked, so a value the
 checker never saw (and so never validated) must not reach a map.
 
-No encoding is trusted to be injective: ``_simulate`` maps each code it
-computes, for an input or a converged output, back to the value it came
-from, and a second value with the same code refutes the check with a
-note naming both values and their code.
+No encoding is trusted to be injective: after the hunt, ``_collision``
+maps each code ``_simulate`` computed, for an input or a converged
+output, back to the value it came from, and a second value with the
+same code refutes the check with a note naming both values and their
+code.
 
 Every check takes its samples and candidate pools from one call of
 ``_sides``, which first validates the plan's inputs, and evaluates
@@ -365,39 +366,43 @@ class _Expected(dict):
         return want
 
 
+def _collision(e: Encoding, enc_in: dict, expected: _Expected) -> list:
+    """The note on the first collision among ``e``'s codes, or no note:
+    taking the inputs (``enc_in``, each input to its code), then each
+    distinct converged output in the order ``expected`` encoded it, the
+    first value given a code that an earlier value was given.  A collision
+    shows that ``e`` is not injective.  No ``decode`` is read, so nothing
+    the encoding says about itself is trusted."""
+    coded = dict(enc_in)
+    coded.update({out: want for (_, out), want in expected.items() if want is not None})
+    if len(set(coded.values())) == len(coded):
+        return []
+    sources: dict = {}
+    for x, y in coded.items():
+        first = sources.setdefault(y, x)
+        if first != x:
+            return [f"{e.describe()} is not injective: {first!r} and {x!r} both encode to {y!r}"]
+
+
 def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, bs, pool) -> tuple:
     """The results of ``b``'s members ``bs`` hunting ``a``'s ``pool`` through
-    ``e`` on ``inputs``, and the notes of its faults: a second value that
-    ``e`` gives a code it already gave another, among the inputs and the
-    distinct converged outputs it encodes.  The encoding is then not
-    injective, and the check is refuted by the note, whatever the hunt
-    found; only the first collision is named.  No ``decode`` is read, so
-    nothing the encoding says about itself is trusted."""
+    ``e`` on ``inputs``, and the notes of its faults: ``_collision``'s,
+    which refutes the check whatever the hunt found."""
     if e.source is not b.domain or e.target is not a.domain:
         raise DomainMismatch(
             f"encoding {e.describe()} maps {e.source.value} to {e.target.value}, "
             f"but the claim needs {b.domain.value} to {a.domain.value}"
         )
-    sources: dict = {}  # each code given, to the first value given it
-    faults: list = []
-
-    def encode(x):
-        y = e.encode(x)
-        first = sources.setdefault(y, x)
-        if first != x and not faults:
-            faults.append(f"{e.describe()} is not injective: {first!r} and {x!r} both encode to {y!r}")
-        return y
-
-    enc_in = {x: encode(x) for x in inputs}
+    enc_in = {x: e.encode(x) for x in inputs}
     for y in enc_in.values():
         a.domain.check(y, f"{e.describe()} into {a.name}")
     ys = [enc_in[x] for x in inputs]
-    expected = _Expected(encode)
+    expected = _Expected(e.encode)
     results = []
     for g in bs:
         wants = [expected[type(out), out] for out in runner.run_many(g, inputs)]
         results.append(_match_member(g.name, list(zip(inputs, ys, wants)), pool, runner))
-    return results, faults
+    return results, _collision(e, enc_in, expected)
 
 
 def _refuted_by(faults) -> Optional[Verdict]:

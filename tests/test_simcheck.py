@@ -427,17 +427,21 @@ def test_a_constant_encoding_verifies_nothing():
         assert r.aggregate is R
 
 
-def test_an_output_that_shares_an_input_code_is_a_collision():
-    # injective on the inputs 0..2, but the output 7 encodes as the input 1
-    def code(x):
-        return 1 if x == 7 else x
+def _fold(x):
+    return {7: 1, 8: 9}.get(x, x)
 
-    e = Encoding("fold7", Domain.NAT, Domain.NAT, code, code)
-    seven = Model("seven", Domain.NAT, (kappa_map(7),))
-    one = Model("one", Domain.NAT, (kappa_map(1),))
-    report = check_simulation(one, seven, e, plan_over_range(0, 2, 100))
-    assert report.notes == ("fold7 is not injective: 1 and 7 both encode to 1",)
-    assert report.aggregate is R
+
+def test_a_collision_involving_an_output_refutes():
+    # injective on the inputs 0..2, but the output 7 takes the code of the
+    # input 1, and the outputs 8 and 9 share a code
+    e = Encoding("fold", Domain.NAT, Domain.NAT, _fold, _fold)
+    plan = plan_over_range(0, 2, 100)
+    for outputs, note in (((7,), "1 and 7 both encode to 1"), ((8, 9), "8 and 9 both encode to 9")):
+        simulated = Model("consts", Domain.NAT, tuple(kappa_map(k) for k in outputs))
+        pool = Model("pool", Domain.NAT, (kappa_map(1), kappa_map(9)))
+        report = check_simulation(pool, simulated, e, plan)
+        assert report.notes == (f"fold is not injective: {note}",)
+        assert report.aggregate is R
 
 
 def test_equivalence_rejects_unknown_mode():
