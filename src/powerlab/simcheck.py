@@ -373,15 +373,17 @@ def _collision(e: Encoding, enc_in: dict, expected: _Expected) -> list:
     first value given a code that an earlier value was given.  A collision
     shows that ``e`` is not injective.  No ``decode`` is read, so nothing
     the encoding says about itself is trusted."""
-    coded = dict(enc_in)
-    coded.update({out: want for (_, out), want in expected.items() if want is not None})
-    if len(set(coded.values())) == len(coded):
-        return []
-    sources: dict = {}
-    for x, y in coded.items():
+    sources = {y: x for x, y in enc_in.items()}  # each code to a value given it
+    if len(sources) < len(enc_in):  # two inputs share a code: find the first
+        sources = {}
+        coded = enc_in.items()
+    else:
+        coded = ((out, y) for (_, out), y in expected.items() if y is not None)
+    for x, y in coded:
         first = sources.setdefault(y, x)
         if first != x:
             return [f"{e.describe()} is not injective: {first!r} and {x!r} both encode to {y!r}"]
+    return []
 
 
 def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, bs, pool) -> tuple:
