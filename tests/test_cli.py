@@ -692,15 +692,26 @@ def test_structured_output_of_generated_reports_matches_json_dumps(document):
     assert render_structured(name, check, reports, aggregate) == expected + "\n"
 
 
-def test_structured_output_writes_a_value_outside_the_domains_as_json_does():
-    # a Python map may return anything; the report still says what
-    values = (True, None, 1.5, [1, (2, ())], -3)
-    failures = tuple(CandidateFailure("f", v, Converged(v), FUEL_EXHAUSTED) for v in values)
-    member = MemberResult("g", Verdict.REFUTED, None, failures, 0)
+def _one_member_document(failures):
+    member = MemberResult("g", Verdict.REFUTED, None, tuple(failures), 0)
     report = SimReport(Claim("simulation", "a", "b", "e"), (member,), Verdict.REFUTED, Stats(1, 2, 3))
-    document = ("odd", "simulation", [report], Verdict.REFUTED)
+    return "odd", "simulation", [report], Verdict.REFUTED
+
+
+def test_structured_output_outside_the_domains_is_json_dumps_or_its_type_error():
+    # a Python map may return anything: the report says what json would
+    values = (True, None, 1.5, [1, (2, ())], -3)
+    document = _one_member_document(CandidateFailure("f", v, Converged(v), FUEL_EXHAUSTED) for v in values)
     expected = json.dumps(scenario_to_json(*document), sort_keys=True, indent=2) + "\n"
     assert render_structured(*document) == expected
+    # and what json cannot write, or an unknown outcome, is a TypeError
+    for bad in (CandidateFailure("f", object(), FUEL_EXHAUSTED, FUEL_EXHAUSTED),
+                CandidateFailure("f", 0, "converged", FUEL_EXHAUSTED)):
+        document = _one_member_document([bad])
+        with pytest.raises(TypeError):
+            json.dumps(scenario_to_json(*document), sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            render_structured(*document)
 
 
 def _bundled_document(name):
