@@ -755,11 +755,8 @@ def render_structured(name: str, check: str, reports: list, aggregate: Verdict) 
 
     def member(m: MemberResult) -> str:
         failures = [
-            _FAILURE % (
-                esc(f.candidate), outcome(f.expected), outcome(f.got),
-                _value_text(f.input, "\n              "),
-            )
-            for f in m.failures
+            _FAILURE % (esc(c), outcome(e), outcome(g), _value_text(x, "\n              "))
+            for c, x, e, g in m.failures
         ]
         return _MEMBER % (
             _list(failures, "\n          "), esc(m.member), m.undecided_inputs,

@@ -121,19 +121,28 @@ def _tri_g(i: int, n: int) -> int:
 
 def tri_pi(n: int) -> int:
     _check_nat(n, "tri_pi")
+    return _tri_pi(n)
+
+
+def _tri_pi(n: int) -> int:
     m = isqrt(n)
     return m * m + (n - m * m + 1) % (2 * m + 1)
 
 
 def tri_pi_inverse(n: int) -> int:
     _check_nat(n, "tri_pi_inverse")
+    return _tri_pi_inverse(n)
+
+
+def _tri_pi_inverse(n: int) -> int:
     m = isqrt(n)
     return m * m + (n - m * m - 1) % (2 * m + 1)
 
 
 def TriPiEncoding() -> Encoding:
-    """The row-shift permutation of the naturals."""
-    return bijection("tri-pi", "tri-pi-inv", Domain.NAT, Domain.NAT, tri_pi, tri_pi_inverse)
+    """The row-shift permutation of the naturals.  ``Encoding`` checks
+    the domain of each value, so it is built on the unchecked shifts."""
+    return bijection("tri-pi", "tri-pi-inv", Domain.NAT, Domain.NAT, _tri_pi, _tri_pi_inverse)
 
 
 # The maps check their indices when built.  Each input is checked before
@@ -317,8 +326,10 @@ def _godel_dec(n: int) -> tuple:
 
 
 def GodelEncoding() -> Encoding:
-    """The pairing bijection from pure lists to naturals."""
-    return bijection("godel", "godel-inv", Domain.LIST, Domain.NAT, godel_encode, godel_decode)
+    """The pairing bijection from pure lists to naturals.  ``Encoding``
+    checks the domain of each value, so it is built on the unchecked
+    coding, which keeps the ``GODEL_MAX_BITS`` cap."""
+    return bijection("godel", "godel-inv", Domain.LIST, Domain.NAT, _godel_enc, _godel_dec)
 
 
 # --------------------------------------------------------------------------

@@ -53,18 +53,31 @@ def is_pure_list(x: object) -> bool:
     return True
 
 
+def _is_nat(x: object) -> bool:
+    # bool is an int subclass and must not slip through
+    return type(x) is int and x >= 0
+
+
+def _is_bits(x: object) -> bool:
+    return type(x) is str and not x.strip("01")
+
+
+_MEMBERSHIP = {"nat": _is_nat, "bits": _is_bits, "list": is_pure_list}
+
+
 class Domain(Enum):
+    """A value domain.  Each member's ``contains`` is its membership test
+    itself, a plain function of one value, so a passing value costs one
+    call; ``check`` raises with a message naming ``who`` on a failing one.
+    Callers in hot loops test with ``contains`` and build ``who`` and call
+    ``check`` only for a value that fails."""
+
     NAT = "nat"
     BITS = "bits"
     LIST = "list"
 
-    def contains(self, x: Value) -> bool:
-        if self is Domain.NAT:
-            # bool is an int subclass and must not slip through
-            return type(x) is int and x >= 0
-        if self is Domain.BITS:
-            return type(x) is str and not x.strip("01")
-        return is_pure_list(x)
+    def __init__(self, value: str):
+        self.contains: Callable[[object], bool] = _MEMBERSHIP[value]
 
     def check(self, x: Value, who: str) -> None:
         if not self.contains(x):
@@ -230,9 +243,13 @@ class Encoding:
     """A named total injection between domains; decode is its exact
     partial inverse.
 
-    ``encode`` and ``decode`` do the work on values already checked to
-    lie in ``source`` and ``target``.  ``inverse``, when given, builds
-    the inverse encoding when called with no arguments; without it
+    ``encode`` and ``decode`` validate each value they are given, against
+    ``source`` and ``target`` respectively, with one call of that domain's
+    ``contains`` when the value passes, then call the functions passed
+    here, which do the work on values already validated: build an
+    encoding on unchecked conversions, so that no value is tested twice.
+    Nothing validates what the functions return.  ``inverse``, when given,
+    builds the inverse encoding when called with no arguments; without it
     ``inverse()`` raises.  Pass module-level functions or
     ``functools.partial`` objects, so that the encoding pickles.
     """
@@ -246,11 +263,13 @@ class Encoding:
         self._inverse = inverse
 
     def encode(self, x: Value) -> Value:
-        self.source.check(x, self.name)
+        if not self.source.contains(x):
+            self.source.check(x, self.name)
         return self._encode(x)
 
     def decode(self, y: Value) -> Optional[Value]:
-        self.target.check(y, self.name)
+        if not self.target.contains(y):
+            self.target.check(y, self.name)
         return self._decode(y)
 
     def describe(self) -> str:

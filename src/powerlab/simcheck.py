@@ -15,13 +15,22 @@ and the first fully decided witness is the one reported.  Exhausted
 evaluations are never treated as divergence; they only taint a point as
 undecided.
 
-Values are validated once, where they enter a check, and not on every
-evaluation: the plan's inputs against the simulated side's domain, their
-encodings against the simulating side's, each intermediate value of a
-composite against the model's domain, every input of ``maps_agree``
-against both maps' domains, and each map the models enumerate against
-its model's domain.  Evaluations then run unchecked, so a value the
-checker never saw (and so never validated) must not reach a map.
+Values are validated where they enter a check, and not on every
+evaluation.  ``_sides`` tests the plan's inputs against the simulated
+side's domain, and ``_simulate`` the code of each input against the
+simulating side's; ``Encoding.encode`` tests what it is given against
+its source, so each input once more and each distinct converged output
+of the simulated side once, when ``_Expected`` encodes it.  Across two
+domains the reverse direction of an equivalence takes as its inputs the
+codes of the plan's inputs that the forward direction computed and
+validated, and does not encode the plan's inputs again.
+``check_closure`` tests each intermediate value of a composite against
+the model's domain, ``maps_agree`` every input against both maps'
+domains, and ``Model.candidates`` each map the models enumerate against
+its model's domain.  A value that passes costs one call of its domain's
+``contains``, a plain function; a ``DomainMismatch`` message is built
+only for a value that fails.  Evaluations then run unchecked, so a value
+the checker never saw (and so never validated) must not reach a map.
 
 No encoding is trusted to be injective: after the hunt, ``_collision``
 maps each code ``_simulate`` computed, for an input or a converged
@@ -63,7 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from powerlab.core import (
     FUEL_EXHAUSTED,
@@ -134,9 +143,9 @@ def plan_over_range(lo: int, hi: int, fuel: int, **kw) -> TestPlan:
     return TestPlan(inputs=tuple(range(lo, hi + 1)), fuel=fuel, **kw)
 
 
-@dataclass(frozen=True)
-class CandidateFailure:
-    """Where one candidate was first caught disagreeing."""
+class CandidateFailure(NamedTuple):
+    """Where one candidate was first caught disagreeing: a tuple, since a
+    check that refutes builds one per candidate it tried."""
 
     candidate: str
     input: Value
@@ -272,8 +281,10 @@ def _sides(a: Model, b: Model, plan: TestPlan, both: bool = False) -> list:
     """``b``'s sampled members and ``a``'s candidate pool (then, if ``both``,
     ``a``'s sampled members and ``b``'s pool), each model's candidates read
     once, after the plan's inputs are checked against ``b``'s domain."""
+    contains = b.domain.contains
     for x in plan.inputs:
-        b.domain.check(x, f"plan for {b.name}")
+        if not contains(x):
+            b.domain.check(x, f"plan for {b.name}")
     pool = a.candidates(plan.candidate_limit)
     sides = [_select(b.members, plan.b_sample, b.name), _select(pool, plan.a_sample, a.name)]
     if both:
@@ -388,23 +399,26 @@ def _collision(e: Encoding, enc_in: dict, expected: _Expected) -> list:
 
 def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, bs, pool) -> tuple:
     """The results of ``b``'s members ``bs`` hunting ``a``'s ``pool`` through
-    ``e`` on ``inputs``, and the notes of its faults: ``_collision``'s,
-    which refutes the check whatever the hunt found."""
+    ``e`` on ``inputs``, the notes of its faults (``_collision``'s, which
+    refutes the check whatever the hunt found), and the codes of
+    ``inputs``, in order, each validated against ``a``'s domain."""
     if e.source is not b.domain or e.target is not a.domain:
         raise DomainMismatch(
             f"encoding {e.describe()} maps {e.source.value} to {e.target.value}, "
             f"but the claim needs {b.domain.value} to {a.domain.value}"
         )
     enc_in = {x: e.encode(x) for x in inputs}
+    contains = a.domain.contains
     for y in enc_in.values():
-        a.domain.check(y, f"{e.describe()} into {a.name}")
+        if not contains(y):
+            a.domain.check(y, f"{e.describe()} into {a.name}")
     ys = [enc_in[x] for x in inputs]
     expected = _Expected(e.encode)
     results = []
     for g in bs:
         wants = [expected[type(out), out] for out in runner.run_many(g, inputs)]
         results.append(_match_member(g.name, list(zip(inputs, ys, wants)), pool, runner))
-    return results, _collision(e, enc_in, expected)
+    return results, _collision(e, enc_in, expected), ys
 
 
 def _refuted_by(faults) -> Optional[Verdict]:
@@ -420,7 +434,7 @@ def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRepo
     encode(g(x)) = f(encode(x)) as outcomes on all planned inputs.
     """
     runner = _Runner(plan.fuel)
-    results, faults = _simulate(runner, a, b, e, plan.inputs, *_sides(a, b, plan))
+    results, faults, _ = _simulate(runner, a, b, e, plan.inputs, *_sides(a, b, plan))
     claim = Claim("simulation", a.name, b.name, e.describe())
     return _report(claim, plan, results, runner, faults, _refuted_by(faults))
 
@@ -430,6 +444,7 @@ def check_closure(model: Model, plan: TestPlan) -> SimReport:
     must match some member of the candidate pool on the planned inputs."""
     members, pool = _sides(model, model, plan)
     runner = _Runner(plan.fuel)
+    contains = model.domain.contains
     results = []
     for f in members:
         for g in members:
@@ -437,7 +452,8 @@ def check_closure(model: Model, plan: TestPlan) -> SimReport:
             for x in plan.inputs:
                 want = runner.run(g, x)
                 if want is not FUEL_EXHAUSTED and not isinstance(want, Diverged):
-                    model.domain.check(want, f"{g.name} output, passed to {f.name}")
+                    if not contains(want):
+                        model.domain.check(want, f"{g.name} output, passed to {f.name}")
                     want = runner.run(f, want)
                 points.append((x, x, None if want is FUEL_EXHAUSTED else want))
             results.append(_match_member(f"{f.name}*{g.name}", points, pool, runner))
@@ -450,7 +466,7 @@ def check_pullback_law(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRe
     agreement is the finite-scale shadow of the pullback law."""
     bs, pool = _sides(a, b, plan)
     runner = _Runner(plan.fuel)
-    sim, faults = _simulate(runner, a, b, e, plan.inputs, bs, pool)
+    sim, faults, _ = _simulate(runner, a, b, e, plan.inputs, bs, pool)
     pulled = {f.name: pullback(e, f, name=f.name) for f in pool}
     law_results = []
     for g, simres in zip(bs, sim):
@@ -511,10 +527,10 @@ def check_equivalence(
         raise ValueError(f"unknown equivalence mode {mode!r}")
     bs, a_pool, as_, b_pool = _sides(a, b, plan, both=True)
     runner = _Runner(plan.fuel)
-    fwd, faults = _simulate(runner, a, b, e_ab, plan.inputs, bs, a_pool)
-    # in a's domain: the plan's inputs, or the encodings fwd checked
-    rev_inputs = plan.inputs if a.domain is b.domain else tuple(map(e_ab.encode, plan.inputs))
-    bwd, bwd_faults = _simulate(runner, b, a, e_ba, rev_inputs, as_, b_pool)
+    fwd, faults, codes = _simulate(runner, a, b, e_ab, plan.inputs, bs, a_pool)
+    # in a's domain: the plan's inputs, or their codes, which fwd validated
+    rev_inputs = plan.inputs if a.domain is b.domain else tuple(codes)
+    bwd, bwd_faults, _ = _simulate(runner, b, a, e_ba, rev_inputs, as_, b_pool)
     faults += bwd_faults
     # each test of the modes below refutes at its first failing value; no
     # domain holds None
@@ -561,7 +577,7 @@ def probe_encodings(
     runner = _Runner(plan.fuel)
     reports = []
     for e in encodings:
-        results, faults = _simulate(runner, a, b, e, plan.inputs, bs, pool)
+        results, faults, _ = _simulate(runner, a, b, e, plan.inputs, bs, pool)
         claim = Claim("simulation", a.name, b.name, e.describe())
         reports.append(_report(claim, plan, results, runner, faults, _refuted_by(faults)))
     if probe_verdict(r.aggregate for r in reports) is not Verdict.VERIFIED:

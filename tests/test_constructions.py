@@ -308,6 +308,23 @@ def test_godel_encoding_object():
     assert e.encode(((), ())) == 1
     inv = e.inverse()
     assert inv.encode(3) == ((), ((), ()))
+    # built on the unchecked coding, the object still validates each value
+    # once and keeps the cap
+    with pytest.raises(DomainMismatch, match="godel expects list"):
+        e.encode((1,))
+    with pytest.raises(DomainMismatch, match="godel-inv expects nat"):
+        inv.encode(-1)
+    with pytest.raises(ValueError, match="GODEL_MAX_BITS"):
+        e.encode((godel_decode(GODEL_MAX_BITS), ()))
+
+
+@pytest.mark.parametrize("bad", [True, -1, "01", ()])
+def test_tri_pi_encoding_validates_each_value(bad):
+    e = TriPiEncoding()
+    for f in (e.encode, e.decode, e.inverse().encode):
+        with pytest.raises(DomainMismatch, match="wrong domain: tri-pi"):
+            f(bad)
+    assert [e.encode(n) for n in range(4)] == [tri_pi(n) for n in range(4)]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from powerlab.constructions import (
     stripe_model,
     tri_models,
 )
-from powerlab.machines import BitsEncoding
+from powerlab.machines import BitsEncoding, bits_to_nat, nat_to_bits
 from powerlab.recdsl import ConstK, S, TermMap, parse_term, term_map, to_text
 from powerlab.simcheck import (
     CandidateFailure,
@@ -152,9 +152,9 @@ def test_verdict_stable_as_fuel_grows():
 def test_simulation_validates_shapes():
     b = suite_model(SUITE3, "plain")
     a = stripe_model(2, 0, SUITE3, name="striped")
-    with pytest.raises(DomainMismatch):
-        check_simulation(a, b, StripeEncoding(2, 0), TestPlan(inputs=("01",), fuel=10))
-    with pytest.raises(DomainMismatch):
+    with pytest.raises(DomainMismatch, match="^wrong domain: plan for plain expects nat, got '01'$"):
+        check_simulation(a, b, StripeEncoding(2, 0), TestPlan(inputs=(0, "01"), fuel=10))
+    with pytest.raises(DomainMismatch, match="^encoding bits maps nat to bits, but the claim"):
         check_simulation(a, b, BitsEncoding(), plan_over_range(0, 3, 100))
 
 
@@ -505,10 +505,11 @@ def _succ_and_isbig():
     return Model("nat", Domain.NAT, (succ, isbig))
 
 
-@pytest.mark.parametrize("inputs", [(0, 1, 2, 5), (5,)])
-def test_closure_rejects_intermediates_outside_the_domain(inputs):
+@pytest.mark.parametrize("inputs, got", [((0, 1, 2, 5), False), ((5,), True)])
+def test_closure_rejects_intermediates_outside_the_domain(inputs, got):
     # isbig returns a bool; succ(True) must not be served from succ(1)
-    with pytest.raises(DomainMismatch):
+    message = f"^wrong domain: isbig output, passed to succ expects nat, got {got}$"
+    with pytest.raises(DomainMismatch, match=message):
         check_closure(_succ_and_isbig(), TestPlan(inputs=inputs, fuel=100))
 
 
@@ -531,8 +532,52 @@ _NEGATING = Encoding("negating", Domain.NAT, Domain.NAT, _negate, _negate)
 
 def test_simulation_rejects_encoded_inputs_outside_the_target():
     k = Model("k0", Domain.NAT, (kappa_map(0),))
-    with pytest.raises(DomainMismatch):
+    with pytest.raises(DomainMismatch, match="^wrong domain: negating into k0 expects nat, got -1$"):
         check_simulation(k, k, _NEGATING, plan_over_range(0, 3, 100))
+
+
+def _one_then(bad):
+    """A map over the naturals that returns 1 at 0 and ``bad`` elsewhere,
+    so that a bad output equal to 1 follows a good one."""
+    return BuiltinMap("one-then-bad", Domain.NAT, lambda n: 1 if n == 0 else bad)
+
+
+_CHECK_KINDS = {
+    "simulation": lambda a, b, e, plan: check_simulation(a, b, e, plan),
+    "probe": lambda a, b, e, plan: probe_encodings(a, b, [StripeEncoding(2, 1), e], plan),
+    "pullback-law": lambda a, b, e, plan: check_pullback_law(a, b, e, plan),
+    "equivalence fwd": lambda a, b, e, plan: check_equivalence(a, b, e, e, plan),
+    "equivalence bwd": lambda a, b, e, plan: check_equivalence(b, a, e, e, plan),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CHECK_KINDS))
+@pytest.mark.parametrize("bad", [True, -1, "01"])
+def test_every_check_refuses_an_output_outside_the_simulated_domain(kind, bad):
+    # True equals 1, which was encoded first: only the (type, value) key of
+    # the expected results and the exact type test keep it from passing
+    a = Model("fine", Domain.NAT, (identity_map(),))
+    b = Model("leaky", Domain.NAT, (_one_then(bad),))
+    with pytest.raises(DomainMismatch, match=f"expects nat, got {bad!r}$"):
+        _CHECK_KINDS[kind](a, b, IdentityEncoding(), plan_over_range(0, 2, 10))
+
+
+def test_equivalence_across_domains_encodes_each_plan_input_once():
+    encoded = Counter()
+
+    def counted(n):
+        encoded[n] += 1
+        return nat_to_bits(n)
+
+    e_ab = Encoding("counted-bits", Domain.NAT, Domain.BITS, counted, bits_to_nat)
+    plan = plan_over_range(0, 9, 100)
+    nat = Model("nowhere", Domain.NAT, (BuiltinMap("nowhere", Domain.NAT, lambda n: None),))
+    bits = Model("nowhere", Domain.BITS, (BuiltinMap("nowhere", Domain.BITS, lambda s: None),))
+    report = check_equivalence(bits, nat, e_ab, BitsEncoding().inverse(), plan)
+    assert report.aggregate is V
+    # divergent outputs are encoded by neither direction: the backward
+    # direction reuses the forward direction's codes of the plan's inputs
+    assert encoded == Counter(plan.inputs)
 
 
 def test_strong_equivalence_across_domains_needs_surjectivity():
