@@ -543,9 +543,9 @@ def _one_then(bad):
 
 
 _CHECK_KINDS = {
-    "simulation": lambda a, b, e, plan: check_simulation(a, b, e, plan),
+    "simulation": check_simulation,
     "probe": lambda a, b, e, plan: probe_encodings(a, b, [StripeEncoding(2, 1), e], plan),
-    "pullback-law": lambda a, b, e, plan: check_pullback_law(a, b, e, plan),
+    "pullback-law": check_pullback_law,
     "equivalence fwd": lambda a, b, e, plan: check_equivalence(a, b, e, e, plan),
     "equivalence bwd": lambda a, b, e, plan: check_equivalence(b, a, e, e, plan),
 }
