@@ -89,6 +89,7 @@ from powerlab.machines import (
 )
 from powerlab.recdsl import parse_term, term_map
 from powerlab.simcheck import (
+    Claim,
     MemberResult,
     SimReport,
     TestPlan,
@@ -176,23 +177,15 @@ def value_to_json(v):
     return v
 
 
-def outcome_to_json(out: Outcome):
+def outcome_to_text(out: Outcome) -> str:
+    """One line for an outcome."""
     if isinstance(out, Converged):
-        return {"status": "converged", "value": value_to_json(out.value)}
+        return f"converged: {json.dumps(value_to_json(out.value))}"
     if isinstance(out, Diverged):
-        return {"status": "diverged"}
-    if isinstance(out, FuelExhausted):
-        return {"status": "fuel-exhausted"}
-    raise TypeError(out)
-
-
-def outcome_to_text(out: dict) -> str:
-    """One line for an outcome in its ``outcome_to_json`` form."""
-    if out["status"] == "converged":
-        return f"converged: {json.dumps(out['value'])}"
-    if out["status"] == "diverged":
         return "diverged"
-    return "fuel exhausted"
+    if isinstance(out, FuelExhausted):
+        return "fuel exhausted"
+    raise TypeError(out)
 
 
 # ---------------------------------------------------------------------------
@@ -568,79 +561,23 @@ _SCENARIO = {
 def run_scenario(
     doc: dict, base_dir: Path, fuel: Optional[int] = None, inputs: Optional[dict] = None,
     seed: int = 0,
-) -> tuple[str, str, list]:
-    """Returns (scenario name, check kind, list of reports).  ``fuel`` and
-    ``inputs`` override the plan's, as in ``build_plan``."""
+) -> tuple[str, str, list, Verdict]:
+    """Returns (scenario name, check kind, list of reports, aggregate
+    verdict), the arguments of ``render_text`` and ``render_structured``.
+    A probe's reports combine by ``probe_verdict``, every other check's
+    by ``combine_verdicts``.  ``fuel`` and ``inputs`` override the
+    plan's, as in ``build_plan``."""
     f = _fields(doc, _SCENARIO, "scenario")
     table, run = _CHECKS[f["check"]]
     f = _fields(f, table, f"{f['check']} scenario")
     get = build_models(doc, base_dir, seed)
-    return f["name"], f["check"], run(f, get, build_plan(doc, fuel, inputs), seed)
+    reports = run(f, get, build_plan(doc, fuel, inputs), seed)
+    combine = probe_verdict if f["check"] == "probe" else combine_verdicts
+    return f["name"], f["check"], reports, combine(r.aggregate for r in reports)
 
 
 # ---------------------------------------------------------------------------
 # Rendering
-
-
-def report_to_json(r: SimReport, outcomes: dict) -> dict:
-    """``r`` as a dict.  ``outcomes`` maps ``id(outcome)`` to its dict, so
-    every failure that holds one ``Outcome`` object shares one dict."""
-
-    def outcome(out: Outcome) -> dict:
-        j = outcomes.get(id(out))
-        if j is None:
-            j = outcomes[id(out)] = outcome_to_json(out)
-        return j
-
-    return {
-        "claim": {
-            "kind": r.claim.kind,
-            "left": r.claim.left,
-            "right": r.claim.right,
-            "encoding": r.claim.encoding,
-            "mode": r.claim.mode,
-        },
-        "aggregate": r.aggregate.value,
-        "members": [
-            {
-                "member": m.member,
-                "verdict": m.verdict.value,
-                "witness": m.witness,
-                "undecided_inputs": m.undecided_inputs,
-                "failures": [
-                    {
-                        "candidate": f.candidate,
-                        "input": value_to_json(f.input),
-                        "expected": outcome(f.expected),
-                        "got": outcome(f.got),
-                    }
-                    for f in m.failures
-                ],
-            }
-            for m in r.members
-        ],
-        "stats": {
-            "inputs": r.stats.inputs,
-            "evaluations": r.stats.evaluations,
-            "fuel_spent": r.stats.fuel_spent,
-        },
-        "notes": list(r.notes),
-    }
-
-
-def scenario_to_json(name: str, check: str, reports: list, aggregate: Verdict) -> dict:
-    """The document ``--format text`` renders, and the reference whose
-    ``json.dumps(doc, sort_keys=True, indent=2)`` bytes ``render_structured``
-    writes.  Its reports share one dict per ``Outcome`` object; the
-    reports keep each object alive, so no id is reused while the
-    document is built."""
-    outcomes: dict = {}
-    return {
-        "scenario": name,
-        "check": check,
-        "aggregate": aggregate.value,
-        "reports": [report_to_json(r, outcomes) for r in reports],
-    }
 
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -728,7 +665,8 @@ def _value_text(v, newline: str) -> str:
 
 
 def _outcome_text(out: Outcome) -> str:
-    """``outcome_to_json(out)`` as JSON, at a failure's indentation."""
+    """An outcome as JSON at a failure's indentation: its status and,
+    when it converged, its value."""
     if isinstance(out, Converged):
         return _CONVERGED % _value_text(out.value, "\n                ")
     if isinstance(out, Diverged):
@@ -739,8 +677,9 @@ def _outcome_text(out: Outcome) -> str:
 
 
 def render_structured(name: str, check: str, reports: list, aggregate: Verdict) -> str:
-    """``json.dumps(scenario_to_json(...), sort_keys=True, indent=2)`` and a
-    line break, written straight from the reports by the templates above.
+    """The reports as JSON, written by the templates above: the bytes of
+    ``json.dumps(doc, sort_keys=True, indent=2)`` and a line break, for the
+    document ``doc`` whose objects the templates hold.
     Strings go through ``json``'s C escaper.  Each ``Outcome`` object is
     written once and its text reused, looked up by id: the reports keep
     every outcome alive meanwhile, so no id is reused."""
@@ -778,45 +717,42 @@ def render_structured(name: str, check: str, reports: list, aggregate: Verdict) 
     )
 
 
-def _render_member_line(m: dict) -> str:
-    bits = [f"  {m['member']}: {m['verdict']}"]
-    if m["witness"] is not None:
-        bits.append(f"witness {m['witness']}")
-    if m["undecided_inputs"]:
-        bits.append(f"{m['undecided_inputs']} undecided inputs")
-    return ", ".join(bits)
+def _claim_line(c: Claim) -> str:
+    if c.mode:
+        return f"claim: {c.left} and {c.right} are equivalent via {c.encoding} ({c.mode})"
+    if c.kind == "closure":
+        return f"claim: {c.left} is closed under composition"
+    return f"claim: {c.left} simulates {c.right} via {c.encoding}"
 
 
-def _claim_line(claim: dict) -> str:
-    if claim["mode"]:
-        return (
-            f"claim: {claim['left']} and {claim['right']} are equivalent"
-            f" via {claim['encoding']} ({claim['mode']})"
-        )
-    if claim["kind"] == "closure":
-        return f"claim: {claim['left']} is closed under composition"
-    return f"claim: {claim['left']} simulates {claim['right']} via {claim['encoding']}"
+def _member_lines(m: MemberResult) -> list:
+    """A member's verdict line, then its first three failures."""
+    bits = [f"  {m.member}: {m.verdict.value}"]
+    if m.witness is not None:
+        bits.append(f"witness {m.witness}")
+    if m.undecided_inputs:
+        bits.append(f"{m.undecided_inputs} undecided inputs")
+    return [", ".join(bits)] + [
+        f"    {c} at input {json.dumps(value_to_json(x))}:"
+        f" expected {outcome_to_text(e)}, got {outcome_to_text(g)}"
+        for c, x, e, g in m.failures[:3]
+    ]
 
 
 def render_text(name: str, check: str, reports: list, aggregate: Verdict) -> str:
-    doc = scenario_to_json(name, check, reports, aggregate)
-    lines = [f"scenario: {doc['scenario']}", f"check: {doc['check']}"]
-    for r in doc["reports"]:
-        lines += ["", _claim_line(r["claim"]), f"verdict: {r['aggregate']}"]
-        for m in r["members"]:
-            lines.append(_render_member_line(m))
-            for f in m["failures"][:3]:
-                lines.append(
-                    f"    {f['candidate']} at input {json.dumps(f['input'])}:"
-                    f" expected {outcome_to_text(f['expected'])}, got {outcome_to_text(f['got'])}"
-                )
-        stats = r["stats"]
+    """The reports for a reader: the same fields as ``render_structured``
+    writes, but at most three failures per member."""
+    lines = [f"scenario: {name}", f"check: {check}"]
+    for r in reports:
+        lines += ["", _claim_line(r.claim), f"verdict: {r.aggregate.value}"]
+        for m in r.members:
+            lines += _member_lines(m)
+        s = r.stats
         lines.append(
-            f"stats: {stats['inputs']} inputs, {stats['evaluations']} evaluations,"
-            f" {stats['fuel_spent']} fuel spent"
+            f"stats: {s.inputs} inputs, {s.evaluations} evaluations, {s.fuel_spent} fuel spent"
         )
-        lines += [f"note: {note}" for note in r["notes"]]
-    lines += ["", f"aggregate: {doc['aggregate']}"]
+        lines += [f"note: {note}" for note in r.notes]
+    lines += ["", f"aggregate: {aggregate.value}"]
     return "\n".join(lines) + "\n"
 
 
@@ -843,16 +779,10 @@ def _cmd_run(args) -> int:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}")
     inputs = _parse_inputs_flag(args.inputs) if args.inputs else None
-    name, check, reports = run_scenario(
-        doc, path.parent, fuel=args.fuel, inputs=inputs, seed=args.seed
-    )
-    combine = probe_verdict if check == "probe" else combine_verdicts
-    aggregate = combine(r.aggregate for r in reports)
-    if args.format == "structured":
-        sys.stdout.write(render_structured(name, check, reports, aggregate))
-    else:
-        sys.stdout.write(render_text(name, check, reports, aggregate))
-    return _EXIT_BY_VERDICT[aggregate]
+    document = run_scenario(doc, path.parent, fuel=args.fuel, inputs=inputs, seed=args.seed)
+    render = render_structured if args.format == "structured" else render_text
+    sys.stdout.write(render(*document))
+    return _EXIT_BY_VERDICT[document[3]]
 
 
 def _tri_cycles(prefix: int) -> str:
@@ -949,7 +879,7 @@ def _cmd_exec(args) -> int:
     parse, to_map, domain = _MACHINES[lang]
     program = to_map(parse(_read_text(path), name=path.stem))
     out = apply(program, _parse_value(args.input, domain), args.fuel)
-    print(outcome_to_text(outcome_to_json(out)))
+    print(outcome_to_text(out))
     if isinstance(out, Converged):
         return EXIT_VERIFIED
     if isinstance(out, Diverged):

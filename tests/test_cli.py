@@ -26,11 +26,11 @@ from powerlab.cli import (
     json_to_value,
     main,
     render_structured,
+    render_text,
     run_scenario,
-    scenario_to_json,
     value_to_json,
 )
-from powerlab.core import FUEL_EXHAUSTED, Converged, Diverged, Domain
+from powerlab.core import FUEL_EXHAUSTED, Converged, Diverged, Domain, FuelExhausted
 from powerlab.simcheck import (
     CandidateFailure,
     Claim,
@@ -38,8 +38,6 @@ from powerlab.simcheck import (
     SimReport,
     Stats,
     Verdict,
-    combine_verdicts,
-    probe_verdict,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -366,9 +364,9 @@ def test_image_construction_through_run_scenario(tmp_path):
         "encoding": {"scheme": "stripe", "d": 3, "r": 0},
         "plan": {"inputs": {"range": [0, 20]}, "fuel": 10000},
     }
-    name, check, reports = run_scenario(doc, tmp_path)
+    name, check, reports, aggregate = run_scenario(doc, tmp_path)
     assert name == "image-demo" and check == "simulation"
-    assert reports[0].aggregate.value == "verified"
+    assert reports[0].aggregate.value == "verified" and aggregate is Verdict.VERIFIED
 
 
 def test_self_referential_image_is_rejected(tmp_path):
@@ -445,7 +443,7 @@ def test_machine_members_from_inline_lines(tmp_path):
         "encoding": {"scheme": "identity"},
         "plan": {"inputs": {"range": [0, 12]}, "fuel": 10000},
     }
-    name, check, reports = run_scenario(doc, tmp_path)
+    name, check, reports, aggregate = run_scenario(doc, tmp_path)
     assert reports[0].aggregate.value == "verified"
     assert reports[0].members[0].witness == "bump"
 
@@ -684,12 +682,122 @@ def _documents(draw):
     return draw(text), draw(text), draw(st.lists(report, max_size=3)), draw(st.sampled_from(Verdict))
 
 
+def _outcome_document(out):
+    if isinstance(out, Converged):
+        return {"status": "converged", "value": value_to_json(out.value)}
+    if isinstance(out, Diverged):
+        return {"status": "diverged"}
+    if isinstance(out, FuelExhausted):
+        return {"status": "fuel-exhausted"}
+    raise TypeError(out)
+
+
+def _reference_document(name, check, reports, aggregate):
+    """The document whose ``json.dumps(doc, sort_keys=True, indent=2)``
+    bytes, and a line break, ``render_structured`` writes."""
+    return {
+        "scenario": name,
+        "check": check,
+        "aggregate": aggregate.value,
+        "reports": [
+            {
+                "claim": {
+                    "kind": r.claim.kind,
+                    "left": r.claim.left,
+                    "right": r.claim.right,
+                    "encoding": r.claim.encoding,
+                    "mode": r.claim.mode,
+                },
+                "aggregate": r.aggregate.value,
+                "members": [
+                    {
+                        "member": m.member,
+                        "verdict": m.verdict.value,
+                        "witness": m.witness,
+                        "undecided_inputs": m.undecided_inputs,
+                        "failures": [
+                            {
+                                "candidate": f.candidate,
+                                "input": value_to_json(f.input),
+                                "expected": _outcome_document(f.expected),
+                                "got": _outcome_document(f.got),
+                            }
+                            for f in m.failures
+                        ],
+                    }
+                    for m in r.members
+                ],
+                "stats": {
+                    "inputs": r.stats.inputs,
+                    "evaluations": r.stats.evaluations,
+                    "fuel_spent": r.stats.fuel_spent,
+                },
+                "notes": list(r.notes),
+            }
+            for r in reports
+        ],
+    }
+
+
+def _reference_outcome_text(out):
+    if out["status"] == "converged":
+        return f"converged: {json.dumps(out['value'])}"
+    if out["status"] == "diverged":
+        return "diverged"
+    return "fuel exhausted"
+
+
+def _reference_text(doc):
+    """``--format text`` read from the structured document ``doc``."""
+    lines = [f"scenario: {doc['scenario']}", f"check: {doc['check']}"]
+    for r in doc["reports"]:
+        claim = r["claim"]
+        if claim["mode"]:
+            lines += ["", f"claim: {claim['left']} and {claim['right']} are equivalent"
+                          f" via {claim['encoding']} ({claim['mode']})"]
+        elif claim["kind"] == "closure":
+            lines += ["", f"claim: {claim['left']} is closed under composition"]
+        else:
+            lines += ["", f"claim: {claim['left']} simulates {claim['right']} via {claim['encoding']}"]
+        lines.append(f"verdict: {r['aggregate']}")
+        for m in r["members"]:
+            bits = [f"  {m['member']}: {m['verdict']}"]
+            if m["witness"] is not None:
+                bits.append(f"witness {m['witness']}")
+            if m["undecided_inputs"]:
+                bits.append(f"{m['undecided_inputs']} undecided inputs")
+            lines.append(", ".join(bits))
+            for f in m["failures"][:3]:
+                lines.append(
+                    f"    {f['candidate']} at input {json.dumps(f['input'])}: expected"
+                    f" {_reference_outcome_text(f['expected'])}, got {_reference_outcome_text(f['got'])}"
+                )
+        stats = r["stats"]
+        lines.append(
+            f"stats: {stats['inputs']} inputs, {stats['evaluations']} evaluations,"
+            f" {stats['fuel_spent']} fuel spent"
+        )
+        lines += [f"note: {note}" for note in r["notes"]]
+    lines += ["", f"aggregate: {doc['aggregate']}"]
+    return "\n".join(lines) + "\n"
+
+
+def _assert_text_reads_the_structured_document(document):
+    assert render_text(*document) == _reference_text(json.loads(render_structured(*document)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(_documents())
 def test_structured_output_of_generated_reports_matches_json_dumps(document):
     name, check, reports, aggregate = document
-    expected = json.dumps(scenario_to_json(name, check, reports, aggregate), sort_keys=True, indent=2)
+    expected = json.dumps(_reference_document(name, check, reports, aggregate), sort_keys=True, indent=2)
     assert render_structured(name, check, reports, aggregate) == expected + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(_documents())
+def test_text_output_of_generated_reports_reads_the_structured_document(document):
+    _assert_text_reads_the_structured_document(document)
 
 
 def _one_member_document(failures):
@@ -698,55 +806,49 @@ def _one_member_document(failures):
     return "odd", "simulation", [report], Verdict.REFUTED
 
 
+# a Python map may return anything: the report says what json would
+_OUT_OF_DOMAIN = (True, None, 1.5, [1, (2, ())], -3)
+
+
 def test_structured_output_outside_the_domains_is_json_dumps_or_its_type_error():
-    # a Python map may return anything: the report says what json would
-    values = (True, None, 1.5, [1, (2, ())], -3)
+    values = _OUT_OF_DOMAIN
     document = _one_member_document(CandidateFailure("f", v, Converged(v), FUEL_EXHAUSTED) for v in values)
-    expected = json.dumps(scenario_to_json(*document), sort_keys=True, indent=2) + "\n"
+    expected = json.dumps(_reference_document(*document), sort_keys=True, indent=2) + "\n"
     assert render_structured(*document) == expected
     # and what json cannot write, or an unknown outcome, is a TypeError
     for bad in (CandidateFailure("f", object(), FUEL_EXHAUSTED, FUEL_EXHAUSTED),
                 CandidateFailure("f", 0, "converged", FUEL_EXHAUSTED)):
         document = _one_member_document([bad])
         with pytest.raises(TypeError):
-            json.dumps(scenario_to_json(*document), sort_keys=True, indent=2)
+            json.dumps(_reference_document(*document), sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             render_structured(*document)
+
+
+def test_text_output_outside_the_domains_reads_the_structured_document():
+    failures = [CandidateFailure("f", v, Converged(v), FUEL_EXHAUSTED) for v in _OUT_OF_DOMAIN]
+    # all of them, of which the text shows the first three, then each alone
+    for shown in [failures] + [[f] for f in failures]:
+        _assert_text_reads_the_structured_document(_one_member_document(shown))
 
 
 def _bundled_document(name):
     """A bundled scenario's name, check, reports and aggregate, as ``run``
     computes them."""
     path = SCENARIOS / f"{name}.json"
-    name, check, reports = run_scenario(json.loads(path.read_text()), path.parent)
-    combine = probe_verdict if check == "probe" else combine_verdicts
-    return name, check, reports, combine(r.aggregate for r in reports)
+    return run_scenario(json.loads(path.read_text()), path.parent)
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_structured_output_of_a_bundled_scenario_matches_json_dumps(name):
     document = _bundled_document(name)
-    expected = json.dumps(scenario_to_json(*document), sort_keys=True, indent=2) + "\n"
+    expected = json.dumps(_reference_document(*document), sort_keys=True, indent=2) + "\n"
     assert render_structured(*document) == expected
 
 
-def _failure_outcomes(reports, get):
-    return [
-        get(f, side)
-        for r in reports
-        for m in get(r, "members")
-        for f in get(m, "failures")
-        for side in ("expected", "got")
-    ]
-
-
-def test_a_document_holds_one_dict_per_outcome_object():
-    name, check, reports, aggregate = _bundled_document("probe_stripes")
-    doc = scenario_to_json(name, check, reports, aggregate)
-    outcomes = _failure_outcomes(reports, getattr)
-    dicts = _failure_outcomes(doc["reports"], dict.__getitem__)
-    assert len({id(o) for o in outcomes}) < len(outcomes)
-    assert len({id(d) for d in dicts}) == len({id(o) for o in outcomes})
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_text_output_of_a_bundled_scenario_reads_the_structured_document(name):
+    _assert_text_reads_the_structured_document(_bundled_document(name))
 
 
 def test_a_file_that_is_not_utf8_exits_naming_its_path(capsys, tmp_path):
