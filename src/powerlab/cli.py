@@ -343,7 +343,8 @@ _SIZE = Field(int, lo=0, hi=MAX_MODEL_MEMBERS)
 
 # Every builtin construction, and every model kind: its fields, and how to
 # build it from them, the model's description for messages, the scenario's
-# directory and seed, and ``get``, which builds a model of the scenario by key.
+# directory and seed, ``get``, which builds a model of the scenario by key,
+# and (model kinds only) the pairs that ``_construction_model`` keeps.
 _CONSTRUCTIONS = {
     "rec-suite": ({}, lambda f, *_: rec_suite_model(f["name"])),
     "stripe": (_STRIPE, lambda f, *_: stripe_model(f["d"], f["r"], name=f["name"])),
@@ -372,11 +373,18 @@ _CONSTRUCTIONS = {
 }
 
 
-def _construction_model(f: dict, where: str, *context) -> Model:
+def _construction_model(f: dict, where: str, base_dir: Path, seed: int, get, pairs: dict) -> Model:
+    """A construction's model.  A pair construction is built once per
+    scenario for its fields other than ``role``, and kept in ``pairs``, so
+    its two roles share their member objects."""
     table, build = _CONSTRUCTIONS[f["construction"]]
     f = _fields(f, table, where)
-    built = build(f, where, *context)
-    return built[table["role"].type[f["role"]]] if "role" in table else built
+    if "role" not in table:
+        return build(f, where, base_dir, seed, get)
+    key = (f["construction"], repr([f[k] for k in table if k != "role"]))
+    if key not in pairs:
+        pairs[key] = build(f, where, base_dir, seed, get)
+    return pairs[key][table["role"].type[f["role"]]]
 
 
 _MEMBERS = {"members": Field(list)}
@@ -447,6 +455,7 @@ _MODEL = {"kind": Field(_MODEL_KINDS), "name": Field(str, None)}
 def build_models(doc: dict, base_dir: Path, seed: int):
     specs = _fields(doc, _SCENARIO, "scenario")["models"]
     built: dict = {}
+    pairs: dict = {}
     in_progress: set = set()
 
     def get(key: str) -> Model:
@@ -459,7 +468,7 @@ def build_models(doc: dict, base_dir: Path, seed: int):
             where = f"model {key!r}"
             f = _fields(specs[key], _MODEL, where, name=key)
             table, build = _MODEL_KINDS[f["kind"]]
-            built[key] = build(_fields(f, table, where), where, base_dir, seed, get)
+            built[key] = build(_fields(f, table, where), where, base_dir, seed, get, pairs)
             in_progress.discard(key)
         return built[key]
 

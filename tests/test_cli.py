@@ -22,6 +22,7 @@ from powerlab.cli import (
     MAX_TRI_PREFIX,
     ScenarioError,
     build_encoding,
+    build_models,
     build_plan,
     json_to_value,
     main,
@@ -423,6 +424,17 @@ def test_names_that_are_not_strings_are_unknown(model, encoding, message, tmp_pa
     with pytest.raises(ScenarioError) as info:
         run_scenario(doc, tmp_path)
     assert str(info.value) == message
+
+
+def test_the_roles_of_one_pair_construction_share_their_members(tmp_path):
+    tri = {"kind": "builtin-construction", "construction": "tri"}
+    get = build_models(_mistyped(models={
+        "a": {**tri, "role": "with-anchors"}, "b": {**tri, "role": "plain", "k_max": 5},
+        "c": {**tri, "role": "plain", "k_max": 6},
+    }), tmp_path, 0)
+    anchored = set(map(id, get("a").members))
+    assert set(map(id, get("b").members)) < anchored
+    assert not set(map(id, get("c").members)) & anchored
 
 
 def test_machine_members_from_inline_lines(tmp_path):

@@ -36,7 +36,7 @@ GOLDEN_SHA256 = {
     "re_parity": "9a8914bfb1eafeb39c6feb685540e5a56a4b04c934a98071cd2ba490fd076d7b",
     "tm_rec_equivalence": "4607aed3314cf57628ac0813284f9e7b49b9a6d38cbfecd58d329fa9b91a3d3b",
     "tm_successor_witness": "0a601aa78ce1aaf7065b1d94eb26015aa9af2ffb67e04e838c5208f3d82554b9",
-    "triangular_anomaly": "6be54808bccdbdb8ef98c3bbe3698adb86a2146dd37e69719023867099d7be49",
+    "triangular_anomaly": "ab65a0a916bac80d52423066fec526cf5a39cc2dbe2c47439d30d5cba0773151",
     "unknown_low_fuel": "ae86c26bda259298731b9d5478c7258b66666967639d631ecbe0e7e9c379b7cc",
 }
 
@@ -52,7 +52,7 @@ TEXT_GOLDEN_SHA256 = {
     "re_parity": "e3fb49c4ba9f7b6b50308b0514398099555d89f5ce9b62106daad04a9c4dd859",
     "tm_rec_equivalence": "94dd318e6a7ad49d6e2969daafd3e314fe636a71999b79c5215ecd3c261fb276",
     "tm_successor_witness": "ceb30146c28728b848397fad957a633964c9e4ca5374afd44df22bd502839075",
-    "triangular_anomaly": "9fc1b4c1b72ae5ba76054204936cfdbcb64e71e6841d6a63cec74e4414374277",
+    "triangular_anomaly": "ab71791bfbb589d5b28d93934b305979d7fd62d6cb6c8f1503b01784a433d695",
     "unknown_low_fuel": "62b50a3907786e58f97d553168bd1eafbac055f6828fa3e8c438e6b29e5f5113",
 }
 
