@@ -749,8 +749,7 @@ def _member_lines(m: MemberResult) -> list:
 
 
 def render_text(name: str, check: str, reports: list, aggregate: Verdict) -> str:
-    """The reports for a reader: the same fields as ``render_structured``
-    writes, but at most three failures per member."""
+    """The reports for a reader, with at most three failures per member."""
     lines = [f"scenario: {name}", f"check: {check}"]
     for r in reports:
         lines += ["", _claim_line(r.claim), f"verdict: {r.aggregate.value}"]

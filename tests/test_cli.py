@@ -819,12 +819,13 @@ def _one_member_document(failures):
 
 
 # a Python map may return anything: the report says what json would
-_OUT_OF_DOMAIN = (True, None, 1.5, [1, (2, ())], -3)
+_OUT_OF_DOMAIN_FAILURES = tuple(
+    CandidateFailure("f", v, Converged(v), FUEL_EXHAUSTED) for v in (True, None, 1.5, [1, (2, ())], -3)
+)
 
 
 def test_structured_output_outside_the_domains_is_json_dumps_or_its_type_error():
-    values = _OUT_OF_DOMAIN
-    document = _one_member_document(CandidateFailure("f", v, Converged(v), FUEL_EXHAUSTED) for v in values)
+    document = _one_member_document(_OUT_OF_DOMAIN_FAILURES)
     expected = json.dumps(_reference_document(*document), sort_keys=True, indent=2) + "\n"
     assert render_structured(*document) == expected
     # and what json cannot write, or an unknown outcome, is a TypeError
@@ -838,9 +839,8 @@ def test_structured_output_outside_the_domains_is_json_dumps_or_its_type_error()
 
 
 def test_text_output_outside_the_domains_reads_the_structured_document():
-    failures = [CandidateFailure("f", v, Converged(v), FUEL_EXHAUSTED) for v in _OUT_OF_DOMAIN]
     # all of them, of which the text shows the first three, then each alone
-    for shown in [failures] + [[f] for f in failures]:
+    for shown in [_OUT_OF_DOMAIN_FAILURES, *([f] for f in _OUT_OF_DOMAIN_FAILURES)]:
         _assert_text_reads_the_structured_document(_one_member_document(shown))
 
 
