@@ -248,7 +248,14 @@ def parse_term(text: str) -> Term:
 _ATOMS = {"Z": Z, "S": S, "I": Id, "ACK": Ack}
 
 
+def _end(toks) -> int:
+    """The position just past the last token."""
+    return len(toks[-1][0]) + toks[-1][1]
+
+
 def _parse_at(toks, ix) -> tuple[Term, int]:
+    if ix == len(toks):
+        raise ParseError("expected a term", _end(toks))
     tok, pos = toks[ix]
     if tok in _ATOMS:
         return _ATOMS[tok](), ix + 1
@@ -273,7 +280,7 @@ def _parse_at(toks, ix) -> tuple[Term, int]:
             g, ix = _parse_at(toks, ix)
             gs.append(g)
         if ix == len(toks):
-            raise ParseError("expected ')'", len(toks[-1][0]) + toks[-1][1])
+            raise ParseError("expected ')'", _end(toks))
         term = Comp(f, tuple(gs))
     elif head == "R":
         base, ix = _parse_at(toks, ix)
@@ -285,7 +292,7 @@ def _parse_at(toks, ix) -> tuple[Term, int]:
     else:
         raise ParseError(f"unknown form {head!r}", hpos)
     if ix == len(toks) or toks[ix][0] != ")":
-        where = toks[ix][1] if ix < len(toks) else len(toks[-1][0]) + toks[-1][1]
+        where = toks[ix][1] if ix < len(toks) else _end(toks)
         raise ParseError("expected ')'", where)
     return term, ix + 1
 
@@ -346,27 +353,48 @@ def classify(t: Term) -> TermClass:
 #   neither.
 # - ``at`` maps some positions p in ``deps`` to the term's summary at p, a
 #   function called like ``run`` that returns the value and a family.  A
-#   family ``(m, d, be)`` with m 0 or 1 says: on every argument tuple that
-#   differs from this one only at p, holding x there, the value is
-#   ``max(m*x + d, 0)`` and ``run`` charges ``u + be*x``, where u is what
-#   this call charged less ``be`` times its own argument at p.  A family
-#   of None says nothing more; the value is still exact and fully paid.
+#   family ``(m, d, b1, b2, lo, hi)`` of integers (hi may be ``_INF``)
+#   says: on every argument tuple that differs from this one only at p,
+#   holding x there with lo <= x <= hi, the value is ``max(m*x + d, 0)``
+#   and ``run`` charges ``u + b1*x + b2*C(x)``, where ``C(x)`` is
+#   x(x-1)/2 and u is what this call charged less those two terms at its
+#   own argument at p, which the range always holds.  A family of None
+#   says nothing more; the value is still exact and fully paid.
 #   ``_summary`` gives a summary at every position outside ``deps`` too.
 #
 # Summaries are built bottom-up from leaves, compositions in which the
 # outer term reads at most one inner term that moves with p, and
 # recursions, both at a leading argument the step ignores and at the
-# recursion argument.  They make a recursion's loop closed-form when its
-# step has a family at the accumulator and ignores the counter, or has
-# one at the counter and ignores the accumulator: the loop runs one real
-# iteration and charges the rest of the exact total at once, which with
-# the accumulator is an arithmetic series split where it reaches 0.  Any
-# other loop runs every iteration.
+# recursion argument.  Where the outer term of a composition can see the
+# inner term's truncation at 0, the range keeps to p's side of it.  A
+# recursion's loop is closed-form when its step has a family of slope 0
+# or 1 at the accumulator and ignores the counter, or has one at the
+# counter and ignores the accumulator, and the iterations stay in its
+# range: the loop runs one real iteration and charges the rest of the
+# exact total at once, a quadratic summed over an arithmetic series
+# (``_series``) that the accumulator follows until it reaches 0.  At the
+# recursion argument such a loop has slope d when its accumulator moves
+# by d: ``mult(k, y)`` has slope k and ``monus(a, y)`` slope -1, with
+# fuel quadratic in y until the accumulator reaches 0.  Any other loop
+# runs every iteration.
 #
-# Every charge is part of the node-by-node total that a converging
+# A search reads its body's summary at the search argument from probe 1
+# on; probe 0 runs no loop iteration, so it shows no family.  Every later
+# probe the family proves nonzero, up to the root ceil(d / -m) when
+# m < 0 and within the range, is charged at once, a cubic sum, and the
+# next probe runs for real.  A family with m >= 0 on an unbounded range
+# proves that no probe will ever succeed, and the search spends the rest
+# of its budget at once.
+#
+# Every other charge is part of the node-by-node total that a converging
 # evaluation spends, so a run spends exactly that total and exhausts
 # exactly when the total exceeds the budget, at once when one charge
 # does.
+
+_INF = float("inf")
+_SUCC = (1, 1, 0, 0, 0, _INF)
+_IDENTITY = (1, 0, 0, 0, 0, _INF)
+_STILL = (0, 0, 0, 0, 0, _INF)  # no inner term moves the outer term's input
 
 
 def _code(t: Term) -> tuple:
@@ -403,11 +431,11 @@ def _compile(t: Term) -> tuple:
     if tt is Mu:
         return _compile_mu(t)
     if tt is S:
-        at = {0: lambda a, fuel: (a[0] + 1, (1, 1, 0))}
+        at = {0: lambda a, fuel: (a[0] + 1, _SUCC)}
         return 1, lambda a, fuel: a[0] + 1, frozenset((0,)), at
     if tt is Proj or tt is Id:
         i = t.i - 1 if tt is Proj else 0
-        at = {i: lambda a, fuel: (a[i], (1, 0, 0))}
+        at = {i: lambda a, fuel: (a[i], _IDENTITY)}
         return 1, lambda a, fuel: a[i], frozenset((i,)), at
     if tt is Z:
         return 1, _zero, frozenset(), {}
@@ -424,7 +452,7 @@ def _constant(run):
 
     def at(a, fuel):
         v = run(a, fuel)
-        return v, (0, v, 0)
+        return v, (0, v, 0, 0, 0, _INF)
 
     return at
 
@@ -434,18 +462,48 @@ def _summary(code: tuple, p: int):
     return code[3].get(p) if p in code[2] else _constant(code[1])
 
 
-def _then(v, inner: tuple, outer: tuple):
-    """The family of a composition with value v, from the family of the
-    one inner term that moves, at p, and the outer term's family at the
-    position that inner term feeds; None when the inner term's
-    truncation at 0 would show through the outer term's value or fuel."""
-    m, d, be = inner
+def _series(v: int, d: int, n: int, b1: int, b2: int) -> int:
+    """The sum of ``b1*x + b2*C(x)`` over x = v, v + d, ..., n terms."""
+    s1 = n * (n - 1) // 2
+    total = b1 * (n * v + d * s1)
+    if b2:
+        s2 = (n - 1) * n * (2 * n - 1) // 6
+        total += b2 * (n * (v * (v - 1) // 2) + v * d * s1 + (d * d * s2 - d * s1) // 2)
+    return total
+
+
+def _then(x: int, v, inner: tuple, outer: tuple) -> tuple:
+    """The family at x of a composition with value v, from the family of
+    the one inner term that moves, at p, and the outer term's family at
+    the position that inner term feeds."""
+    m, d, b1, b2, lo, hi = inner
     if not m:
-        return 0, v, be
-    om, od, obe = outer
-    if d < 0 and (obe or om and od > 0):
-        return None
-    return om, od + d if om else v, be + obe
+        return 0, v, b1, b2, lo, hi
+    om, od, o1, o2, olo, ohi = outer
+    if (m < 0 or d < 0 or olo or ohi < _INF) and (
+        o1 or o2 or olo or ohi < _INF or om < 0 or om and od > 0
+    ):
+        # the outer term can see the inner term's truncation at 0, or
+        # its range ends
+        if m * x + d < 0:
+            # x is where the inner term is 0, and it stays 0 up to the range's end
+            if m > 0:
+                return 0, v, b1, b2, lo, min(hi, -d // m)
+            return 0, v, b1, b2, max(lo, -(d // m)), hi
+        # keep the inner values m*x + d within the outer range
+        if m > 0:
+            lo = max(lo, -((d - olo) // m))
+            if ohi < _INF:
+                hi = min(hi, (ohi - d) // m)
+        else:
+            hi = min(hi, (d - olo) // -m)
+            if ohi < _INF:
+                lo = max(lo, -((ohi - d) // -m))
+    if o2:
+        # C(m*x + d) = m*m*C(x) + (C(m) + m*d)*x + C(d)
+        b1 += o2 * (m * (m - 1) // 2 + m * d)
+        b2 += o2 * m * m
+    return om * m, om * d + od if om else v, b1 + o1 * m, b2, lo, hi
 
 
 def _compile_comp(t: Comp) -> tuple:
@@ -476,11 +534,11 @@ def _compile_comp(t: Comp) -> tuple:
         outer = _summary(fcode, fed) if read else _constant(f)
         inner = {j: codes[j][3].get(p) for j in js}
         if outer is not None and None not in inner.values():
-            at[p] = _comp_at(f, gs, inner, fed, outer)
+            at[p] = _comp_at(f, gs, inner, fed, outer, p)
     return cost, run, deps, at
 
 
-def _comp_at(f, gs, inner: dict, fed: int, outer):
+def _comp_at(f, gs, inner: dict, fed: int, outer, p: int):
     """A composition's summary at p: ``inner`` maps each inner term that
     moves with p to its summary there, ``fed`` is the one of them the
     outer term reads (-1 for none), and ``outer`` the outer term's
@@ -489,8 +547,8 @@ def _comp_at(f, gs, inner: dict, fed: int, outer):
     def at(a, fuel):
         vals = []
         ok = True
-        fam = (0, 0, 0)
-        be = 0
+        fam = _STILL
+        rest = None  # the summed family of the inner terms the outer one ignores
         for j, g in enumerate(gs):
             s = inner.get(j) if ok else None
             if s is None:
@@ -502,15 +560,23 @@ def _comp_at(f, gs, inner: dict, fed: int, outer):
                 ok = False
             elif j == fed:
                 fam = gf
-            else:
-                be += gf[2]
+            elif gf[2] or gf[3] or gf[4] or gf[5] < _INF:
+                # an inner term the outer one ignores adds only its fuel
+                # and its range
+                if rest is not None:
+                    _, _, b1, b2, lo, hi = rest
+                    gf = 0, 0, b1 + gf[2], b2 + gf[3], max(lo, gf[4]), min(hi, gf[5])
+                rest = gf
         if not ok:
             return f(tuple(vals), fuel), None
         v, of = outer(tuple(vals), fuel)
         if of is None:
             return v, None
-        fam = _then(v, fam, of)
-        return v, fam and (fam[0], fam[1], fam[2] + be)
+        fam = _then(a[p], v, fam, of)
+        if rest is None:
+            return v, fam
+        m, d, b1, b2, lo, hi = fam
+        return v, (m, d, b1 + rest[2], b2 + rest[3], max(lo, rest[4]), min(hi, rest[5]))
 
     return at
 
@@ -528,21 +594,36 @@ def _compile_rec(t: PrimRec) -> tuple:
         """``y`` >= 1 iterations from ``acc``, their static cost paid:
         the value, and when they ran in closed form also the step's
         family (at the accumulator if ``on_acc`` is set, else at the
-        counter) and its fuel at 0 there, else None and 0."""
+        counter) and its u, else None and 0."""
         if on_acc is not None:
             left = fuel.left
             v, fam = on_acc(xs + (acc, 0), fuel)
-            if fam is not None:
-                m, d, be = fam
-                u = left - fuel.left - be * acc
+            if fam is not None and 0 <= fam[0] <= 1:
+                m, d, b1, b2, lo, hi = fam
+                u = left - fuel.left - b1 * acc
+                if b2:
+                    u -= b2 * (acc * (acc - 1) // 2)
                 # the other y - 1 iterations see accumulators running
-                # from v by d while positive, then 0
+                # from v by d while positive, then 0, all in the range
                 n = y - 1
                 if not m:
                     d = 0
-                pos = n if d >= 0 else min(n, -(v // d))
-                fuel.charge(n * u + be * (pos * v + d * pos * (pos - 1) // 2))
-                return max(v + n * d, 0), fam, u
+                if d >= 0:
+                    pos = n
+                    ok = lo <= v and v + (n - 1) * d <= hi
+                else:
+                    pos = -(v // d)
+                    if pos >= n:
+                        pos = n
+                        ok = lo <= v + (n - 1) * d
+                    else:
+                        ok = not lo
+                if ok:
+                    cost = n * u + b1 * (pos * v + d * (pos * (pos - 1) // 2))
+                    if b2:
+                        cost += _series(v, d, pos, 0, b2)
+                    fuel.charge(cost)
+                    return max(v + n * d, 0), fam, u
             if v == acc:
                 # the step left the accumulator as it found it, so each
                 # of the other y - 1 iterations repeats this one
@@ -556,13 +637,15 @@ def _compile_rec(t: PrimRec) -> tuple:
             n = y - 1
             left = fuel.left
             v, fam = on_ctr(xs + (acc, n), fuel)
-            if fam is None:
+            if fam is None or fam[4]:
                 for c in range(n):
                     step(xs + (acc, c), fuel)
                 return v, None, 0
-            be = fam[2]
-            u = left - fuel.left - be * n
-            fuel.charge(n * u + be * n * (n - 1) // 2)
+            b1, b2 = fam[2], fam[3]
+            c2 = n * (n - 1) // 2
+            u = left - fuel.left - b1 * n - b2 * c2
+            # over counters c < n, c sums to C(n) and C(c) to C(n)(n-2)/3
+            fuel.charge(n * u + b1 * c2 + b2 * (c2 * (n - 2) // 3))
             return v, fam, u
         else:
             first = 0
@@ -580,8 +663,7 @@ def _compile_rec(t: PrimRec) -> tuple:
         return acc
 
     def at_counter(a, fuel):
-        # the value and fuel as y moves: affine while the accumulator
-        # steps by 0 or 1 and its fuel does not grow with it
+        # the value and fuel as y moves, from the loop's closed form
         xs = a[:-1]
         y = a[-1]
         acc = base(xs, fuel)
@@ -591,24 +673,43 @@ def _compile_rec(t: PrimRec) -> tuple:
         v, fam, u = loop(xs, acc, y, fuel)
         if fam is None:
             return v, None
-        m, d, be = fam
-        if on_acc is not None:
-            rise = max(m * acc + d, 0) - acc
-            if rise == 0 or rise == 1 and m and not be:
-                return v, (rise, acc, scost + u + be * acc)
-        elif not be and max(d - m, 0) == acc:
-            return v, (m, d - m, scost + u)
-        return v, None
+        m, d, b1, b2, lo, hi = fam
+        if on_acc is None:
+            # the value is the step's at counter y - 1; counters below
+            # it add C(y) times the step's slope in fuel
+            if b2:
+                return v, None
+            return v, (m, d - m, scost + u, b1, 0 if max(d - m, 0) == acc else 1, hi + 1)
+        if not m:
+            # every iteration after the first sees the accumulator v,
+            # which the loop found in the range
+            fuel_v = u + b1 * v + b2 * (v * (v - 1) // 2)
+            return v, (0, v, scost + fuel_v, 0, 0 if v == acc else 1, _INF)
+        # the accumulator moves by d: y iterations see acc + i*d for
+        # i < y while in the step's range, and in fuel only above 0
+        if b2 and d:
+            return v, None
+        top = _INF
+        if d > 0 and hi < _INF:
+            top = (hi - acc) // d + 1
+        elif d < 0 and (b1 or b2 or lo):
+            top = (acc - lo) // -d + 1
+        if y <= top:
+            fuel_acc = u + b1 * acc + b2 * (acc * (acc - 1) // 2)
+            return v, (d, acc, scost + fuel_acc, b1 * d, 0, top)
+        # the loop kept to the range, so d < 0 and lo is 0: y is past
+        # the iteration where the accumulator reached 0
+        return v, (0, 0, scost + u, 0, -(acc // d), _INF)
 
     at = {k: at_counter}
     for p in bdeps:
         if p not in sdeps and p in bat:
-            at[p] = _rec_at(bat[p], on_acc, loop, scost)
+            at[p] = _rec_at(bat[p], on_acc, loop, scost, p)
     return 1 + bcost, run, deps, at
 
 
-def _rec_at(based, on_acc, loop, scost: int):
-    """A recursion's summary at a leading argument its step ignores:
+def _rec_at(based, on_acc, loop, scost: int, p: int):
+    """A recursion's summary at a leading argument p its step ignores:
     ``based`` is the base's summary there, ``loop`` the recursion's."""
 
     def at(a, fuel):
@@ -621,24 +722,61 @@ def _rec_at(based, on_acc, loop, scost: int):
         v, fam, _ = loop(xs, acc, y, fuel)
         if fam is None or bf is None:
             return v, None
-        # a loop that ignores its accumulator ignores where it starts
-        m, d, be = fam if on_acc is not None else (0, 0, 0)
+        if on_acc is None:
+            # a loop that ignores its accumulator ignores where it starts
+            return v, _then(a[p], v, bf, (0, v, 0, 0, 0, _INF))
+        m, d, b1, b2, lo, hi = fam
         if not m:
-            return v, _then(v, bf, (0, v, be))
-        if d < 0 and be:
+            # only the first iteration sees where the loop starts
+            return v, _then(a[p], v, bf, (0, v, b1, b2, lo, hi))
+        # y iterations from acc see acc + i*d for i < y: each within the
+        # step's range, and in fuel only above 0
+        n = y - 1
+        if d >= 0:
+            alo, ahi = lo, hi - n * d
+        else:
+            alo, ahi = lo - n * d if b1 or b2 or lo else 0, hi
+        if not alo <= acc <= ahi:
             return v, None
-        return v, _then(v, bf, (1, y * d, y * be))
+        b1 = y * b1 + b2 * d * (y * (y - 1) // 2)
+        return v, _then(a[p], v, bf, (1, y * d, b1, y * b2, alo, ahi))
 
     return at
 
 
 def _compile_mu(t: Mu) -> tuple:
-    bcost, body, bdeps, _ = _code(t.body)
+    bcode = _code(t.body)
+    bcost, body, bdeps, _ = bcode
     probe_cost = 1 + bcost
     n = t.arity()
+    at = _summary(bcode, n)
 
     def run(a, fuel):
-        i = 0
+        fuel.charge(probe_cost)
+        if body(a + (0,), fuel) == 0:
+            return 0
+        i = 1
+        if at is not None:
+            while True:
+                fuel.charge(probe_cost)
+                left = fuel.left
+                v, fam = at(a + (i,), fuel)
+                if v == 0:
+                    return i
+                if fam is None:
+                    i += 1
+                    break
+                m, d, b1, b2, lo, hi = fam
+                # probes i + 1 .. last are nonzero: before the root
+                # ceil(d / -m) and within the range
+                last = min(hi, -(d // m) - 1) if m < 0 else hi
+                if last == _INF:
+                    # no root at all: every budget runs out
+                    fuel.charge(fuel.left + 1)
+                u = left - fuel.left - b1 * i - b2 * (i * (i - 1) // 2)
+                k = last - i
+                fuel.charge(k * (probe_cost + u) + _series(i + 1, 1, k, b1, b2))
+                i = last + 1
         while True:
             fuel.charge(probe_cost)
             if body(a + (i,), fuel) == 0:

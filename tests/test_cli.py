@@ -181,6 +181,14 @@ def test_compile_command(capsys, tmp_path):
     assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text", ["(M", "(C", "(R", "(R Z"])
+def test_truncated_term_exits_3(text, capsys, tmp_path):
+    _assert_one_line_usage_error(main(["compile", "--term", text]), capsys)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_model_a(kind="dsl-terms", members=[{"name": "t", "term": text}])))
+    _assert_one_line_usage_error(main(["run", str(path)]), capsys)
+
+
 def test_exec_command(capsys, tmp_path):
     cm = SCENARIOS / "machines" / "add_three.cm"
     assert main(["exec", "--machine", str(cm), "--input", "4", "--fuel", "1000"]) == 0

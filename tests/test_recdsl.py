@@ -23,6 +23,7 @@ from powerlab.recdsl import (
     Z,
     _code,
     _evaluate,
+    _summary,
     _subterms,
     classify,
     compose_unary,
@@ -149,6 +150,13 @@ def test_parse_errors_carry_positions():
         parse_term("S S")
     with pytest.raises(ParseError):
         parse_term("(K -1)")
+
+
+@pytest.mark.parametrize("text,position", [("(M", 2), ("(C", 2), ("(R", 2), ("(R Z", 4), ("(C S (M  ", 7)])
+def test_truncated_forms_expect_a_term_at_the_end(text, position):
+    with pytest.raises(ParseError, match="expected a term") as e:
+        parse_term(text)
+    assert e.value.position == position
 
 
 def test_arity_validation_at_construction():
@@ -304,6 +312,10 @@ def test_fuel_matches_node_by_node_reference_on_loopy_terms(t, x):
 def test_fuel_matches_node_by_node_reference_on_suite(name, term):
     for x in range(9):
         _assert_exact_fuel(term, x)
+    if name in ("ceil-half", "floor-sqrt"):
+        # inputs of the size the suite's stripe scenarios run the searches on
+        for x in (31, 32, 63, 64):
+            _assert_exact_fuel(term, x)
 
 
 # Terms of arity 1-3 biased towards the shapes that evaluate in closed form:
@@ -320,14 +332,18 @@ class _TooBig(Exception):
 class _CappedCount(list):
     """A one-element node counter for ``ref_eval`` that raises past a limit."""
 
+    def __init__(self, limit):
+        super().__init__([0])
+        self.limit = limit
+
     def __setitem__(self, i, v):
-        if v > 50_000:
+        if v > self.limit:
             raise _TooBig
         super().__setitem__(i, v)
 
 
-def ref_cost_args(t, args):
-    cost = _CappedCount([0])
+def ref_cost_args(t, args, limit=50_000):
+    cost = _CappedCount(limit)
     value = ref_eval(t, tuple(args), cost)
     return value, cost[0]
 
@@ -494,6 +510,162 @@ def test_monus_from_zero_charges_its_iterations_exactly():
     n = 10**6
     assert _spend(MONUS, (0, n), 7 * n + 2) == (Converged(0), 7 * n + 2)
     assert _spend(MONUS, (0, n), 7 * n + 1) == (FUEL_EXHAUSTED, 7 * n + 1)
+
+
+# Searches over bodies with negative slope at the search argument: n
+# monus k*i falls to 0 at i = ceil(n / k), and for k = 3 the fuel of the
+# monus leaves its quadratic range (the accumulator reaching 0) just
+# before the root at some n.  Raw shapes of the leading argument give n.
+_search_bodies = st.builds(
+    lambda g, k: Comp(MONUS, (Comp(g, (Proj(1, 2),)), Comp(MULT, (const_of(k, 2), Proj(2, 2))))),
+    shape_terms(1, 1),
+    st.integers(1, 3),
+)
+
+
+@lru_cache(maxsize=None)
+def chains(depth=2):
+    """Unary chains of add, mult and monus with constants, whose
+    summaries have slopes of either sign, ranges that end where a monus
+    reaches 0, and fuel quadratic in the argument."""
+    leaf = st.builds(_wrap, st.just(Id()), st.lists(st.sampled_from((S(), PRED)), max_size=2))
+    if depth == 0:
+        return leaf
+    node = st.builds(
+        lambda f, k, g, order: Comp(f, (ConstK(k), g)[::order]),
+        st.sampled_from((ADD, MULT, MONUS)),
+        st.integers(0, 6),
+        chains(depth - 1),
+        st.sampled_from([1, -1]),
+    )
+    return leaf | node
+
+
+def _reading(i, n):
+    """Chains as terms of arity n that read only their i-th argument."""
+    return chains().map(lambda g: Comp(g, (Proj(i, n),)))
+
+
+# recursions of arity 2 whose step reads only the accumulator or only
+# the counter, and searches over chains of the search argument
+_chain_recs = st.builds(PrimRec, chains(1), st.sampled_from([2, 3]).flatmap(lambda i: _reading(i, 3)))
+_chain_bodies = st.builds(
+    lambda g, h: Comp(MONUS, (Comp(g, (Proj(1, 2),)), h)), shape_terms(1, 0), _reading(2, 2)
+)
+# binary outer terms fed by one shape of each argument
+_split_terms = st.builds(
+    lambda f, g, h, order: Comp(f, (Comp(g, (Proj(1, 2),)), Comp(h, (Proj(2, 2),)))[::order]),
+    st.sampled_from([f for f in _OUTER if f.arity() == 2]),
+    shape_terms(1, 1),
+    shape_terms(1, 1),
+    st.sampled_from([1, -1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_search_bodies, _chain_bodies, shape_terms(2, 1)), st.integers(0, 24))
+def test_fuel_matches_node_by_node_reference_on_searches(body, x):
+    t = Mu(body)
+    try:
+        value, cost = ref_cost_args(t, (x,), 3_000)
+    except _TooBig:
+        assume(False)
+    _assert_exact_spend(t, (x,), value, cost)
+
+
+def _binom2(x):
+    return x * (x - 1) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                shape_terms(n, 1),
+                st.lists(st.integers(0, 7), min_size=n, max_size=n),
+                st.integers(0, n - 1),
+            )
+        ),
+        st.tuples(
+            _search_bodies | _split_terms | _chain_recs | _reading(2, 2),
+            st.lists(st.integers(0, 12), min_size=2, max_size=2),
+            st.integers(0, 1),
+        ),
+    )
+)
+# x where the inner term has truncated at 0, and the outer term sees it:
+# 2 monus (5 monus x) at 2, and 5 monus x past 5
+@example((Comp(S(), (Comp(MONUS, (ConstK(2), Comp(MONUS, (ConstK(5), Id())))),)), [2], 0))
+@example((Comp(ADD, (Comp(ConstK(3), (Proj(1, 2),)), Comp(MONUS, (const_of(5, 2), Proj(2, 2))))), [0, 2], 1))
+def test_every_family_holds_across_its_range(case):
+    """A summary's family at p gives the value and the fuel, relative to
+    this argument's, at every argument in its range."""
+    t, args, p = case
+    summary = _summary(_code(t), p)
+    assume(summary is not None)
+    try:
+        value, cost = ref_cost_args(t, args, 5_000)
+    except _TooBig:
+        assume(False)
+    _assert_family_holds(t, args, p, summary, value, cost)
+
+
+def _assert_family_holds(t, args, p, summary, value, cost):
+    got, fam = summary(tuple(args), Fuel(10**9))
+    assert got == value
+    if fam is None:
+        return
+    m, d, b1, b2, lo, hi = fam
+    x0 = args[p]
+    assert lo <= x0 <= hi
+    xs = {*range(lo, min(hi, lo + 6) + 1), x0 + 1, x0 + 5}
+    if hi < 10**6:
+        xs.update(range(hi - 2, hi + 1))
+    for x in sorted(x for x in xs if lo <= x <= hi):
+        moved = args[:p] + [x] + args[p + 1 :]
+        try:
+            v, c = ref_cost_args(t, moved, 5_000)
+        except _TooBig:
+            continue
+        assert v == max(m * x + d, 0)
+        assert c - cost == b1 * (x - x0) + b2 * (_binom2(x) - _binom2(x0))
+
+
+@pytest.mark.parametrize("k,j", [(k, j) for k in range(5) for j in range(5)])
+def test_recursions_over_two_monus_steps(k, j):
+    """Steps k monus (j monus acc), then plus or monus 1: slope 1 at the
+    accumulator on a range that ends at j, quadratic fuel, and a value
+    that truncates at 0 on either side."""
+    twice = Comp(MONUS, (ConstK(k), Comp(MONUS, (ConstK(j), Id()))))
+    for chain in (twice, Comp(ADD, (ConstK(1), twice)), Comp(MONUS, (twice, ConstK(1)))):
+        t = PrimRec(Id(), Comp(chain, (Proj(2, 3),)))
+        code = _code(t)
+        for args in ([x, y] for x in range(6) for y in range(5)):
+            value, cost = ref_cost_args(t, args)
+            _assert_exact_spend(t, args, value, cost)
+            for p in (0, 1):
+                _assert_family_holds(t, args, p, _summary(code, p), value, cost)
+
+
+def _ceil_half_cost(n):
+    """The node-by-node cost of ``CEIL_HALF`` at n, cubic in n // 2."""
+    h, odd = divmod(n, 2)
+    if odd:
+        return (4 * h**3 + 51 * h * h + 161 * h + 153) // 3
+    return (4 * h**3 + 42 * h * h + 74 * h + 39) // 3
+
+
+def test_searches_stay_closed_form_on_large_inputs():
+    for n in range(60):
+        assert ref_cost(CEIL_HALF, n) == ((n + 1) // 2, _ceil_half_cost(n))
+    for n in (10**6, 10**6 + 1, 12345):
+        value, cost = (n + 1) // 2, _ceil_half_cost(n)
+        assert apply_with_cost(term_map(CEIL_HALF), n, cost) == (Converged(value), cost)
+        assert apply_with_cost(term_map(CEIL_HALF), n, cost - 1) == (FUEL_EXHAUSTED, cost - 1)
+    # body i + 1 is never 0: the whole budget goes at once, not probe by probe
+    never = Mu(Comp(S(), (Proj(2, 2),)))
+    assert apply_with_cost(term_map(never), 5, 10**15) == (FUEL_EXHAUSTED, 10**15)
 
 
 @pytest.mark.parametrize("m,top", [(0, 60), (1, 60), (2, 60), (3, 4)])
