@@ -299,7 +299,7 @@ def _parse_at(toks, ix) -> tuple[Term, int]:
 
 def _parse_int(toks, ix) -> tuple[int, int]:
     if ix == len(toks):
-        raise ParseError("expected a number", toks[-1][1])
+        raise ParseError("expected a number", _end(toks))
     tok, pos = toks[ix]
     if not tok.isdigit():
         raise ParseError(f"expected a number, got {tok!r}", pos)
@@ -358,8 +358,9 @@ def classify(t: Term) -> TermClass:
 #   holding x there with lo <= x <= hi, the value is ``max(m*x + d, 0)``
 #   and ``run`` charges ``u + b1*x + b2*C(x)``, where ``C(x)`` is
 #   x(x-1)/2 and u is what this call charged less those two terms at its
-#   own argument at p, which the range always holds.  A family of None
-#   says nothing more; the value is still exact and fully paid.
+#   own argument at p, which the range always holds; when m is 0, d is
+#   this call's value.  A family of None says nothing more; the value is
+#   still exact and fully paid.
 #   ``_summary`` gives a summary at every position outside ``deps`` too.
 #
 # Summaries are built bottom-up from leaves, compositions in which the
@@ -379,12 +380,13 @@ def classify(t: Term) -> TermClass:
 # runs every iteration.
 #
 # A search reads its body's summary at the search argument from probe 1
-# on; probe 0 runs no loop iteration, so it shows no family.  Every later
-# probe the family proves nonzero, up to the root ceil(d / -m) when
-# m < 0 and within the range, is charged at once, a cubic sum, and the
-# next probe runs for real.  A family with m >= 0 on an unbounded range
-# proves that no probe will ever succeed, and the search spends the rest
-# of its budget at once.
+# on; probe 0 runs no loop iteration, so it shows no family.  The later
+# probes within the family's range, up to the root ceil(d / -m) when
+# m < 0, are charged at once, a cubic sum, and the search returns the
+# root if the range holds it; past the range the next probe runs for
+# real.  A family with m >= 0 on an unbounded range proves that no probe
+# will ever succeed, and the search spends the rest of its budget at
+# once.
 #
 # Every other charge is part of the node-by-node total that a converging
 # evaluation spends, so a run spends exactly that total and exhausts
@@ -476,6 +478,9 @@ def _then(x: int, v, inner: tuple, outer: tuple) -> tuple:
     """The family at x of a composition with value v, from the family of
     the one inner term that moves, at p, and the outer term's family at
     the position that inner term feeds."""
+    if inner is _IDENTITY:
+        # the argument passed through (a family of m 0 has d = v)
+        return outer
     m, d, b1, b2, lo, hi = inner
     if not m:
         return 0, v, b1, b2, lo, hi
@@ -767,15 +772,18 @@ def _compile_mu(t: Mu) -> tuple:
                     i += 1
                     break
                 m, d, b1, b2, lo, hi = fam
-                # probes i + 1 .. last are nonzero: before the root
-                # ceil(d / -m) and within the range
-                last = min(hi, -(d // m) - 1) if m < 0 else hi
+                # probes i + 1 .. last follow the family: nonzero before
+                # the root ceil(d / -m), 0 at it
+                root = -(d // m) if m < 0 else _INF
+                last = min(hi, root)
                 if last == _INF:
                     # no root at all: every budget runs out
                     fuel.charge(fuel.left + 1)
                 u = left - fuel.left - b1 * i - b2 * (i * (i - 1) // 2)
                 k = last - i
                 fuel.charge(k * (probe_cost + u) + _series(i + 1, 1, k, b1, b2))
+                if last == root:
+                    return root
                 i = last + 1
         while True:
             fuel.charge(probe_cost)

@@ -152,9 +152,20 @@ def test_parse_errors_carry_positions():
         parse_term("(K -1)")
 
 
-@pytest.mark.parametrize("text,position", [("(M", 2), ("(C", 2), ("(R", 2), ("(R Z", 4), ("(C S (M  ", 7)])
-def test_truncated_forms_expect_a_term_at_the_end(text, position):
-    with pytest.raises(ParseError, match="expected a term") as e:
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("(M", "expected a term", 2),
+        ("(C", "expected a term", 2),
+        ("(R", "expected a term", 2),
+        ("(R Z", "expected a term", 4),
+        ("(C S (M  ", "expected a term", 7),
+        ("(K", "expected a number", 2),
+        ("(P 1", "expected a number", 4),
+    ],
+)
+def test_truncated_forms_fail_at_the_end(text, message, position):
+    with pytest.raises(ParseError, match=message) as e:
         parse_term(text)
     assert e.value.position == position
 
@@ -618,7 +629,7 @@ def _assert_family_holds(t, args, p, summary, value, cost):
         return
     m, d, b1, b2, lo, hi = fam
     x0 = args[p]
-    assert lo <= x0 <= hi
+    assert lo <= x0 <= hi and (m or d == value)
     xs = {*range(lo, min(hi, lo + 6) + 1), x0 + 1, x0 + 5}
     if hi < 10**6:
         xs.update(range(hi - 2, hi + 1))
