@@ -605,10 +605,15 @@ def _binom2(x):
         ),
     )
 )
-# x where the inner term has truncated at 0, and the outer term sees it:
-# 2 monus (5 monus x) at 2, and 5 monus x past 5
+# outer terms that see an inner term's truncation at 0: 2 monus (5 monus
+# x) at 2, 3 + (5 monus i) up to 5, and 3 monus x at 4 and at 5, where
+# monus's accumulator has reached 0
 @example((Comp(S(), (Comp(MONUS, (ConstK(2), Comp(MONUS, (ConstK(5), Id())))),)), [2], 0))
 @example((Comp(ADD, (Comp(ConstK(3), (Proj(1, 2),)), Comp(MONUS, (const_of(5, 2), Proj(2, 2))))), [0, 2], 1))
+@example((Comp(S(), (Comp(MONUS, (ConstK(3), Id())),)), [4], 0))
+@example((Comp(S(), (Comp(MONUS, (ConstK(3), Id())),)), [5], 0))
+# inner terms the outer one ignores, whose ranges end at 6 and at 4
+@example((Comp(Proj(1, 3), (Id(), Comp(MONUS, (ConstK(5), Id())), Comp(MONUS, (ConstK(3), Id())))), [2], 0))
 def test_every_family_holds_across_its_range(case):
     """A summary's family at p gives the value and the fuel, relative to
     this argument's, at every argument in its range."""
@@ -647,10 +652,11 @@ def _assert_family_holds(t, args, p, summary, value, cost):
 def test_recursions_over_two_monus_steps(k, j):
     """Steps k monus (j monus acc), then plus or monus 1: slope 1 at the
     accumulator on a range that ends at j, quadratic fuel, and a value
-    that truncates at 0 on either side."""
+    that truncates at 0 on either side; and the same of the counter."""
     twice = Comp(MONUS, (ConstK(k), Comp(MONUS, (ConstK(j), Id()))))
-    for chain in (twice, Comp(ADD, (ConstK(1), twice)), Comp(MONUS, (twice, ConstK(1)))):
-        t = PrimRec(Id(), Comp(chain, (Proj(2, 3),)))
+    steps = (twice, Comp(ADD, (ConstK(1), twice)), Comp(MONUS, (twice, ConstK(1))))
+    for step, read in [(g, 2) for g in steps] + [(twice, 3)]:
+        t = PrimRec(Id(), Comp(step, (Proj(read, 3),)))
         code = _code(t)
         for args in ([x, y] for x in range(6) for y in range(5)):
             value, cost = ref_cost_args(t, args)
