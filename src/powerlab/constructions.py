@@ -98,25 +98,22 @@ def _check_nat(n: int, who: str) -> None:
     Domain.NAT.check(n, who)
 
 
+def _tri_row(i: int, j: int) -> Callable[[int], int]:
+    """n |-> f(i, j)(n), unchecked: one frame per call, since the square
+    rows' maps call it on every evaluation."""
+    return lambda n: (m := isqrt(n) + i) ** 2 + j % (2 * m + 1)
+
+
 def tri_f(i: int, j: int, n: int) -> int:
     for v in (i, j, n):
         _check_nat(v, "tri_f")
-    return _tri_f(i, j, n)
-
-
-def _tri_f(i: int, j: int, n: int) -> int:
-    m = isqrt(n)
-    return (m + i) ** 2 + j % (2 * m + 2 * i + 1)
+    return _tri_row(i, j)(n)
 
 
 def tri_g(i: int, n: int) -> int:
     for v in (i, n):
         _check_nat(v, "tri_g")
-    return _tri_g(i, n)
-
-
-def _tri_g(i: int, n: int) -> int:
-    return (isqrt(n) + i) ** 2
+    return _tri_row(i, 0)(n)
 
 
 def tri_pi(n: int) -> int:
@@ -158,12 +155,12 @@ def kappa_map(k: int) -> PartialMap:
 def tri_f_map(i: int, j: int) -> PartialMap:
     for v in (i, j):
         _check_nat(v, "tri_f_map")
-    return BuiltinMap(f"f[{i},{j}]", Domain.NAT, lambda n, _i=i, _j=j: _tri_f(_i, _j, n))
+    return BuiltinMap(f"f[{i},{j}]", Domain.NAT, _tri_row(i, j))
 
 
 def tri_g_map(i: int) -> PartialMap:
     _check_nat(i, "tri_g_map")
-    return BuiltinMap(f"g[{i}]", Domain.NAT, lambda n, _i=i: _tri_g(_i, n))
+    return BuiltinMap(f"g[{i}]", Domain.NAT, _tri_row(i, 0))
 
 
 def _pair_diag(ix: int) -> tuple[int, int]:

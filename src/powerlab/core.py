@@ -163,8 +163,10 @@ class PartialMap:
         ``Fuel`` cell, reset to ``fuel`` (at least 1), that carries the
         runner's ``table``.  Running out costs the whole budget, and a
         table hit the recorded spend, so no result or spend depends on
-        the table.  ``BuiltinMap`` overrides this; an override must give
-        the same results and charge the fuel ``_run`` would."""
+        the table.  The checker's two evaluation loops call a map whose
+        type is exactly ``BuiltinMap`` without it (see ``BuiltinMap``);
+        an override must give the same results and charge the fuel
+        ``_run`` would."""
         run = self._run
         cell = Fuel(fuel, table)
 
@@ -183,7 +185,15 @@ class PartialMap:
 
 @dataclass(frozen=True)
 class BuiltinMap(PartialMap):
-    """Closed-form map backed by a pure callable; ``None`` means divergence."""
+    """Closed-form map backed by a pure callable: ``fn`` returns the value
+    at a point of the domain, which must lie in the domain too, or
+    ``None`` where the map diverges.  Each point costs one unit of fuel.
+
+    The checker's two evaluation loops call ``fn`` themselves for a map
+    whose type is exactly ``BuiltinMap``, charging that unit, and test
+    each result a candidate returns against the domain, since ``fn`` is
+    code the checker does not control.  A subclass, and every wrapper,
+    goes through ``_run``."""
 
     fn: Callable[[Value], Optional[Value]]
 
@@ -196,19 +206,6 @@ class BuiltinMap(PartialMap):
         if v is None:
             return Diverged(f"{self.name} is undefined here")
         return v
-
-    def _evaluator(self, fuel: int, table: Optional[dict] = None):
-        # one unit per point, as ``_run`` charges; a budget is at least 1
-        fn = self.fn
-        name = self.name
-
-        def evaluate(x: Value):
-            v = fn(x)
-            if v is None:
-                return Diverged(f"{name} is undefined here"), 1
-            return v, 1
-
-        return evaluate
 
 
 def TableMap(name: str, domain: Domain, table) -> BuiltinMap:

@@ -76,6 +76,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from powerlab.core import (
     FUEL_EXHAUSTED,
+    BuiltinMap,
     Diverged,
     Domain,
     DomainMismatch,
@@ -241,16 +242,23 @@ class _Runner:
     def run_many(self, m: PartialMap, xs) -> list:
         """The raw results of ``m`` at each of ``xs``, in order."""
         memo = self.memo(m)
-        run = m._evaluator(self.fuel, self.table)
+        fn = m.fn if type(m) is BuiltinMap else None
+        run = None if fn is not None else m._evaluator(self.fuel, self.table)
         evaluations = spent = 0
         out = []
         for x in xs:
             got = memo.get(x)
             if got is None:
-                got, used = run(x)
+                if fn is not None:
+                    got = fn(x)
+                    if got is None:
+                        got = Diverged(f"{m.name} is undefined here")
+                    spent += 1
+                else:
+                    got, used = run(x)
+                    spent += used
                 memo[x] = got
                 evaluations += 1
-                spent += used
             out.append(got)
         self.evaluations += evaluations
         self.fuel_spent += spent
@@ -320,16 +328,26 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
     for f in pool:
         memo = runner.memo(f)
         undecided = 0
+        fn = f.fn if type(f) is BuiltinMap else None
+        contains = f.domain.contains
         run = None
         for x, y, want in points:
             got = memo.get(y)
             if got is None:
-                if run is None:
-                    run = f._evaluator(fuel, runner.table)
-                got, used = run(y)
+                if fn is not None:
+                    got = fn(y)
+                    if got is None:
+                        got = Diverged(f"{f.name} is undefined here")
+                    elif not contains(got):
+                        f.domain.check(got, f"{f.name} output")
+                    spent += 1
+                else:
+                    if run is None:
+                        run = f._evaluator(fuel, runner.table)
+                    got, used = run(y)
+                    spent += used
                 memo[y] = got
                 evaluations += 1
-                spent += used
             if got != want:
                 # no raw result is None, and FUEL_EXHAUSTED equals no
                 # value and no Diverged: one test decides a matching point
@@ -416,7 +434,8 @@ def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, b
     expected = _Expected(e.encode)
     results = []
     for g in bs:
-        wants = [expected[type(out), out] for out in runner.run_many(g, inputs)]
+        outs = runner.run_many(g, inputs)
+        wants = map(expected.__getitem__, zip(map(type, outs), outs))
         results.append(_match_member(g.name, list(zip(inputs, ys, wants)), pool, runner))
     return results, _collision(e, enc_in, expected), ys
 
@@ -439,13 +458,24 @@ def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRepo
     return _report(claim, plan, results, runner, faults, _refuted_by(faults))
 
 
+def _check_converged(m: PartialMap, raw) -> None:
+    """Raise ``DomainMismatch`` if ``raw``, a result of ``m``, is a
+    converged value outside ``m``'s domain."""
+    if raw is not FUEL_EXHAUSTED and not isinstance(raw, Diverged) and not m.domain.contains(raw):
+        m.domain.check(raw, f"{m.name} output")
+
+
 def check_closure(model: Model, plan: TestPlan) -> SimReport:
     """Is the sample closed under composition?  Every pairwise composite
-    must match some member of the candidate pool on the planned inputs."""
+    must match some member of the candidate pool on the planned inputs.
+
+    Every composite's points are computed, and every value in them
+    validated, before any hunt; the ``Stats`` do not depend on the order,
+    since they count distinct (map, input) pairs."""
     members, pool = _sides(model, model, plan)
     runner = _Runner(plan.fuel)
     contains = model.domain.contains
-    results = []
+    composites = []
     for f in members:
         for g in members:
             points = []
@@ -455,8 +485,10 @@ def check_closure(model: Model, plan: TestPlan) -> SimReport:
                     if not contains(want):
                         model.domain.check(want, f"{g.name} output, passed to {f.name}")
                     want = runner.run(f, want)
+                    _check_converged(f, want)
                 points.append((x, x, None if want is FUEL_EXHAUSTED else want))
-            results.append(_match_member(f"{f.name}*{g.name}", points, pool, runner))
+            composites.append((f"{f.name}*{g.name}", points))
+    results = [_match_member(name, points, pool, runner) for name, points in composites]
     return _report(Claim("closure", model.name, model.name, "identity"), plan, results, runner)
 
 
@@ -607,6 +639,8 @@ def maps_agree(m1: PartialMap, m2: PartialMap, inputs, fuel: int) -> Agreement:
         m2.domain.check(x, m2.name)
         left = runner.run(m1, x)
         right = runner.run(m2, x)
+        _check_converged(m1, left)
+        _check_converged(m2, right)
         if left is FUEL_EXHAUSTED or right is FUEL_EXHAUSTED:
             undecided += 1
             continue
