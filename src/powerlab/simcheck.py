@@ -25,12 +25,17 @@ domains the reverse direction of an equivalence takes as its inputs the
 codes of the plan's inputs that the forward direction computed and
 validated, and does not encode the plan's inputs again.
 ``check_closure`` tests each intermediate value of a composite against
-the model's domain, ``maps_agree`` every input against both maps'
-domains, and ``Model.candidates`` each map the models enumerate against
-its model's domain.  A value that passes costs one call of its domain's
-``contains``, a plain function; a ``DomainMismatch`` message is built
-only for a value that fails.  Evaluations then run unchecked, so a value
-the checker never saw (and so never validated) must not reach a map.
+the model's domain, and each result of the outer map; ``maps_agree``
+every input and every converged result against both maps' domains,
+and ``Model.candidates`` each map the models enumerate against its
+model's domain.  The candidate hunt tests each fresh result of a
+``BuiltinMap`` candidate, whose function is code the checker does not
+control, so a builtin over the naturals that returns ``True`` fails
+with ``wrong domain`` instead of matching an expected ``1``.  A value
+that passes costs one call of its domain's ``contains``, a plain
+function; a ``DomainMismatch`` message is built only for a value that
+fails.  Evaluations then run unchecked, so a value the checker never
+saw (and so never validated) must not reach a map.
 
 No encoding is trusted to be injective: after the hunt, ``_collision``
 maps each code ``_simulate`` computed, for an input or a converged
@@ -48,16 +53,19 @@ The runner keeps one memo per map object, from input value to raw
 result (``core._box``): a converged value as the value itself, a
 ``Diverged`` or ``FUEL_EXHAUSTED`` outcome as it is.  Results are
 compared raw, and ``Outcome`` and ``CandidateFailure`` objects are built
-only for failures that reach a report.  Every miss is evaluated by the
-function ``PartialMap._evaluator`` returns, one input at a time: the
-simulated side point by point, and each candidate only up to its first
-mismatch, so ``Stats`` counts exactly the evaluations the hunt needed.
-The two loops that evaluate, ``_Runner.run_many`` and ``_match_member``,
-call that function themselves, store each result in the memo, count in
-locals and add their totals to the runner once, on every exit.  A point
-costs one comparison when it matches; only a mismatch asks whether it
-was undecided.  Maps implement ``_run``; ``BuiltinMap`` alone also
-overrides ``_evaluator``, and charges the fuel its ``_run`` would.
+only for failures that reach a report.  Every miss is evaluated one
+input at a time: the simulated side point by point, and each candidate
+only up to its first mismatch, so ``Stats`` counts exactly the
+evaluations the hunt needed.  The two loops that evaluate,
+``_Runner.run_many`` and ``_match_member``, evaluate each miss
+themselves, store each result in the memo, count in locals and add
+their totals to the runner once, on every exit.  A map whose type is
+exactly ``BuiltinMap`` is evaluated by calling its ``fn`` in the loop,
+at one unit of fuel a point, as its ``_run`` charges; every other map,
+wrappers and ``BuiltinMap`` subclasses included, by the function
+``PartialMap._evaluator`` returns, which runs ``_run``.  A point costs
+one comparison when it matches; only a mismatch asks whether it was
+undecided.
 
 Below the memos the runner keeps one term-result table, from a ``Term``
 object to its results and spends by input.  Every evaluator carries it,
@@ -201,11 +209,12 @@ class _Runner:
     second side reuses what the first evaluated; and ``id(m)`` is a sound
     key because a check holds all its maps alive until it ends.
 
-    Every miss is evaluated through the function ``PartialMap._evaluator``
-    returns, by the loop that needs it (``run_many`` or
-    ``_match_member``), which stores the result in the memo and adds what
-    it counted to ``evaluations`` and ``fuel_spent`` for ``_report``.  A
-    repeated input is a hit.
+    Every miss is evaluated by the loop that needs it (``run_many`` or
+    ``_match_member``): a map whose type is exactly ``BuiltinMap`` by a
+    call of its ``fn``, charged one unit, and any other map through the
+    function ``PartialMap._evaluator`` returns.  The loop stores the
+    result in the memo and adds what it counted to ``evaluations`` and
+    ``fuel_spent`` for ``_report``.  A repeated input is a hit.
 
     Under the memos lies ``table``, the runner's one term-result table
     (see ``core.Fuel``), which every evaluator carries in its ``Fuel``

@@ -1,5 +1,7 @@
 """Domain constructions: stripes, the square-row family, pairing, oracles."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,6 +100,21 @@ def test_tri_maps_validate_their_indices_when_built():
     assert apply(tri_g_map(2), 2, 10) == Converged(tri_g(2, 2))
     with pytest.raises(DomainMismatch):
         apply(tri_f_map(1, 2), -5, 10)
+
+
+def test_the_square_row_maps_run_tri_f_and_tri_g():
+    # the maps' one-frame formula against tri_f and tri_g, and both
+    # against the row formula written with the root and the shift apart
+    ks = range(10**6 - 2, 10**6 + 3)
+    ns = [*range(5001), *(k * k + d for k in ks for d in (-1, 0, 1))]
+    roots = [isqrt(n) for n in ns]
+    for i in range(10):
+        want = [(m + i) ** 2 for m in roots]
+        assert list(map(tri_g_map(i).fn, ns)) == [tri_g(i, n) for n in ns] == want, i
+        for j in range(10):
+            want = [(m + i) ** 2 + j % (2 * m + 2 * i + 1) for m in roots]
+            got = list(map(tri_f_map(i, j).fn, ns))
+            assert got == [tri_f(i, j, n) for n in ns] == want, (i, j)
 
 
 def test_tri_pi_matches_row_oracle():

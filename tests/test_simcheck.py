@@ -3,11 +3,12 @@
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
-from powerlab.cli import _CHECKS, build_encoding, build_models, build_plan
+from powerlab.cli import _CHECKS, build_encoding, build_models, build_plan, render_structured
 from powerlab import recdsl
 from powerlab.core import (
     FUEL_EXHAUSTED,
@@ -513,6 +514,39 @@ def test_closure_rejects_intermediates_outside_the_domain(inputs, got):
         check_closure(_succ_and_isbig(), TestPlan(inputs=inputs, fuel=100))
 
 
+def _ispos_and_sign():
+    # ispos returns a bool where sign returns 0 or 1
+    ispos = BuiltinMap("ispos", Domain.NAT, lambda n: n > 0)
+    sign = BuiltinMap("sign", Domain.NAT, lambda n: 1 if n > 0 else 0)
+    return ispos, sign
+
+
+def test_a_candidate_builtin_returning_a_bool_is_refused():
+    ispos, sign = _ispos_and_sign()
+    a = Model("a", Domain.NAT, (ispos,))
+    b = Model("b", Domain.NAT, (sign,))
+    message = "^wrong domain: ispos output expects nat, got False$"
+    with pytest.raises(DomainMismatch, match=message):
+        check_simulation(a, b, IdentityEncoding(), plan_over_range(0, 5, 10))
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_maps_agree_refuses_a_result_outside_its_domain(swap):
+    ispos, sign = _ispos_and_sign()
+    pair = (ispos, sign) if swap else (sign, ispos)
+    with pytest.raises(DomainMismatch, match="^wrong domain: ispos output expects nat"):
+        maps_agree(*pair, range(6), 10)
+
+
+def test_closure_refuses_an_outer_result_outside_the_domain():
+    # the outer map sees 100 only as kappa[100]'s output, and answers True
+    to_true = BuiltinMap("to_true", Domain.NAT, lambda n: True if n == 100 else n)
+    model = Model("nat", Domain.NAT, (kappa_map(100), to_true))
+    message = "^wrong domain: to_true output expects nat, got True$"
+    with pytest.raises(DomainMismatch, match=message):
+        check_closure(model, plan_over_range(0, 3, 10))
+
+
 def test_maps_agree_rejects_inputs_outside_either_domain():
     succ = term_map(S(), "succ")
     with pytest.raises(DomainMismatch):
@@ -822,9 +856,15 @@ def test_candidates_run_only_up_to_their_first_mismatch(k):
 def _counted_model(model, wrapped):
     """``model`` with every member counted, one wrapper per map object,
     so that models sharing members still share them."""
+    return _rebuilt_model(model, wrapped, _counted)
+
+
+def _rebuilt_model(model, wrapped, rebuild):
+    """``model`` with every map ``m`` replaced by ``rebuild(m)``, one per
+    map object, so that models sharing members still share them."""
     def wrap(m):
         if id(m) not in wrapped:
-            wrapped[id(m)] = (m, _counted(m))
+            wrapped[id(m)] = (m, rebuild(m))
         return wrapped[id(m)][1]
 
     enum = None
@@ -879,18 +919,98 @@ def test_stats_and_run_calls_on_probe_stripes():
     assert stats == PROBE_STRIPES_STATS
 
 
-# Unwrapped, the maps take their own ``_evaluator``: the square rows are
-# builtin maps, the path the anomaly runs, and it counts as ``_run`` does.
+# Unwrapped, the maps take their own path: the square rows are builtin
+# maps, whose function the checker calls itself (the path the anomaly
+# runs), and it counts as ``_run`` does.
 
 
-def test_stats_on_the_square_rows_through_their_own_evaluator():
+@pytest.fixture
+def builtin_evaluators(monkeypatch):
+    """Every ``BuiltinMap`` instance an ``_evaluator`` is built for from
+    here on."""
+    made = []
+    real = PartialMap._evaluator
+
+    def counted(self, fuel, table=None):
+        if isinstance(self, BuiltinMap):
+            made.append(self)
+        return real(self, fuel, table)
+
+    monkeypatch.setattr(PartialMap, "_evaluator", counted)
+    return made
+
+
+def test_stats_on_the_square_rows_called_straight_from_the_checker(builtin_evaluators):
     large, small = tri_models(3, 3, 5)
-    plan = plan_over_range(0, 1000, 10**5)
-    maps = list(large.members) + list(small.candidates(plan.candidate_limit))
-    assert all(type(m)._evaluator is BuiltinMap._evaluator for m in maps)
-    report = check_simulation(small, large, TriPiEncoding(), plan)
+    report = check_simulation(small, large, TriPiEncoding(), plan_over_range(0, 1000, 10**5))
     assert report.aggregate is V
     assert report.stats == SQUARE_ROW_STATS
+    assert builtin_evaluators == []
+
+
+@dataclass(frozen=True)
+class _SubBuiltin(BuiltinMap):
+    """A builtin whose type is not exactly ``BuiltinMap``, so the checker
+    evaluates it through ``_evaluator``, the general path, and its
+    ``_run`` sees every evaluation."""
+
+    calls: list = field(default_factory=list, compare=False, repr=False)
+
+    def _run(self, x, fuel):
+        self.calls.append(x)
+        return super()._run(x, fuel)
+
+
+def _partial_builtins():
+    root = BuiltinMap("root", Domain.NAT, lambda n: isqrt(n) if isqrt(n) ** 2 == n else None)
+    return Model("partial", Domain.NAT, (
+        BuiltinMap("halve", Domain.NAT, _halve),
+        root,
+        TableMap("table", Domain.NAT, ((0, 5), (3, 7), (8, 0), (9, 3))),
+        identity_map(),
+        kappa_map(0),
+    ))
+
+
+def _builtin_checks(large, small, partial):
+    """(check kind, reports) for every kind of check on the builtin
+    models, simulating, refuting and undecided points among them."""
+    plan = plan_over_range(0, 40, 10**3, candidate_limit=40)
+    tri_pi, same = TriPiEncoding(), IdentityEncoding()
+    return [
+        ("simulation", [check_simulation(small, large, tri_pi, plan)]),
+        ("simulation", [check_simulation(large, partial, same, plan)]),
+        ("simulation", [check_simulation(partial, small, same, plan)]),
+        ("probe", probe_encodings(small, large, [same, tri_pi, StripeEncoding(2, 0)], plan)),
+        ("pullback-law", [check_pullback_law(small, large, tri_pi, plan)]),
+        ("pullback-law", [check_pullback_law(partial, partial, same, plan)]),
+        ("closure", [check_closure(partial, plan)]),
+        ("closure", [check_closure(small, plan_over_range(0, 40, 10**3, candidate_limit=100))]),
+    ]
+
+
+def test_the_builtin_path_gives_what_the_general_path_gives(builtin_evaluators):
+    models = (*tri_models(3, 3, 5), _partial_builtins())
+    direct = _builtin_checks(*models)
+    assert builtin_evaluators == []
+    rebuilt = {}
+    general = _builtin_checks(
+        *(_rebuilt_model(m, rebuilt, lambda m: _SubBuiltin(m.name, m.domain, m.fn)) for m in models)
+    )
+    assert all(type(m) is _SubBuiltin for m in builtin_evaluators)
+    evaluations = sum(r.stats.evaluations for _, reports in general for r in reports)
+    assert sum(len(m.calls) for _, m in rebuilt.values()) == evaluations
+    assert general == direct
+    assert repr(general) == repr(direct)  # a Diverged's reason too
+    for (check, ours), (_, theirs) in zip(direct, general):
+        aggregate = combine_verdicts(r.aggregate for r in ours)
+        assert render_structured("builtins", check, ours, aggregate) == render_structured(
+            "builtins", check, theirs, aggregate
+        )
+    verdicts = Counter(m.verdict for _, reports in direct for r in reports for m in r.members)
+    assert verdicts[V] and verdicts[R]
+    outcomes = [f.got for _, reports in direct for r in reports for m in r.members for f in m.failures]
+    assert any(isinstance(out, Diverged) for out in outcomes)
 
 
 def test_stats_on_probe_stripes_through_their_own_evaluator():
