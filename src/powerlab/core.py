@@ -163,10 +163,9 @@ class PartialMap:
         ``Fuel`` cell, reset to ``fuel`` (at least 1), that carries the
         runner's ``table``.  Running out costs the whole budget, and a
         table hit the recorded spend, so no result or spend depends on
-        the table.  The checker's two evaluation loops call a map whose
-        type is exactly ``BuiltinMap`` without it (see ``BuiltinMap``);
-        an override must give the same results and charge the fuel
-        ``_run`` would."""
+        the table.  The checker's two evaluation loops use it for every
+        map but one whose type is exactly ``BuiltinMap``, whose function
+        they call themselves (see ``BuiltinMap``)."""
         run = self._run
         cell = Fuel(fuel, table)
 

@@ -338,7 +338,8 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
         memo = runner.memo(f)
         undecided = 0
         fn = f.fn if type(f) is BuiltinMap else None
-        contains = f.domain.contains
+        if fn is not None:
+            contains = f.domain.contains
         run = None
         for x, y, want in points:
             got = memo.get(y)
@@ -441,11 +442,12 @@ def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, b
             a.domain.check(y, f"{e.describe()} into {a.name}")
     ys = [enc_in[x] for x in inputs]
     expected = _Expected(e.encode)
+    want = expected.__getitem__
     results = []
     for g in bs:
         outs = runner.run_many(g, inputs)
-        wants = map(expected.__getitem__, zip(map(type, outs), outs))
-        results.append(_match_member(g.name, list(zip(inputs, ys, wants)), pool, runner))
+        points = list(zip(inputs, ys, map(want, zip(map(type, outs), outs))))
+        results.append(_match_member(g.name, points, pool, runner))
     return results, _collision(e, enc_in, expected), ys
 
 
