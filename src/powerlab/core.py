@@ -145,8 +145,8 @@ def _box(raw) -> Outcome:
 class PartialMap:
     """A named, deterministic, fuel-monotone partial map over one domain.
 
-    Subclasses implement ``_run``, which takes an input already in the
-    domain and returns its raw result (see ``_box``).  ``_run`` never
+    Subclasses implement ``_run`` alone, which takes an input already in
+    the domain and returns its raw result (see ``_box``).  ``_run`` never
     raises on fuel exhaustion; it reports ``FUEL_EXHAUSTED`` so that
     wrappers sharing the same budget can pass the result through.
     """
@@ -157,30 +157,6 @@ class PartialMap:
     def _run(self, x: Value, fuel: Fuel):
         raise InvalidMap(f"invalid map: {self.name!r} has no evaluation rule")
 
-    def _evaluator(self, fuel: int, table: Optional[dict] = None):
-        """A function from one input, already in the domain, to its raw
-        result and the fuel spent on it: each call runs ``_run`` on one
-        ``Fuel`` cell, reset to ``fuel`` (at least 1), that carries the
-        runner's ``table``.  Running out costs the whole budget, and a
-        table hit the recorded spend, so no result or spend depends on
-        the table.  The checker's two evaluation loops use it for every
-        map but one whose type is exactly ``BuiltinMap``, whose function
-        they call themselves (see ``BuiltinMap``)."""
-        run = self._run
-        cell = Fuel(fuel, table)
-
-        def evaluate(x: Value):
-            cell.left = fuel
-            try:
-                out = run(x, cell)
-            except _OutOfFuel:  # defensive: evaluators normally catch this themselves
-                return FUEL_EXHAUSTED, fuel
-            if isinstance(out, FuelExhausted):
-                return FUEL_EXHAUSTED, fuel
-            return out, fuel - cell.left
-
-        return evaluate
-
 
 @dataclass(frozen=True)
 class BuiltinMap(PartialMap):
@@ -188,23 +164,29 @@ class BuiltinMap(PartialMap):
     at a point of the domain, which must lie in the domain too, or
     ``None`` where the map diverges.  Each point costs one unit of fuel.
 
-    The checker's two evaluation loops call ``fn`` themselves for a map
-    whose type is exactly ``BuiltinMap``, charging that unit, and test
-    each result a candidate returns against the domain, since ``fn`` is
-    code the checker does not control.  A subclass, and every wrapper,
-    goes through ``_run``."""
+    ``_run`` and ``_refuse`` hold the whole result rule, since ``fn`` is
+    code the checker does not control: a result outside the domain is
+    divergence if ``None``, and a ``DomainMismatch`` otherwise.  The
+    checker's two loops call ``fn`` themselves for a map whose type is
+    exactly ``BuiltinMap`` and hand ``_refuse`` a failing result; a
+    subclass, and every wrapper, goes through ``_run``."""
 
     fn: Callable[[Value], Optional[Value]]
 
     def _run(self, x: Value, fuel: Fuel):
-        try:
-            fuel.charge()
-        except _OutOfFuel:
+        fuel.left -= 1
+        if fuel.left < 0:
             return FUEL_EXHAUSTED
         v = self.fn(x)
+        if self.domain.contains(v):
+            return v
+        return self._refuse(v)
+
+    def _refuse(self, v):
+        """``v``, a result of ``fn`` outside the domain: None diverges, else raise."""
         if v is None:
             return Diverged(f"{self.name} is undefined here")
-        return v
+        self.domain.check(v, f"{self.name} output")
 
 
 def TableMap(name: str, domain: Domain, table) -> BuiltinMap:
@@ -227,8 +209,30 @@ def apply_with_cost(m: PartialMap, x: Value, fuel: int) -> tuple[Outcome, int]:
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     m.domain.check(x, m.name)
-    out, used = PartialMap._evaluator(m, fuel)(x)
+    out, used = _evaluator(fuel)(m, x)
     return _box(out), used
+
+
+def _evaluator(fuel: int, table: Optional[dict] = None):
+    """A check's evaluation function: ``evaluate(m, x)``, for ``x`` in
+    ``m``'s domain, runs ``m._run`` on one ``Fuel`` cell, reset to
+    ``fuel`` (at least 1), that carries ``table``, and returns the raw
+    result and the fuel spent.  Running out costs the whole budget, and
+    a table hit the recorded spend, so no result or spend depends on the
+    table."""
+    cell = Fuel(fuel, table)
+
+    def evaluate(m: PartialMap, x: Value):
+        cell.left = fuel
+        try:
+            out = m._run(x, cell)
+        except _OutOfFuel:  # defensive: evaluators normally catch this themselves
+            return FUEL_EXHAUSTED, fuel
+        if isinstance(out, FuelExhausted):
+            return FUEL_EXHAUSTED, fuel
+        return out, fuel - cell.left
+
+    return evaluate
 
 
 def identity_map(domain: Domain = Domain.NAT, name: str = "identity") -> PartialMap:

@@ -862,7 +862,7 @@ class TermMap(PartialMap):
     def _run(self, x, fuel: Fuel):
         # on the runner's whole budget a result depends only on the term
         # and the input, so every map over this very Term object shares
-        # it there (``PartialMap._evaluator``), at the recorded spend.
+        # it there (``core._evaluator``), at the recorded spend.
         # Results and spends sit in two dicts, not as pairs: a dict of
         # ints leaves the garbage collector nothing to track.
         t = self.term

@@ -17,31 +17,30 @@ undecided.
 
 Values are validated where they enter a check, and not on every
 evaluation.  ``_sides`` tests the plan's inputs against the simulated
-side's domain, and ``_simulate`` the code of each input against the
-simulating side's; ``Encoding.encode`` tests what it is given against
-its source, so each input once more and each distinct converged output
-of the simulated side once, when ``_Expected`` encodes it.  Across two
-domains the reverse direction of an equivalence takes as its inputs the
-codes of the plan's inputs that the forward direction computed and
-validated, and does not encode the plan's inputs again.
-``check_closure`` tests each intermediate value of a composite against
-the model's domain, and each result of the outer map; ``maps_agree``
-every input and every converged result against both maps' domains,
-and ``Model.candidates`` each map the models enumerate against its
-model's domain.  The candidate hunt tests each fresh result of a
-``BuiltinMap`` candidate, whose function is code the checker does not
-control, so a builtin over the naturals that returns ``True`` fails
-with ``wrong domain`` instead of matching an expected ``1``.  A value
-that passes costs one call of its domain's ``contains``, a plain
+side's domain.  Each encoding in a check keeps one table of codes
+(``_Codes``): the plan's inputs, then each distinct converged output of
+the simulated side, each encoded once, with ``Encoding.encode`` testing
+the value against its source, and each code tested against the
+simulating side's domain when it is made, so every code a check
+compares is a value a candidate could return.  Across two domains the
+reverse direction of an equivalence takes as its inputs the codes of
+the plan's inputs that the forward direction computed and validated,
+and does not encode the plan's inputs again.  ``check_closure`` tests
+each intermediate value of a composite against the model's domain, and
+each result of the outer map; ``maps_agree`` every input and every
+converged result against both maps' domains, and ``Model.candidates``
+each map the models enumerate against its model's domain.  A builtin's
+results are tested by ``BuiltinMap`` itself, on both of its paths (see
+there), since its function is code the checker does not control.  A
+value that passes costs one call of its domain's ``contains``, a plain
 function; a ``DomainMismatch`` message is built only for a value that
 fails.  Evaluations then run unchecked, so a value the checker never
 saw (and so never validated) must not reach a map.
 
 No encoding is trusted to be injective: after the hunt, ``_collision``
-maps each code ``_simulate`` computed, for an input or a converged
-output, back to the value it came from, and a second value with the
-same code refutes the check with a note naming both values and their
-code.
+reads the table of codes in order, and a second value with the same
+code as an earlier one refutes the check with a note naming both values
+and their code.
 
 Every check takes its samples and candidate pools from one call of
 ``_sides``, which first validates the plan's inputs, and evaluates
@@ -61,15 +60,15 @@ evaluations the hunt needed.  The two loops that evaluate,
 themselves, store each result in the memo, count in locals and add
 their totals to the runner once, on every exit.  A map whose type is
 exactly ``BuiltinMap`` is evaluated by calling its ``fn`` in the loop,
-at one unit of fuel a point, as its ``_run`` charges; every other map,
-wrappers and ``BuiltinMap`` subclasses included, by the function
-``PartialMap._evaluator`` returns, which runs ``_run``.  A point costs
-one comparison when it matches; only a mismatch asks whether it was
-undecided.
+at one unit of fuel a point, as its ``_run`` charges (the direct path);
+every other map, wrappers and ``BuiltinMap`` subclasses included,
+through the check's one evaluation function, ``_Runner.evaluate``,
+which runs ``_run`` (the general path).  A point costs one comparison
+when it matches; only a mismatch asks whether it was undecided.
 
 Below the memos the runner keeps one term-result table, from a ``Term``
-object to its results and spends by input.  Every evaluator carries it,
-in its ``Fuel`` cell, to every map an evaluation enters, so a
+object to its results and spends by input.  The evaluation function
+carries it, in its ``Fuel`` cell, to every map an evaluation enters, so a
 pushed-forward or pulled-back candidate whose inner term the simulated
 side has already run at that input reuses the result, and still counts
 as one evaluation that spent the recorded fuel.  The table dies with
@@ -94,6 +93,7 @@ from powerlab.core import (
     PartialMap,
     Value,
     _box,
+    _evaluator,
     pullback,
 )
 from powerlab.constructions import godel_decode
@@ -211,13 +211,14 @@ class _Runner:
 
     Every miss is evaluated by the loop that needs it (``run_many`` or
     ``_match_member``): a map whose type is exactly ``BuiltinMap`` by a
-    call of its ``fn``, charged one unit, and any other map through the
-    function ``PartialMap._evaluator`` returns.  The loop stores the
-    result in the memo and adds what it counted to ``evaluations`` and
-    ``fuel_spent`` for ``_report``.  A repeated input is a hit.
+    call of its ``fn``, charged one unit, and any other map through
+    ``evaluate``, the one function ``core._evaluator`` built for the
+    runner.  The loop stores the result in the memo and adds what it
+    counted to ``evaluations`` and ``fuel_spent`` for ``_report``.  A
+    repeated input is a hit.
 
     Under the memos lies ``table``, the runner's one term-result table
-    (see ``core.Fuel``), which every evaluator carries in its ``Fuel``
+    (see ``core.Fuel``), which ``evaluate`` carries in its ``Fuel``
     cell, so a memo miss counts as one evaluation with the same spend
     whether the table held its term's result or not.  Recorded spends
     are sound because the budget never changes within the runner; the
@@ -231,9 +232,9 @@ class _Runner:
     def __init__(self, fuel: int):
         if fuel < 1:
             raise ValueError("fuel must be at least 1")
-        self.fuel = fuel
         self.memos: dict = {}
         self.table: dict = {}
+        self.evaluate = _evaluator(fuel, self.table)
         self.evaluations = 0
         self.fuel_spent = 0
         self._boxes: dict = {}
@@ -252,19 +253,20 @@ class _Runner:
         """The raw results of ``m`` at each of ``xs``, in order."""
         memo = self.memo(m)
         fn = m.fn if type(m) is BuiltinMap else None
-        run = None if fn is not None else m._evaluator(self.fuel, self.table)
+        evaluate = self.evaluate
         evaluations = spent = 0
         out = []
         for x in xs:
             got = memo.get(x)
             if got is None:
                 if fn is not None:
+                    # other values are tested by the caller (see ``BuiltinMap``)
                     got = fn(x)
                     if got is None:
-                        got = Diverged(f"{m.name} is undefined here")
+                        got = m._refuse(got)
                     spent += 1
                 else:
-                    got, used = run(x)
+                    got, used = evaluate(m, x)
                     spent += used
                 memo[x] = got
                 evaluations += 1
@@ -330,7 +332,7 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
     Each candidate is evaluated only up to its first mismatch, and the
     candidates after a witness not at all.  Mismatches are kept raw until
     the member turns out not to be verified."""
-    fuel = runner.fuel
+    evaluate = runner.evaluate
     evaluations = spent = 0
     unknown_candidate = None
     failures = []  # (candidate, x, expected, got), raw
@@ -340,21 +342,16 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
         fn = f.fn if type(f) is BuiltinMap else None
         if fn is not None:
             contains = f.domain.contains
-        run = None
         for x, y, want in points:
             got = memo.get(y)
             if got is None:
                 if fn is not None:
                     got = fn(y)
-                    if got is None:
-                        got = Diverged(f"{f.name} is undefined here")
-                    elif not contains(got):
-                        f.domain.check(got, f"{f.name} output")
+                    if not contains(got):  # None too: no domain holds it
+                        got = f._refuse(got)
                     spent += 1
                 else:
-                    if run is None:
-                        run = f._evaluator(fuel, runner.table)
-                    got, used = run(y)
+                    got, used = evaluate(f, y)
                     spent += used
                 memo[y] = got
                 evaluations += 1
@@ -386,42 +383,42 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
     )
 
 
-class _Expected(dict):
-    """What each raw result of the simulated side asks of a candidate,
-    keyed by (type, raw result) so that True is not taken for 1: each
-    distinct converged value encoded once, None (undecided) for an
-    exhausted result, and a ``Diverged`` as the very object returned,
-    which is never stored."""
+class _Codes(dict):
+    """One encoding's table of codes in a check, from (type, value), so
+    that True is not taken for 1, to its code, tested against ``a``'s
+    domain when made: the plan's inputs first, then each distinct
+    converged output in the order met.  An exhausted result maps to None
+    (undecided), and a ``Diverged`` to itself, never stored."""
 
-    def __init__(self, encode):
+    def __init__(self, e: Encoding, a: Model):
         super().__init__()
-        self.encode = encode
+        self.e, self.a = e, a
 
     def __missing__(self, key):
-        out = key[1]
-        if isinstance(out, Diverged):
-            return out
-        want = self[key] = None if out is FUEL_EXHAUSTED else self.encode(out)
-        return want
+        v = key[1]
+        if isinstance(v, Diverged):
+            return v
+        code = None
+        if v is not FUEL_EXHAUSTED:  # no domain holds None: no code is None
+            code = self.e.encode(v)
+            if not self.a.domain.contains(code):
+                self.a.domain.check(code, f"{self.e.describe()} into {self.a.name}")
+        self[key] = code
+        return code
 
 
-def _collision(e: Encoding, enc_in: dict, expected: _Expected) -> list:
-    """The note on the first collision among ``e``'s codes, or no note:
-    taking the inputs (``enc_in``, each input to its code), then each
-    distinct converged output in the order ``expected`` encoded it, the
-    first value given a code that an earlier value was given.  A collision
-    shows that ``e`` is not injective.  No ``decode`` is read, so nothing
-    the encoding says about itself is trusted."""
-    sources = {y: x for x, y in enc_in.items()}  # each code to a value given it
-    if len(sources) < len(enc_in):  # two inputs share a code: find the first
-        sources = {}
-        coded = enc_in.items()
-    else:
-        coded = ((out, y) for (_, out), y in expected.items() if y is not None)
-    for x, y in coded:
-        first = sources.setdefault(y, x)
-        if first != x:
-            return [f"{e.describe()} is not injective: {first!r} and {x!r} both encode to {y!r}"]
+def _collision(e: Encoding, codes: _Codes) -> list:
+    """The note on the first collision among ``codes``, or no note: the
+    first value, in the table's order, given a code that an earlier value
+    was given.  A collision shows that ``e`` is not injective.  No
+    ``decode`` is read, so nothing the encoding says about itself is
+    trusted."""
+    sources: dict = {}  # each code to the first value given it
+    for (_, x), y in codes.items():
+        if y is not None:
+            first = sources.setdefault(y, x)
+            if first != x:
+                return [f"{e.describe()} is not injective: {first!r} and {x!r} both encode to {y!r}"]
     return []
 
 
@@ -435,20 +432,15 @@ def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, b
             f"encoding {e.describe()} maps {e.source.value} to {e.target.value}, "
             f"but the claim needs {b.domain.value} to {a.domain.value}"
         )
-    enc_in = {x: e.encode(x) for x in inputs}
-    contains = a.domain.contains
-    for y in enc_in.values():
-        if not contains(y):
-            a.domain.check(y, f"{e.describe()} into {a.name}")
-    ys = [enc_in[x] for x in inputs]
-    expected = _Expected(e.encode)
-    want = expected.__getitem__
+    codes = _Codes(e, a)
+    ys = [codes[type(x), x] for x in inputs]
+    want = codes.__getitem__
     results = []
     for g in bs:
         outs = runner.run_many(g, inputs)
         points = list(zip(inputs, ys, map(want, zip(map(type, outs), outs))))
         results.append(_match_member(g.name, points, pool, runner))
-    return results, _collision(e, enc_in, expected), ys
+    return results, _collision(e, codes), ys
 
 
 def _refuted_by(faults) -> Optional[Verdict]:

@@ -570,6 +570,19 @@ def test_fields_of_the_wrong_json_type_exit_3(doc, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"powerlab: error: {message}\n"
 
 
+def test_an_output_code_outside_the_simulating_domain_exits_3(tmp_path, capsys):
+    # pred sends 1 to 0, whose code "01" no candidate over the naturals
+    # can return: the check stops there instead of asking for it
+    doc = _mistyped(encoding={"scheme": "table", "pairs": [[0, "01"], [1, 1], [2, 2]]}, b_sample=["pred"])
+    doc["plan"]["inputs"] = {"range": [1, 2]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "powerlab: error: wrong domain: table[3] into a expects nat, got '01'\n"
+
+
 # The scenarios whose full-fuel runs take a tenth of a second or more; the
 # property below draws their budgets from a smaller range.
 _HEAVY = {"example_r1", "example_r2", "probe_no_fit", "probe_stripes", "pullback_even_functions"}

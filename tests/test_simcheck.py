@@ -3,13 +3,14 @@
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from math import isqrt
 from pathlib import Path
 
 import pytest
 
 from powerlab.cli import _CHECKS, build_encoding, build_models, build_plan, render_structured
-from powerlab import recdsl
+from powerlab import cli, recdsl, simcheck
 from powerlab.core import (
     FUEL_EXHAUSTED,
     BuiltinMap,
@@ -24,6 +25,7 @@ from powerlab.core import (
     TableMap,
     _OutOfFuel,
     _box,
+    _evaluator,
     apply_with_cost,
     compose_encodings,
     identity_map,
@@ -530,6 +532,26 @@ def test_a_candidate_builtin_returning_a_bool_is_refused():
         check_simulation(a, b, IdentityEncoding(), plan_over_range(0, 5, 10))
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        lambda m: _SubBuiltin(m.name, m.domain, m.fn),
+        lambda m: pullback(IdentityEncoding(), m),
+        lambda m: _counted(m),
+    ],
+    ids=["subclass", "pullback", "wrapper"],
+)
+def test_a_builtin_returning_a_bool_is_refused_in_every_form(form):
+    # each form reaches the builtin's ``_run``, which refuses as the
+    # checker refuses the plain builtin
+    ispos, sign = _ispos_and_sign()
+    a = Model("a", Domain.NAT, (form(ispos),))
+    b = Model("b", Domain.NAT, (sign,))
+    message = "^wrong domain: ispos output expects nat, got False$"
+    with pytest.raises(DomainMismatch, match=message):
+        check_simulation(a, b, IdentityEncoding(), plan_over_range(0, 5, 10))
+
+
 @pytest.mark.parametrize("swap", [False, True])
 def test_maps_agree_refuses_a_result_outside_its_domain(swap):
     ispos, sign = _ispos_and_sign()
@@ -686,7 +708,7 @@ def test_runner_matches_apply_with_cost(fuel):
         runner = _Runner(fuel)
         assert [_fuel_added(runner, m, x) for x in xs] == want, m.name
         # the evaluator, directly and through the runner's vector
-        evaluate = m._evaluator(fuel)
+        evaluate = partial(_evaluator(fuel), m)
         assert [(_box(r), spent) for r, spent in map(evaluate, xs)] == want, m.name
         runner = _Runner(fuel)
         assert [_box(r) for r in runner.run_many(m, xs)] == [out for out, _ in want], m.name
@@ -782,10 +804,10 @@ def test_wrappers_charge_as_their_run_does():
     odd = StripeEncoding(2, 1)
     half = pushforward(odd, term_map(HALF, "half"))
     for fuel in (6, 1):
-        evaluate = half._evaluator(fuel, {})
+        evaluate = partial(_evaluator(fuel, {}), half)
         assert evaluate(4) == (Diverged(), 0)  # off the range: nothing spent
         assert evaluate(7) == (FUEL_EXHAUSTED, fuel)  # half(3) runs out
-    out, spent = pullback(odd, term_map(S(), "succ"))._evaluator(10, {})(3)
+    out, spent = partial(_evaluator(10, {}), pullback(odd, term_map(S(), "succ")))(3)
     assert (out, out.reason, spent) == (Diverged(), "left the encoding range", 1)
 
 
@@ -926,17 +948,22 @@ def test_stats_and_run_calls_on_probe_stripes():
 
 @pytest.fixture
 def builtin_evaluators(monkeypatch):
-    """Every ``BuiltinMap`` instance an ``_evaluator`` is built for from
-    here on."""
+    """Every ``BuiltinMap`` instance a check's evaluation function is
+    called with from here on."""
     made = []
-    real = PartialMap._evaluator
+    real = simcheck._evaluator
 
-    def counted(self, fuel, table=None):
-        if isinstance(self, BuiltinMap):
-            made.append(self)
-        return real(self, fuel, table)
+    def counted(fuel, table=None):
+        evaluate = real(fuel, table)
 
-    monkeypatch.setattr(PartialMap, "_evaluator", counted)
+        def recorded(m, x):
+            if isinstance(m, BuiltinMap):
+                made.append(m)
+            return evaluate(m, x)
+
+        return recorded
+
+    monkeypatch.setattr(simcheck, "_evaluator", counted)
     return made
 
 
@@ -1077,6 +1104,36 @@ def test_maps_that_override_only_run_share_the_term_table(interpreted):
     assert reports == bare
     assert len(interpreted) == len(bare_runs) == 611
     assert _calls(wrapped) == sum(r.stats.evaluations for r in reports) == 1307
+
+
+def test_every_scenario_renders_the_same_with_every_map_wrapped(monkeypatch):
+    # wrapped in maps that override only ``_run``, as perfbench's tracer
+    # wraps them, no map takes the checker's direct call of a builtin's
+    # function: the general path must give every byte the direct one gives
+    scenarios = sorted(SCENARIOS.glob("*.json"))
+
+    def rendered():
+        return [
+            render_structured(*cli.run_scenario(json.loads(p.read_text()), SCENARIOS))
+            for p in scenarios
+        ]
+
+    bare = rendered()
+    real = cli.build_models
+
+    def wrapped_models(doc, base_dir, seed):
+        get, wrapped, models = real(doc, base_dir, seed), {}, {}
+
+        def wrapped_get(key):
+            if key not in models:
+                models[key] = _counted_model(get(key), wrapped)
+            return models[key]
+
+        return wrapped_get
+
+    monkeypatch.setattr(cli, "build_models", wrapped_models)
+    assert len(scenarios) == 13
+    assert rendered() == bare
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
