@@ -655,7 +655,8 @@ def _emit(t: Term, args: list, out: int, gen: _Gen):
     writes ``out`` only after its last read of ``args``, so ``out`` may be
     any register that is dead afterwards, an argument among them.  Every
     path clears its destinations before use, so the same block is safe to
-    re-enter inside loops.
+    re-enter inside loops; the one exception is ``Mu``'s index, a fresh
+    register that its block's only exit, ``move``, leaves at zero.
     """
     tt = type(t)
     if tt is Z:
@@ -699,9 +700,8 @@ def _emit(t: Term, args: list, out: int, gen: _Gen):
         gen.place(done)
         gen.move(acc, out)
     elif tt is Mu:
-        idx = gen.reg()
+        idx = gen.reg()  # fresh, so zero at the first entry
         val = gen.reg()
-        gen.clear(idx)
         loop = gen.label()
         found = gen.label()
         gen.place(loop)

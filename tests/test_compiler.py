@@ -110,7 +110,7 @@ def test_mu_divergence_is_fuel_exhaustion_on_both_sides():
 # sha256 of ``render_cm`` of the 18 compiled suite programs, concatenated
 # in suite order: the compiler's output, instruction for instruction.  A
 # change that moves it on purpose updates it and says why.
-COMPILED_SUITE_SHA256 = "9eec3f5d0c525973f5453075fcc235ab68c4c4b2ffe00b11f263be685d1459b7"
+COMPILED_SUITE_SHA256 = "97a0ee451515232c83475dd193d14ad3f6ddd5dd28ff0b41b693a36cfe518773"
 
 
 def test_compiled_suite_programs_are_unchanged():
