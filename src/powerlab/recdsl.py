@@ -40,6 +40,7 @@ same as one that is about to succeed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -210,27 +211,13 @@ def to_text(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
+# a parenthesis, an atom running to the next space, parenthesis or ``;``,
+# or a comment running to the end of its line
+_TOKEN = re.compile(r"[()]|[^\s();]+|;[^\n]*")
+
+
 def _tokenize(text: str) -> list[tuple[str, int]]:
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            out.append((c, i))
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            out.append((text[i:j], i))
-            i = j
-    return out
+    return [(m[0], m.start()) for m in _TOKEN.finditer(text) if m[0][0] != ";"]
 
 
 def parse_term(text: str) -> Term:
