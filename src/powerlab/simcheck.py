@@ -260,7 +260,8 @@ class _Runner:
             got = memo.get(x)
             if got is None:
                 if fn is not None:
-                    # other values are tested by the caller (see ``BuiltinMap``)
+                    # a value the caller tests: ``_simulate`` by encoding it,
+                    # ``check_closure`` and ``maps_agree`` themselves
                     got = fn(x)
                     if got is None:
                         got = m._refuse(got)
