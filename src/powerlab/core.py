@@ -157,6 +157,10 @@ class PartialMap:
     def _run(self, x: Value, fuel: Fuel):
         raise InvalidMap(f"invalid map: {self.name!r} has no evaluation rule")
 
+    def _refuse(self, v):
+        """Raise for ``v``, a result outside the domain: every check's one rule."""
+        self.domain.check(v, f"{self.name} output")
+
 
 @dataclass(frozen=True)
 class BuiltinMap(PartialMap):
@@ -166,10 +170,10 @@ class BuiltinMap(PartialMap):
 
     ``_run`` and ``_refuse`` hold the whole result rule, since ``fn`` is
     code the checker does not control: a result outside the domain is
-    divergence if ``None``, and a ``DomainMismatch`` otherwise.  The
+    divergence if ``None``, and refused as any map's is otherwise.  The
     checker's two loops call ``fn`` themselves for a map whose type is
-    exactly ``BuiltinMap`` and hand ``_refuse`` a failing result; a
-    subclass, and every wrapper, goes through ``_run``."""
+    exactly ``BuiltinMap``; a subclass, and every wrapper, goes through
+    ``_run``."""
 
     fn: Callable[[Value], Optional[Value]]
 
@@ -186,7 +190,7 @@ class BuiltinMap(PartialMap):
         """``v``, a result of ``fn`` outside the domain: None diverges, else raise."""
         if v is None:
             return Diverged(f"{self.name} is undefined here")
-        self.domain.check(v, f"{self.name} output")
+        return super()._refuse(v)
 
 
 def TableMap(name: str, domain: Domain, table) -> BuiltinMap:

@@ -563,6 +563,7 @@ def run_cm(p: CMProgram, n: int, fuel: int) -> Outcome:
 # length of the term's text: (K k) is k increments.  The largest program
 # compiled from the standard suite, floor-sqrt, has 272 instructions.
 MAX_COMPILED_INSTRUCTIONS = 10**5
+_TOO_LARGE = f"program too large: more than {MAX_COMPILED_INSTRUCTIONS} instructions"
 
 
 class _Gen:
@@ -586,9 +587,7 @@ class _Gen:
 
     def emit(self, *ins):
         if len(self.ops) >= MAX_COMPILED_INSTRUCTIONS:
-            raise CompileError(
-                f"program too large: more than {MAX_COMPILED_INSTRUCTIONS} instructions"
-            )
+            raise CompileError(_TOO_LARGE)
         self.ops.append(ins)
 
     def place(self, lbl: str):
@@ -623,31 +622,6 @@ class _Gen:
             self.loop(scratch, src)
 
 
-def _fold_ack(t: Term) -> Term:
-    """Rewrite ACK applied to a literal constant row into a pure
-    primitive-recursion term; reject any other use of ACK."""
-    tt = type(t)
-    if tt is Comp:
-        if type(t.f) is Ack:
-            first = t.gs[0]
-            if type(first) is ConstK:
-                return Comp(ack_row_term(first.k), (_fold_ack(t.gs[1]),))
-            if type(first) is Z:
-                return Comp(ack_row_term(0), (_fold_ack(t.gs[1]),))
-            raise CompileError(
-                "unsupported construct: ACK needs a literal constant first "
-                f"argument to compile, got {to_text(first)}"
-            )
-        return Comp(_fold_ack(t.f), tuple(_fold_ack(g) for g in t.gs))
-    if tt is PrimRec:
-        return PrimRec(_fold_ack(t.base), _fold_ack(t.step))
-    if tt is Mu:
-        return Mu(_fold_ack(t.body))
-    if tt is Ack:
-        raise CompileError("unsupported construct: bare ACK cannot compile")
-    return t
-
-
 def _emit(t: Term, args: list, out: int, gen: _Gen):
     """Code computing t(args) into register ``out``.
 
@@ -657,9 +631,27 @@ def _emit(t: Term, args: list, out: int, gen: _Gen):
     path clears its destinations before use, so the same block is safe to
     re-enter inside loops; the one exception is ``Mu``'s index, a fresh
     register that its block's only exit, ``move``, leaves at zero.
+
+    ACK on a literal row k, ``(K k)`` or ``Z``, is ``ack_row_term(k)``
+    on its second argument.  Row k holds row k-1 twice, so at least 2**k
+    instructions: a row past the cap is refused before it is built.
+    Inner terms come first, so of two faults the inner one is reported.
     """
     tt = type(t)
-    if tt is Z:
+    if tt is Comp and type(t.f) is Ack:
+        row = t.gs[0]
+        if type(row) is not ConstK and type(row) is not Z:
+            raise CompileError(
+                "unsupported construct: ACK needs a literal constant first "
+                f"argument to compile, got {to_text(row)}"
+            )
+        k = row.k if type(row) is ConstK else 0
+        if k >= MAX_COMPILED_INSTRUCTIONS.bit_length():  # 2**k > the cap
+            raise CompileError(_TOO_LARGE)
+        _emit(Comp(ack_row_term(k), t.gs[1:]), args, out, gen)
+    elif tt is Ack:
+        raise CompileError("unsupported construct: bare ACK cannot compile")
+    elif tt is Z:
         gen.clear(out)
     elif tt is S:
         gen.copy(args[0], out)
@@ -717,15 +709,14 @@ def _emit(t: Term, args: list, out: int, gen: _Gen):
 
 def compile_rec_to_cm(t: Term, name: Optional[str] = None) -> CMProgram:
     """Translate a unary recursion term to a counter machine computing
-    the same partial map.  ACK compiles only when applied to a literal
-    constant row; everything else is compositional."""
+    the same partial map.  ACK compiles only when applied to a small
+    enough literal row (see ``_emit``); everything else is compositional."""
     if t.arity() != 1:
         raise CompileError(f"term must be unary to compile, {to_text(t)} takes {t.arity()}")
-    folded = _fold_ack(t)
     gen = _Gen()
     arg = gen.reg()
     out = gen.reg()
-    _emit(folded, [arg], out, gen)
+    _emit(t, [arg], out, gen)
     gen.emit("halt")
     name = name or f"cm[{to_text(t)}]"
     return CMProgram(name, max(gen.n_regs, 1), arg, out, _link(gen.ops, gen.labels, name))

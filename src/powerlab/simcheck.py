@@ -25,13 +25,13 @@ simulating side's domain when it is made, so every code a check
 compares is a value a candidate could return.  Across two domains the
 reverse direction of an equivalence takes as its inputs the codes of
 the plan's inputs that the forward direction computed and validated,
-and does not encode the plan's inputs again.  ``check_closure`` tests
-each intermediate value of a composite against the model's domain, and
-each result of the outer map; ``maps_agree`` every input and every
-converged result against both maps' domains, and ``Model.candidates``
-each map the models enumerate against its model's domain.  A builtin's
-results are tested by ``BuiltinMap`` itself, on both of its paths (see
-there), since its function is code the checker does not control.  A
+and does not encode the plan's inputs again.  ``maps_agree`` tests
+every input against both maps' domains, and ``Model.candidates`` each
+map the models enumerate against its model's domain.  A converged
+result outside its map's domain is refused by one rule on every path,
+``PartialMap._refuse``: by ``_converged`` in ``check_closure`` and
+``maps_agree``, by ``BuiltinMap`` on both of its paths, and by
+``_simulate`` for a simulated member's output that fails to encode.  A
 value that passes costs one call of its domain's ``contains``, a plain
 function; a ``DomainMismatch`` message is built only for a value that
 fails.  Evaluations then run unchecked, so a value the checker never
@@ -260,8 +260,8 @@ class _Runner:
             got = memo.get(x)
             if got is None:
                 if fn is not None:
-                    # a value the caller tests: ``_simulate`` by encoding it,
-                    # ``check_closure`` and ``maps_agree`` themselves
+                    # a value the caller tests (``_converged``); ``_simulate``
+                    # by encoding it
                     got = fn(x)
                     if got is None:
                         got = m._refuse(got)
@@ -439,7 +439,12 @@ def _simulate(runner: _Runner, a: Model, b: Model, e: Encoding, inputs: tuple, b
     results = []
     for g in bs:
         outs = runner.run_many(g, inputs)
-        points = list(zip(inputs, ys, map(want, zip(map(type, outs), outs))))
+        try:
+            points = list(zip(inputs, ys, map(want, zip(map(type, outs), outs))))
+        except DomainMismatch:
+            for v in outs:  # an output outside g's domain is g's fault
+                _converged(g, v)
+            raise
         results.append(_match_member(g.name, points, pool, runner))
     return results, _collision(e, codes), ys
 
@@ -462,37 +467,34 @@ def check_simulation(a: Model, b: Model, e: Encoding, plan: TestPlan) -> SimRepo
     return _report(claim, plan, results, runner, faults, _refuted_by(faults))
 
 
-def _check_converged(m: PartialMap, raw) -> None:
-    """Raise ``DomainMismatch`` if ``raw``, a result of ``m``, is a
-    converged value outside ``m``'s domain."""
-    if raw is not FUEL_EXHAUSTED and not isinstance(raw, Diverged) and not m.domain.contains(raw):
-        m.domain.check(raw, f"{m.name} output")
+def _converged(m: PartialMap, raw) -> bool:
+    """Whether ``raw``, a result of ``m``, converged; a converged value
+    outside ``m``'s domain is refused (``PartialMap._refuse``)."""
+    if raw is FUEL_EXHAUSTED or isinstance(raw, Diverged):
+        return False
+    if not m.domain.contains(raw):
+        m._refuse(raw)
+    return True
 
 
 def check_closure(model: Model, plan: TestPlan) -> SimReport:
     """Is the sample closed under composition?  Every pairwise composite
     must match some member of the candidate pool on the planned inputs.
 
-    Every composite's points are computed, and every value in them
-    validated, before any hunt; the ``Stats`` do not depend on the order,
-    since they count distinct (map, input) pairs."""
+    Each composite f*g is hunted as soon as its points are made, as
+    ``_simulate`` hunts each member: g's results are validated before f
+    runs on them, and f's before the hunt reads them."""
     members, pool = _sides(model, model, plan)
     runner = _Runner(plan.fuel)
-    contains = model.domain.contains
-    composites = []
+    results = []
     for f in members:
         for g in members:
             points = []
-            for x in plan.inputs:
-                want = runner.run(g, x)
-                if want is not FUEL_EXHAUSTED and not isinstance(want, Diverged):
-                    if not contains(want):
-                        model.domain.check(want, f"{g.name} output, passed to {f.name}")
-                    want = runner.run(f, want)
-                    _check_converged(f, want)
+            for x, mid in zip(plan.inputs, runner.run_many(g, plan.inputs)):
+                want = runner.run(f, mid) if _converged(g, mid) else mid
+                _converged(f, want)
                 points.append((x, x, None if want is FUEL_EXHAUSTED else want))
-            composites.append((f"{f.name}*{g.name}", points))
-    results = [_match_member(name, points, pool, runner) for name, points in composites]
+            results.append(_match_member(f"{f.name}*{g.name}", points, pool, runner))
     return _report(Claim("closure", model.name, model.name, "identity"), plan, results, runner)
 
 
@@ -643,8 +645,8 @@ def maps_agree(m1: PartialMap, m2: PartialMap, inputs, fuel: int) -> Agreement:
         m2.domain.check(x, m2.name)
         left = runner.run(m1, x)
         right = runner.run(m2, x)
-        _check_converged(m1, left)
-        _check_converged(m2, right)
+        _converged(m1, left)
+        _converged(m2, right)
         if left is FUEL_EXHAUSTED or right is FUEL_EXHAUSTED:
             undecided += 1
             continue

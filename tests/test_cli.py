@@ -176,9 +176,11 @@ def test_compile_command(capsys, tmp_path):
     assert main(["compile", "--term", "(C S"]) == EXIT_USAGE
     assert main(["compile", "--term", "(R Z (P 3 3))"]) == EXIT_USAGE  # not unary
     capsys.readouterr()
-    assert main(["compile", "--term", "(K 200001)"]) == EXIT_USAGE  # too many instructions
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    for text in ("(K 200001)", "(C ACK (K 100000) I)"):  # too many instructions
+        assert main(["compile", "--term", text]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "program too large" in captured.err
 
 
 @pytest.mark.parametrize("text", ["(M", "(C", "(R", "(R Z"])

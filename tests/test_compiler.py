@@ -64,6 +64,40 @@ def test_ack_with_open_row_is_rejected():
         compile_rec_to_cm(Comp(Ack(), (Id(), Id())))
 
 
+@pytest.mark.parametrize(
+    "text", ["(C (C S ACK) I I)", "(C (R ACK (P 4 4)) I I I)", "(M ACK)"], ids=["C", "R", "M"]
+)
+def test_a_bare_ack_is_rejected_wherever_it_sits(text):
+    with pytest.raises(CompileError, match="^unsupported construct: bare ACK cannot compile$"):
+        compile_rec_to_cm(parse_term(text))
+
+
+def test_an_ack_row_that_is_not_a_literal_is_named():
+    message = "^unsupported construct: ACK needs a literal constant first argument to compile, got I$"
+    with pytest.raises(CompileError, match=message):
+        compile_rec_to_cm(parse_term("(C ACK I I)"))
+
+
+def test_ack_row_zero_compiles_as_row_k_zero():
+    assert render_cm(compile_rec_to_cm(parse_term("(C ACK Z I)"), name="r")) == render_cm(
+        compile_rec_to_cm(parse_term("(C ACK (K 0) I)"), name="r")
+    )
+
+
+def test_a_term_holding_two_ack_rows_matches_the_interpreter():
+    t = parse_term("(C (C ACK (K 1) I) (C ACK (K 2) I))")
+    for n in range(6):
+        direct, compiled = both(t, n)
+        assert compiled == direct == Converged(2 * n + 5)
+
+
+def test_an_ack_row_too_large_to_compile_is_refused_before_it_is_built():
+    # row k compiles to at least 2**k instructions, so row 100000 is
+    # refused at once rather than built as a 100000-deep term
+    with pytest.raises(CompileError, match="^program too large: more than 100000 instructions$"):
+        compile_rec_to_cm(parse_term("(C ACK (K 100000) I)"))
+
+
 def test_compiled_program_size_is_bounded():
     # (K k) compiles to k increments; the bound stops it before it allocates
     with pytest.raises(CompileError, match="instructions"):

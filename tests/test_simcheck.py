@@ -502,28 +502,10 @@ def test_maps_agree():
 # Values are validated where they enter a check; evaluations trust them.
 
 
-def _succ_and_isbig():
-    succ = term_map(S(), "succ")
-    isbig = BuiltinMap("isbig", Domain.NAT, lambda n: n > 3)
-    return Model("nat", Domain.NAT, (succ, isbig))
-
-
-@pytest.mark.parametrize("inputs, got", [((0, 1, 2, 5), False), ((5,), True)])
-def test_closure_rejects_intermediates_outside_the_domain(inputs, got):
-    # isbig returns a bool; succ(True) must not be served from succ(1)
-    message = f"^wrong domain: isbig output, passed to succ expects nat, got {got}$"
-    with pytest.raises(DomainMismatch, match=message):
-        check_closure(_succ_and_isbig(), TestPlan(inputs=inputs, fuel=100))
-
-
-def _ispos_and_sign():
-    # ispos returns a bool where sign returns 0 or 1
-    ispos = BuiltinMap("ispos", Domain.NAT, lambda n: n > 0)
-    sign = BuiltinMap("sign", Domain.NAT, lambda n: 1 if n > 0 else 0)
-    return ispos, sign
-
-
-@pytest.mark.parametrize(
+# The forms a builtin reaches a check in.  The checker calls the plain
+# builtin's function itself; every other form reaches its ``_run``.  A
+# result outside the domain is refused with one message in all of them.
+_FORMS = pytest.mark.parametrize(
     "form",
     [
         lambda m: m,
@@ -533,22 +515,60 @@ def _ispos_and_sign():
     ],
     ids=["plain", "subclass", "pullback", "wrapper"],
 )
-def test_a_candidate_builtin_returning_a_bool_is_refused(form):
-    # the checker calls the plain builtin's function itself; every other
-    # form reaches its ``_run``, which refuses the same way
-    ispos, sign = _ispos_and_sign()
-    a = Model("a", Domain.NAT, (form(ispos),))
-    b = Model("b", Domain.NAT, (sign,))
+
+
+def _succ_and_isbig(form=lambda m: m):
+    succ = term_map(S(), "succ")
+    isbig = form(BuiltinMap("isbig", Domain.NAT, lambda n: n > 3))
+    return Model("nat", Domain.NAT, (succ, isbig))
+
+
+@_FORMS
+@pytest.mark.parametrize("inputs, got", [((0, 1, 2, 5), False), ((5,), True)])
+@pytest.mark.parametrize("pool", [None, ("succ",)], ids=["whole-pool", "succ-pool"])
+def test_closure_rejects_intermediates_outside_the_domain(inputs, got, pool, form):
+    # isbig returns a bool; succ(True) must not be served from succ(1).
+    # With succ alone in the pool, only succ*isbig's intermediate is refused.
+    message = f"^wrong domain: isbig output expects nat, got {got}$"
+    plan = TestPlan(inputs=inputs, fuel=100, a_sample=pool)
+    with pytest.raises(DomainMismatch, match=message):
+        check_closure(_succ_and_isbig(form), plan)
+
+
+def _ispos_and_sign(form=lambda m: m):
+    # ispos returns a bool where sign returns 0 or 1
+    ispos = form(BuiltinMap("ispos", Domain.NAT, lambda n: n > 0))
+    sign = BuiltinMap("sign", Domain.NAT, lambda n: 1 if n > 0 else 0)
+    return ispos, sign
+
+
+def _simulate_sign_and_ispos(a_member, b_member):
+    a = Model("a", Domain.NAT, (a_member,))
+    b = Model("b", Domain.NAT, (b_member,))
     message = "^wrong domain: ispos output expects nat, got False$"
     with pytest.raises(DomainMismatch, match=message):
         check_simulation(a, b, IdentityEncoding(), plan_over_range(0, 5, 10))
 
 
+@_FORMS
+def test_a_candidate_builtin_returning_a_bool_is_refused(form):
+    ispos, sign = _ispos_and_sign(form)
+    _simulate_sign_and_ispos(ispos, sign)
+
+
+@_FORMS
+def test_a_simulated_builtin_returning_a_bool_is_refused(form):
+    # refused as itself, not as a value its encoding cannot take
+    ispos, sign = _ispos_and_sign(form)
+    _simulate_sign_and_ispos(sign, ispos)
+
+
+@_FORMS
 @pytest.mark.parametrize("swap", [False, True])
-def test_maps_agree_refuses_a_result_outside_its_domain(swap):
-    ispos, sign = _ispos_and_sign()
+def test_maps_agree_refuses_a_result_outside_its_domain(swap, form):
+    ispos, sign = _ispos_and_sign(form)
     pair = (ispos, sign) if swap else (sign, ispos)
-    with pytest.raises(DomainMismatch, match="^wrong domain: ispos output expects nat"):
+    with pytest.raises(DomainMismatch, match="^wrong domain: ispos output expects nat, got False$"):
         maps_agree(*pair, range(6), 10)
 
 
