@@ -149,6 +149,7 @@ class PartialMap:
     the domain and returns its raw result (see ``_box``).  ``_run`` never
     raises on fuel exhaustion; it reports ``FUEL_EXHAUSTED`` so that
     wrappers sharing the same budget can pass the result through.
+    Every check refuses a result outside the domain through ``_refuse``.
     """
 
     name: str
@@ -158,7 +159,7 @@ class PartialMap:
         raise InvalidMap(f"invalid map: {self.name!r} has no evaluation rule")
 
     def _refuse(self, v):
-        """Raise for ``v``, a result outside the domain: every check's one rule."""
+        """Raise for ``v``, a result of this map outside its domain."""
         self.domain.check(v, f"{self.name} output")
 
 
