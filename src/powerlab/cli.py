@@ -190,18 +190,20 @@ def outcome_to_text(out: Outcome) -> str:
 
 # ---------------------------------------------------------------------------
 # Scenario loading: each builder checks its object against a field table on
-# entry, then only indexes the fields it gets back.
+# entry, in one pass, then only indexes the fields it gets back.
 
 _REQUIRED = object()
 
 
 class Field(NamedTuple):
     """A field's JSON type: str, int (a whole number, not a boolean),
-    bool, list, dict, or a table whose keys are the strings it may take.
-    Then its default, ``_REQUIRED`` when it has none; bounds on a number
-    or on the size of a list or object; what each item of a list must be;
-    and a message, formatted with ``where`` and ``value``, that replaces
-    the standard ones for any fault in the field."""
+    bool, list, dict, or a table whose keys are the strings it may take
+    (where its values are ``(fields, build)`` pairs, the string picks a
+    kind, whose fields join the object's).  Then its default,
+    ``_REQUIRED`` when it has none; bounds on a number or on the size of
+    a list or object; what each item of a list must be; and a message,
+    formatted with ``where`` and ``value``, that replaces the standard
+    ones for any fault in the field."""
 
     type: object
     default: object = _REQUIRED
@@ -239,24 +241,30 @@ def _fault(value, field: Field, label: str) -> Optional[str]:
 
 
 def _fields(obj, table: dict, where: str, **defaults) -> dict:
-    """A copy of ``obj`` in which each field of ``table`` is checked, or
-    takes its default when it is missing (or null, where the default is
-    null).  ``defaults`` replace the table's where they depend on context.
-    Other fields pass through unchecked, so an object can be checked in
-    stages: against a common table, then against the one its kind picks."""
+    """``obj``'s fields: each field of ``table``, and of the kinds its
+    fields pick, checked, or given its default when it is missing (or
+    null, where the default is null).  ``defaults`` replace the tables'
+    where they depend on context.  A field no table names is refused."""
     if type(obj) is not dict:
         raise ScenarioError(f"{where} is not an object")
-    out = dict(obj)
-    for key, field in table.items():
+    out = {}
+    fields = list(table.items())
+    for key, field in fields:  # grows by each kind's fields as it is met
         if obj.get(key) is None and (key not in obj or field.default is None):
             out[key] = defaults.get(key, field.default)
             if out[key] is _REQUIRED:
                 raise ScenarioError(f"{where} is missing {key!r}")
             continue
-        fault = _fault(obj[key], field, repr(key))
+        value = out[key] = obj[key]
+        fault = _fault(value, field, repr(key))
         if fault is not None:
             message = field.error or "{where}: {fault}"
-            raise ScenarioError(message.format(where=where, value=obj[key], fault=fault))
+            raise ScenarioError(message.format(where=where, value=value, fault=fault))
+        if type(field.type) is dict and type(field.type[value]) is tuple:
+            fields += field.type[value][0].items()
+    for key in obj:
+        if key not in out:
+            raise ScenarioError(f"{where} has no field {key!r}")
     return out
 
 
@@ -318,8 +326,7 @@ _ENCODE_SCHEMES = tuple(
 
 def build_encoding(spec, seed: int = 0) -> Encoding:
     f = _fields(spec, _ENCODING, "encoding")
-    table, build = _SCHEMES[f["scheme"]]
-    e = build(_fields(f, table, f["scheme"]), seed)
+    e = _SCHEMES[f["scheme"]][1](f, seed)
     return e.inverse() if f["inverse"] else e
 
 
@@ -378,7 +385,6 @@ def _construction_model(f: dict, where: str, base_dir: Path, seed: int, get, pai
     scenario for its fields other than ``role``, and kept in ``pairs``, so
     its two roles share their member objects."""
     table, build = _CONSTRUCTIONS[f["construction"]]
-    f = _fields(f, table, where)
     if "role" not in table:
         return build(f, where, base_dir, seed, get)
     key = (f["construction"], repr([f[k] for k in table if k != "role"]))
@@ -467,8 +473,7 @@ def build_models(doc: dict, base_dir: Path, seed: int):
             in_progress.add(key)
             where = f"model {key!r}"
             f = _fields(specs[key], _MODEL, where, name=key)
-            table, build = _MODEL_KINDS[f["kind"]]
-            built[key] = build(_fields(f, table, where), where, base_dir, seed, get, pairs)
+            built[key] = _MODEL_KINDS[f["kind"]][1](f, where, base_dir, seed, get, pairs)
             in_progress.discard(key)
         return built[key]
 
@@ -577,10 +582,11 @@ def run_scenario(
     by ``combine_verdicts``.  ``fuel`` and ``inputs`` override the
     plan's, as in ``build_plan``."""
     f = _fields(doc, _SCENARIO, "scenario")
-    table, run = _CHECKS[f["check"]]
-    f = _fields(f, table, f"{f['check']} scenario")
     get = build_models(doc, base_dir, seed)
-    reports = run(f, get, build_plan(doc, fuel, inputs), seed)
+    plan = build_plan(doc, fuel, inputs)
+    for key in f["models"]:  # so each is checked, whether the claim names it or not
+        get(key)
+    reports = _CHECKS[f["check"]][1](f, get, plan, seed)
     combine = probe_verdict if f["check"] == "probe" else combine_verdicts
     return f["name"], f["check"], reports, combine(r.aggregate for r in reports)
 
@@ -591,59 +597,6 @@ def run_scenario(
 
 _json_string = json.encoder.encode_basestring_ascii
 
-# ``render_structured``'s document, one template per object of its fixed
-# schema: each key in sorted order, and each indentation, as
-# ``json.dumps(doc, sort_keys=True, indent=2)`` writes them.  Each ``%s``
-# takes a value already written as JSON.
-_DOCUMENT = (
-    "{\n"
-    '  "aggregate": %s,\n'
-    '  "check": %s,\n'
-    '  "reports": %s,\n'
-    '  "scenario": %s\n'
-    "}\n"
-)
-_REPORT = (
-    "{\n"
-    '      "aggregate": %s,\n'
-    '      "claim": {\n'
-    '        "encoding": %s,\n'
-    '        "kind": %s,\n'
-    '        "left": %s,\n'
-    '        "mode": %s,\n'
-    '        "right": %s\n'
-    "      },\n"
-    '      "members": %s,\n'
-    '      "notes": %s,\n'
-    '      "stats": {\n'
-    '        "evaluations": %s,\n'
-    '        "fuel_spent": %s,\n'
-    '        "inputs": %s\n'
-    "      }\n"
-    "    }"
-)
-_MEMBER = (
-    "{\n"
-    '          "failures": %s,\n'
-    '          "member": %s,\n'
-    '          "undecided_inputs": %s,\n'
-    '          "verdict": %s,\n'
-    '          "witness": %s\n'
-    "        }"
-)
-_FAILURE = (
-    "{\n"
-    '              "candidate": %s,\n'
-    '              "expected": %s,\n'
-    '              "got": %s,\n'
-    '              "input": %s\n'
-    "            }"
-)
-_CONVERGED = '{\n                "status": "converged",\n                "value": %s\n              }'
-_DIVERGED = '{\n                "status": "diverged"\n              }'
-_EXHAUSTED = '{\n                "status": "fuel-exhausted"\n              }'
-
-
 def _list(items: list, newline: str) -> str:
     """Items already written as JSON, as a JSON list; ``newline`` is a
     line break followed by the indentation of the line the list starts on."""
@@ -651,6 +604,38 @@ def _list(items: list, newline: str) -> str:
         return "[]"
     inner = newline + "  "
     return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+
+def _template(indent: int, keys: tuple) -> str:
+    """The template of an object that starts on a line indented ``indent``
+    spaces, laid out as ``json.dumps(sort_keys=True, indent=2)`` writes it.
+    ``keys`` lists its keys in sorted order: a name, whose value is a
+    ``%s`` that takes a value already written as JSON, or a one-entry dict
+    from a name to the key list of a nested object."""
+    newline = "\n" + " " * indent
+    inner = newline + "  "
+    pairs = []
+    for key in keys:
+        if type(key) is dict:
+            ((key, nested),) = key.items()
+            pairs.append(f'"{key}": ' + _template(indent + 2, nested))
+        else:
+            pairs.append(f'"{key}": %s')
+    return "{" + inner + ("," + inner).join(pairs) + newline + "}"
+
+
+# ``render_structured``'s document, one template per object of its fixed
+# schema, at the indentation the object has in the document.
+_DOCUMENT = _template(0, ("aggregate", "check", "reports", "scenario")) + "\n"
+_REPORT = _template(4, (
+    "aggregate", {"claim": ("encoding", "kind", "left", "mode", "right")}, "members", "notes",
+    {"stats": ("evaluations", "fuel_spent", "inputs")},
+))
+_MEMBER = _template(8, ("failures", "member", "undecided_inputs", "verdict", "witness"))
+_FAILURE = _template(12, ("candidate", "expected", "got", "input"))
+_CONVERGED = _template(14, ("status", "value")) % ('"converged"', "%s")
+_DIVERGED = _template(14, ("status",)) % '"diverged"'
+_EXHAUSTED = _template(14, ("status",)) % '"fuel-exhausted"'
 
 
 def _text_or_null(s: Optional[str]) -> str:
@@ -665,10 +650,8 @@ def _value_text(v, newline: str) -> str:
     if t is str:
         return _json_string(v)
     if t is tuple:
-        if not v:
-            return "[]"
         inner = newline + "  "
-        return "[" + inner + _value_text(v[0], inner) + "," + inner + _value_text(v[1], inner) + newline + "]"
+        return _list([_value_text(x, inner) for x in v], newline)
     # no value of a domain: whatever a map returned, as ``json`` writes it
     return json.dumps(value_to_json(v), sort_keys=True, indent=2).replace("\n", newline)
 

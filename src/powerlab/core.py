@@ -211,20 +211,21 @@ def apply(m: PartialMap, x: Value, fuel: int) -> Outcome:
 
 def apply_with_cost(m: PartialMap, x: Value, fuel: int) -> tuple[Outcome, int]:
     """Like ``apply``, but also reports how much fuel was consumed."""
-    if fuel < 1:
-        raise ValueError("fuel must be at least 1")
+    evaluate = _evaluator(fuel)
     m.domain.check(x, m.name)
-    out, used = _evaluator(fuel)(m, x)
+    out, used = evaluate(m, x)
     return _box(out), used
 
 
 def _evaluator(fuel: int, table: Optional[dict] = None):
     """A check's evaluation function: ``evaluate(m, x)``, for ``x`` in
     ``m``'s domain, runs ``m._run`` on one ``Fuel`` cell, reset to
-    ``fuel`` (at least 1), that carries ``table``, and returns the raw
-    result and the fuel spent.  Running out costs the whole budget, and
-    a table hit the recorded spend, so no result or spend depends on the
-    table."""
+    ``fuel``, that carries ``table``, and returns the raw result and the
+    fuel spent.  Running out costs the whole budget, and a table hit the
+    recorded spend, so no result or spend depends on the table.  This is
+    where every evaluation's budget is checked to be at least 1."""
+    if fuel < 1:
+        raise ValueError("fuel must be at least 1")
     cell = Fuel(fuel, table)
 
     def evaluate(m: PartialMap, x: Value):

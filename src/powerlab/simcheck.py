@@ -230,8 +230,6 @@ class _Runner:
     share an entry, but ``True`` never gets this far)."""
 
     def __init__(self, fuel: int):
-        if fuel < 1:
-            raise ValueError("fuel must be at least 1")
         self.memos: dict = {}
         self.table: dict = {}
         self.evaluate = _evaluator(fuel, self.table)
@@ -332,7 +330,8 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
 
     Each candidate is evaluated only up to its first mismatch, and the
     candidates after a witness not at all.  Mismatches are kept raw until
-    the member turns out not to be verified."""
+    the member turns out not to be verified.  A fresh converged result
+    outside the candidate's domain is refused (``PartialMap._refuse``)."""
     evaluate = runner.evaluate
     evaluations = spent = 0
     unknown_candidate = None
@@ -341,8 +340,7 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
         memo = runner.memo(f)
         undecided = 0
         fn = f.fn if type(f) is BuiltinMap else None
-        if fn is not None:
-            contains = f.domain.contains
+        contains = f.domain.contains
         for x, y, want in points:
             got = memo.get(y)
             if got is None:
@@ -353,6 +351,8 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
                     spent += 1
                 else:
                     got, used = evaluate(f, y)
+                    if not contains(got):  # diverged, exhausted, or refused
+                        _converged(f, got)
                     spent += used
                 memo[y] = got
                 evaluations += 1

@@ -554,8 +554,8 @@ def _mistyped(**changes):
 @pytest.mark.parametrize(
     "doc, message",
     [
-        (_mistyped(encoding={"scheme": "compose", "steps": 5}), "compose: 'steps' is not a list"),
-        (_mistyped(encoding={"scheme": "table", "pairs": 5}), "table: 'pairs' is not a list"),
+        (_mistyped(encoding={"scheme": "compose", "steps": 5}), "encoding: 'steps' is not a list"),
+        (_mistyped(encoding={"scheme": "table", "pairs": 5}), "encoding: 'pairs' is not a list"),
         (
             _mistyped(models={"a": {"kind": "dsl-terms", "members": 5}}),
             "model 'a': 'members' is not a list",
@@ -583,6 +583,164 @@ def test_an_output_code_outside_the_simulating_domain_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "powerlab: error: wrong domain: table[3] into a expects nat, got '01'\n"
+
+
+def test_a_candidate_result_outside_its_domain_exits_3(tmp_path, capsys):
+    # the image of succ through this table sends 5 to succ(0) = 1's code,
+    # "01", which its own domain, the naturals, does not hold
+    doc = _mistyped(models={
+        "a": _REC_SUITE,
+        "terms": {"kind": "dsl-terms", "members": [{"name": "s", "term": "S"}]},
+        "image": {"kind": "builtin-construction", "construction": "image", "of": "terms",
+                  "encoding": {"scheme": "table", "pairs": [[0, 5], [1, "01"]]}},
+    }, simulator="image", b_sample=["succ"])
+    doc["plan"]["inputs"] = {"list": [5]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "powerlab: error: wrong domain: push(table[2],s) output expects nat, got '01'\n"
+    )
+
+
+_IDENTITY = {"scheme": "identity"}
+_ZEROS = {"name": "zeros"}
+
+# The fields of each check kind, in a scenario over the one model "a".
+_CHECK_FIELDS = {
+    "simulation": {"simulator": "a", "simulated": "a", "encoding": _IDENTITY},
+    "equivalence": {
+        "simulator": "a", "simulated": "a", "encodings": [_IDENTITY, _IDENTITY], "mode": "strong",
+    },
+    "closure": {"model": "a"},
+    "pullback-law": {"simulator": "a", "simulated": "a", "encoding": _IDENTITY},
+    "probe": {"simulator": "a", "simulated": "a", "encodings": [_IDENTITY], "family_name": "f"},
+}
+
+
+def _scenario(check="simulation", model=_REC_SUITE, **fields):
+    """A scenario of this check kind over model "a", with ``fields`` replaced."""
+    doc = {
+        "name": "strict", "check": check, "models": {"a": model, "b": _REC_SUITE},
+        **_CHECK_FIELDS[check], "plan": {"inputs": {"range": [0, 2]}, "fuel": 100},
+    }
+    return {**doc, **fields}
+
+
+def _construction(name, **fields):
+    return {"kind": "builtin-construction", "construction": name, **fields}
+
+
+_PROGRAMS = {
+    "dsl-terms": {"kind": "dsl-terms", "members": [{"name": "s", "term": "S"}]},
+    "cm-programs": {"kind": "cm-programs", "members": [
+        {"name": "id", "lines": ["registers 1", "input 0", "output 0"]}
+    ]},
+    "tm-programs": {"kind": "tm-programs", "members": [
+        {"name": "id", "lines": ["start done", "halt done"]}
+    ]},
+}
+_MODELS = {
+    **_PROGRAMS,
+    "rec-suite": _REC_SUITE,
+    "stripe": _construction("stripe", d=2, r=0),
+    "tri": _construction("tri", role="A"),
+    "re": _construction("re", oracle=_ZEROS, role="image"),
+    "tm-witness": _construction("tm-witness", role="tm"),
+    "image": _construction("image", of="b", encoding=_IDENTITY),
+}
+_ENCODINGS = {
+    "identity": _IDENTITY,
+    "stripe": {"scheme": "stripe", "d": 2, "r": 0},
+    "tri-pi": {"scheme": "tri-pi"},
+    "bits": {"scheme": "bits"},
+    "godel": {"scheme": "godel"},
+    "re-rho": {"scheme": "re-rho", "oracle": _ZEROS},
+    "table": {"scheme": "table", "pairs": [[0, 0]]},
+    "compose": {"scheme": "compose", "steps": [_IDENTITY]},
+}
+
+# Each object a scenario can hold: a scenario holding it, the path of keys
+# to it, and what messages call it.
+_OBJECTS = {
+    **{f"scenario/{check}": (_scenario(check), [], "scenario") for check in _CHECK_FIELDS},
+    **{
+        f"model/{kind}": (_scenario("closure", model), ["models", "a"], "model 'a'")
+        for kind, model in _MODELS.items()
+    },
+    "model/unused": (_scenario(), ["models", "b"], "model 'b'"),
+    **{
+        f"member/{kind}": (
+            _scenario("closure", model), ["models", "a", "members", 0], "model 'a' member 0"
+        )
+        for kind, model in _PROGRAMS.items()
+    },
+    **{
+        f"encoding/{scheme}": (_scenario(encoding=encoding), ["encoding"], "encoding")
+        for scheme, encoding in _ENCODINGS.items()
+    },
+    "encoding/compose-step": (
+        _scenario(encoding=_ENCODINGS["compose"]), ["encoding", "steps", 0], "encoding"
+    ),
+    "oracle/re-rho": (
+        _scenario(encoding=_ENCODINGS["re-rho"]), ["encoding", "oracle"], "oracle"
+    ),
+    "oracle/re": (_scenario("closure", _MODELS["re"]), ["models", "a", "oracle"], "oracle"),
+    "plan": (_scenario(), ["plan"], "plan"),
+    "plan-inputs": (_scenario(), ["plan", "inputs"], "plan inputs"),
+}
+
+
+@pytest.mark.parametrize("doc, path, where", _OBJECTS.values(), ids=_OBJECTS.keys())
+def test_every_object_refuses_an_unknown_field(doc, path, where, tmp_path, capsys):
+    doc = json.loads(json.dumps(doc))
+    obj = doc
+    for key in path:
+        obj = obj[key]
+    obj["typo"] = 0
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["run", str(scenario)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"powerlab: error: {where} has no field 'typo'\n"
+
+
+def _misspell(doc, obj, right, wrong):
+    obj[wrong] = obj.pop(right)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: _misspell(doc, doc, "mode", "mod"), "scenario has no field 'mod'"),
+        (
+            lambda doc: _misspell(doc, doc["encodings"][1], "inverse", "invrse"),
+            "encoding has no field 'invrse'",
+        ),
+    ],
+    ids=["mod", "invrse"],
+)
+def test_a_misspelt_field_exits_3(edit, message, tmp_path, capsys):
+    # read as absent, each would check a weaker claim: plain equivalence,
+    # or tri-pi both ways
+    doc = edit(json.loads((SCENARIOS / "isomorphism_rotation.json").read_text()))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"powerlab: error: {message}\n"
+
+
+def test_encode_refuses_a_flag_its_scheme_does_not_read(capsys):
+    assert main(["encode", "--scheme", "identity", "--d", "3", "5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "powerlab: error: encoding has no field 'd'\n"
 
 
 # The scenarios whose full-fuel runs take a tenth of a second or more; the

@@ -71,6 +71,9 @@ def test_apply_identity_builtin():
 def test_apply_validates():
     with pytest.raises(ValueError, match="fuel"):
         apply(identity_map(), 0, 0)
+    # the budget is checked before the input
+    with pytest.raises(ValueError, match="^fuel must be at least 1$"):
+        apply(identity_map(), "01", 0)
     with pytest.raises(DomainMismatch, match="wrong domain"):
         apply(identity_map(), "01", 10)
     with pytest.raises(InvalidMap, match="invalid map"):

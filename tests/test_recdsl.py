@@ -23,6 +23,7 @@ from powerlab.recdsl import (
     Z,
     _code,
     _evaluate,
+    _series,
     _summary,
     _subterms,
     classify,
@@ -270,6 +271,20 @@ def test_fuel_monotone_on_square(n, fuel):
     hi = eval_term(SQUARE, (n,), 10**6)
     assert hi == Converged(n * n)
     assert lo in (hi, FUEL_EXHAUSTED)
+
+
+@given(
+    st.integers(-10**6, 10**6), st.integers(-1000, 1000), st.integers(0, 60),
+    st.integers(-50, 50), st.integers(-50, 50),
+)
+@example(-7, -3, 0, 2, 5)
+@example(-7, -3, 1, 2, 5)
+@example(4, -5, 9, -1, 3)
+def test_series_is_the_sum_it_names(v, d, n, b1, b2):
+    # the closed-form loops and searches rest on this sum: b1*x + b2*C(x)
+    # over x = v, v + d, ..., n terms, C(x) = x(x - 1)/2 for any integer x
+    xs = [v + i * d for i in range(n)]
+    assert _series(v, d, n, b1, b2) == sum(b1 * x + b2 * (x * (x - 1) // 2) for x in xs)
 
 
 def _assert_exact_fuel(t, x):

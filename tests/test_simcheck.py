@@ -502,9 +502,22 @@ def test_maps_agree():
 # Values are validated where they enter a check; evaluations trust them.
 
 
-# The forms a builtin reaches a check in.  The checker calls the plain
-# builtin's function itself; every other form reaches its ``_run``.  A
-# result outside the domain is refused with one message in all of them.
+@dataclass(frozen=True)
+class _Unchecked(PartialMap):
+    """A map whose ``_run`` returns its function's result as it is, in its
+    domain or not."""
+
+    fn: object = None
+
+    def _run(self, x, fuel):
+        fuel.charge()
+        return self.fn(x)
+
+
+# The forms a builtin reaches a check in, and a map that is no builtin.
+# The checker calls the plain builtin's function itself; every other form
+# reaches its ``_run``.  A result outside the domain is refused with one
+# message in all of them.
 _FORMS = pytest.mark.parametrize(
     "form",
     [
@@ -512,8 +525,9 @@ _FORMS = pytest.mark.parametrize(
         lambda m: _SubBuiltin(m.name, m.domain, m.fn),
         lambda m: pullback(IdentityEncoding(), m),
         lambda m: _counted(m),
+        lambda m: _Unchecked(m.name, m.domain, m.fn),
     ],
-    ids=["plain", "subclass", "pullback", "wrapper"],
+    ids=["plain", "subclass", "pullback", "wrapper", "unchecked"],
 )
 
 
@@ -588,6 +602,8 @@ def test_maps_agree_rejects_inputs_outside_either_domain():
     bits = BuiltinMap("same", Domain.BITS, lambda s: s)
     with pytest.raises(DomainMismatch):
         maps_agree(succ, bits, [1], 10)
+    with pytest.raises(ValueError, match="^fuel must be at least 1$"):
+        maps_agree(succ, succ, [1], 0)
 
 
 def _negate(x):
