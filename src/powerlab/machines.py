@@ -37,6 +37,12 @@ counting loop ``L: decjz r D; inc a1; ...; inc ak; jump L; D:`` (no
 charge as its instructions one at a time: ``(k + 2) * v + 1`` units when
 ``r`` holds ``v``.  A budget too small for the whole loop runs out, as
 the step-by-step run would inside it.
+
+A counter machine runs as generated Python blocks (``_block``), each made
+the first time a run enters its instruction and cached on the program:
+the straight-line code from there up to the next ``decjz``, with the
+same charges as one instruction at a time.  The Turing-machine
+interpreter takes one step at a time.
 """
 
 from __future__ import annotations
@@ -394,10 +400,19 @@ class CMProgram:
             if not (ok and all(0 <= v < bound[k] for k, v in _operands(ins))):
                 raise _Fault(self.name, f"bad instruction {ins!r}", ix, f" at {ix}")
         object.__setattr__(self, "_code", _build_code(self))
+        object.__setattr__(self, "_blocks", {})
+
+    def __getstate__(self):
+        # the generated blocks, functions, cannot be pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_blocks"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _blocks={})
 
 
 def _build_code(p: CMProgram) -> tuple:
-    """The form ``CMMap`` runs: ``(code, slots, input slot, output slot)``.
+    """The form ``CMMap`` generates its blocks from: ``(code, slots,
+    input slot, output slot)``.
 
     Registers are renumbered densely over those the program names, so a
     run allocates one slot for each of them and none for the rest of
@@ -498,51 +513,125 @@ def render_cm(p: CMProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A block covers at most this many instructions.  Past them it hands on
+# to the block at the next one, so a run generates code only for the
+# blocks it enters, however long the program.
+BLOCK_LIMIT = 256
+
+
+def _path(code: tuple, pc: int, limit: int) -> tuple:
+    """The straight-line instructions from ``pc``, at most ``limit`` of
+    them, and the index after them: ``inc``s, fused loops and jumps,
+    each followed to the next, up to a ``decjz``, a ``halt``, the end of
+    the program or an index already on the path."""
+    size = len(code)
+    path: list = []
+    seen = set()
+    while pc < size and pc not in seen and len(path) < limit:
+        ins = code[pc]
+        op = ins[0]
+        if op == "decjz" or op == "halt":
+            break
+        seen.add(pc)
+        path.append(ins)
+        pc = pc + 1 if op == "inc" else ins[3] if op == "loop" else ins[1]
+    return path, pc
+
+
+def _straight(path: list, out: list, indent: str) -> None:
+    """Appends to ``out`` the lines that run ``path`` on the locals
+    ``r<slot>``, charging each fused loop's ``(k + 2) * v``.  The
+    increments between two loops are summed by register."""
+    pending: dict = {}
+    for ins in path:
+        if ins[0] == "inc":
+            pending[ins[1]] = pending.get(ins[1], 0) + 1
+        elif ins[0] == "loop":
+            out.extend(f"{indent}r{a} += {n}" for a, n in pending.items())
+            pending.clear()
+            _, r, incs, _, cost = ins
+            out.append(f"{indent}left -= {cost} * r{r}")
+            out.extend(f"{indent}r{a} += r{r}" for a in incs)
+            out.append(f"{indent}r{r} = 0")
+    out.extend(f"{indent}r{a} += {n}" for a, n in pending.items())
+
+
+def _block(code: tuple, entry: int):
+    """The block entered at ``entry``: a function ``(regs, left) -> (pc,
+    left)`` that runs the straight-line code from ``entry`` (``_path``)
+    and then at most one ``decjz`` or ``halt``, and returns the index to
+    run next, with ``left`` less the block's charges.
+
+    The block charges its instruction count when entered, and each fused
+    loop's ``(k + 2) * v`` when it runs.  A ``decjz`` whose fall-through
+    path comes back to it through straight-line code alone becomes a
+    ``while`` loop, which charges one iteration's count on each
+    iteration and stops once ``left`` is below zero.  Every charge is
+    non-negative, so ``left`` falls below zero in the block exactly when
+    a run one instruction at a time would run out in it; the caller
+    tests ``left`` when the block returns.  Registers are read into
+    locals on entry and written back on return.  The source holds only
+    integers from ``code``: register slots, indices and charges."""
+    size = len(code)
+    prefix, pc = _path(code, entry, BLOCK_LIMIT)
+    op = code[pc][0] if pc < size and len(prefix) < BLOCK_LIMIT else None
+    closes = op == "decjz" or op == "halt"  # else the block hands on to pc
+    body: list = []
+    if op == "decjz":
+        _, r, done = code[pc]
+        body, back = _path(code, pc + 1, BLOCK_LIMIT - len(prefix) - 1)
+        if back != pc:
+            body = []
+    used = {i[1] for i in prefix + body if i[0] == "inc"}
+    used.update(r for i in prefix + body if i[0] == "loop" for r in (i[1], *i[2]))
+    if op == "decjz":
+        used.add(r)
+    lines = ["def block(regs, left):"]
+    lines += [f"    r{s} = regs[{s}]" for s in sorted(used)]
+    lines.append(f"    left -= {len(prefix) + closes}")
+    _straight(prefix, lines, "    ")
+    if body:
+        lines += [f"    while r{r}:", f"        r{r} -= 1"]
+        _straight(body, lines, "        ")
+        lines += [f"        left -= {len(body) + 1}", "        if left < 0:", "            break"]
+        lines.append(f"    pc = {done}")
+    elif op == "decjz":
+        lines += [f"    if r{r}:", f"        r{r} -= 1", f"        pc = {pc + 1}"]
+        lines += ["    else:", f"        pc = {done}"]
+    else:
+        lines.append(f"    pc = {size if op == 'halt' else pc}")
+    lines += [f"    regs[{s}] = r{s}" for s in sorted(used)]
+    lines.append("    return pc, left")
+    scope: dict = {"__builtins__": {}}
+    exec(compile("\n".join(lines), f"<cm block {entry}>", "exec"), scope)
+    return scope["block"]
+
+
 @dataclass(frozen=True)
 class CMMap(PartialMap):
+    """Runs a program's ``_code`` as generated blocks (``_block``), each
+    made the first time a run enters its index and cached on the
+    program, for the same charges as one instruction at a time."""
+
     program: CMProgram
 
     def _run(self, x: int, fuel: Fuel):
-        code, slots, input_slot, output_slot = self.program._code
+        p = self.program
+        code, slots, input_slot, output_slot = p._code
+        blocks = p._blocks
         regs = [0] * slots
         regs[input_slot] = x
         size = len(code)
         left = fuel.left
         pc = 0
         while pc < size:
-            left -= 1
+            block = blocks.get(pc)
+            if block is None:
+                block = blocks[pc] = _block(code, pc)
+            pc, left = block(regs, left)
             if left < 0:
                 fuel.left = -1
                 return FUEL_EXHAUSTED
-            ins = code[pc]
-            op = ins[0]
-            if op == "loop":
-                r = ins[1]
-                v = regs[r]
-                if v:
-                    # the other (k + 2) * v steps of the loop's iterations
-                    left -= ins[4] * v
-                    if left < 0:
-                        fuel.left = -1
-                        return FUEL_EXHAUSTED
-                    for a in ins[2]:
-                        regs[a] += v
-                    regs[r] = 0
-                pc = ins[3]
-            elif op == "inc":
-                regs[ins[1]] += 1
-                pc += 1
-            elif op == "decjz":
-                r = ins[1]
-                if regs[r] == 0:
-                    pc = ins[2]
-                else:
-                    regs[r] -= 1
-                    pc += 1
-            elif op == "jump":
-                pc = ins[1]
-            else:
-                break
         fuel.left = left
         return regs[output_slot]
 
@@ -561,7 +650,7 @@ def run_cm(p: CMProgram, n: int, fuel: int) -> Outcome:
 
 # Compiled programs grow with the values of constants, not with the
 # length of the term's text: (K k) is k increments.  The largest program
-# compiled from the standard suite, floor-sqrt, has 272 instructions.
+# compiled from the standard suite, floor-sqrt, has 270 instructions.
 MAX_COMPILED_INSTRUCTIONS = 10**5
 _TOO_LARGE = f"program too large: more than {MAX_COMPILED_INSTRUCTIONS} instructions"
 

@@ -30,8 +30,10 @@ every input against both maps' domains, and ``Model.candidates`` each
 map the models enumerate against its model's domain.  A converged
 result outside its map's domain is refused by one rule on every path,
 ``PartialMap._refuse``: by ``_converged`` in ``check_closure`` and
-``maps_agree``, by ``BuiltinMap`` on both of its paths, and by
-``_simulate`` for a simulated member's output that fails to encode.  A
+``maps_agree``, by ``BuiltinMap`` on both of its paths, by
+``_match_member`` for any other candidate's fresh result but an ``int``
+or ``str`` equal to the validated expected value, and by ``_simulate``
+for a simulated member's output that fails to encode.  A
 value that passes costs one call of its domain's ``contains``, a plain
 function; a ``DomainMismatch`` message is built only for a value that
 fails.  Evaluations then run unchecked, so a value the checker never
@@ -331,7 +333,13 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
     Each candidate is evaluated only up to its first mismatch, and the
     candidates after a witness not at all.  Mismatches are kept raw until
     the member turns out not to be verified.  A fresh converged result
-    outside the candidate's domain is refused (``PartialMap._refuse``)."""
+    outside the candidate's domain is refused (``PartialMap._refuse``).
+    Every caller validates the expected results against the pool's
+    domain (``_Codes`` in ``_simulate``, ``_converged`` in
+    ``check_closure``, the encoding in ``check_pullback_law``), so a
+    fresh ``int`` or ``str`` equal to the expected value and of its type
+    is not tested again; a tuple is, as equal tuples need not both be
+    pure lists."""
     evaluate = runner.evaluate
     evaluations = spent = 0
     unknown_candidate = None
@@ -351,8 +359,10 @@ def _match_member(g_name: str, points: list, pool: Sequence[PartialMap], runner:
                     spent += 1
                 else:
                     got, used = evaluate(f, y)
-                    if not contains(got):  # diverged, exhausted, or refused
-                        _converged(f, got)
+                    tg = type(got)
+                    if not ((tg is int or tg is str) and tg is type(want) and got == want):
+                        if not contains(got):  # diverged, exhausted, or refused
+                            _converged(f, got)
                     spent += used
                 memo[y] = got
                 evaluations += 1

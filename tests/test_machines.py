@@ -1,5 +1,7 @@
 """Machine interpreters, text formats, and the bit-string bijection."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from powerlab.machines import (
     _CM_OPS,
     _SYMBOLS,
     BLANK,
+    BLOCK_LIMIT,
     BitsEncoding,
     CMProgram,
     ProgramError,
@@ -39,7 +42,7 @@ from powerlab.machines import (
     tm_witness_models,
 )
 from powerlab.recdsl import eval_term
-from powerlab.terms import standard_suite
+from powerlab.terms import SQUARE, standard_suite
 
 # ---------------------------------------------------------------------------
 # Bit-string bijection
@@ -428,24 +431,49 @@ def counting_loop(r, body, at):
     return (("decjz", r, done),) + tuple(("inc", b) for b in body) + (("jump", at),)
 
 
+def outer_loop(r, parts, at):
+    """``at: decjz r D; <parts>; jump at; D:``, the compiler's loop
+    shape: each part an instruction, or a counting loop (a clear, move
+    or copy) given as ``("loop", counter, increments)``."""
+    body: list = []
+    for part in parts:
+        if part[0] == "loop":
+            body.extend(counting_loop(part[1], part[2], at + 1 + len(body)))
+        else:
+            body.append(part)
+    return (("decjz", r, at + len(body) + 2), *body, ("jump", at))
+
+
+_part = st.one_of(
+    st.tuples(st.just("inc"), st.integers(0, 3)),  # the outer counter included
+    st.just(("halt",)),
+    st.tuples(st.just("loop"), st.integers(0, 3), st.lists(st.integers(0, 3), max_size=2)),
+)
 _block = st.one_of(
     st.tuples(st.just("inc"), st.integers(0, 3)),
     st.tuples(st.just("decjz"), st.integers(0, 3), st.integers(0, 40)),
     st.tuples(st.just("jump"), st.integers(0, 40)),
     st.just(("halt",)),
     st.tuples(st.just("loop"), st.integers(0, 3), st.lists(st.integers(0, 3), max_size=3)),
+    st.tuples(st.just("outer"), st.integers(0, 3), st.lists(_part, max_size=4), st.integers(0, 40)),
 )
 
 
 @st.composite
 def cm_programs(draw):
     """Programs over four registers, with counting loops (some of which
-    increment their own counter) mixed among plain instructions whose
-    targets may land anywhere, the middle of a loop included."""
+    increment their own counter) and outer loops in the compiler's shape
+    (``outer_loop``), each entered by a jump to its ``decjz`` or into its
+    body, mixed among plain instructions whose targets may land
+    anywhere, the middle of a loop included."""
     instrs: list = []
     for b in draw(st.lists(_block, max_size=8)):
         if b[0] == "loop":
             instrs.extend(counting_loop(b[1], b[2], len(instrs)))
+        elif b[0] == "outer":
+            loop = outer_loop(b[1], b[2], len(instrs) + 1)
+            instrs.append(("jump", len(instrs) + 1 + b[3] % len(loop)))
+            instrs.extend(loop)
         else:
             instrs.append(b)
     size = len(instrs)
@@ -552,6 +580,28 @@ def test_cm_counting_loops_are_fused():
     assert fused(*counting_loop(0, [1, 1, 2, 3], 0)) == 1
     assert fused(*counting_loop(0, [1, 0], 0)) == 0  # increments its counter
     assert fused(("decjz", 0, 4), ("inc", 1), ("decjz", 2, 3), ("jump", 0)) == 0
+
+
+def test_cm_blocks_are_made_on_entry_and_bounded():
+    # a run at fuel 10 generates the one block it enters, which covers
+    # BLOCK_LIMIT of the 10**5 increments and hands on to the next index
+    text = "registers 3\ninput 0\noutput 0\n" + "".join(f"inc {i % 3}\n" for i in range(10**5))
+    p = parse_cm(text)
+    assert run_cm(p, 0, 10) == FUEL_EXHAUSTED
+    assert list(p._blocks) == [0]
+    regs = [0, 0, 0]
+    assert p._blocks[0](regs, 10**6) == (BLOCK_LIMIT, 10**6 - BLOCK_LIMIT)
+    assert sum(regs) == BLOCK_LIMIT
+
+
+def test_cm_programs_pickle_after_a_run():
+    m = cm_map(compile_rec_to_cm(SQUARE, name="square"))
+    assert apply_with_cost(m, 5, 10**6)[0] == Converged(25)  # makes and caches blocks
+    assert m.program._blocks
+    back = pickle.loads(pickle.dumps(m))
+    assert back.program.instructions == m.program.instructions and not back.program._blocks
+    for x in range(8):
+        assert apply_with_cost(back, x, 10**6) == apply_with_cost(m, x, 10**6)
 
 
 @settings(max_examples=300, deadline=None)

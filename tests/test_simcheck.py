@@ -577,6 +577,39 @@ def test_a_simulated_builtin_returning_a_bool_is_refused(form):
     _simulate_sign_and_ispos(sign, ispos)
 
 
+# The hunt skips the domain test of a fresh int or str equal to the
+# expected value and of its type; True equals 1 but is no int.
+_NOT_BUILTIN = pytest.mark.parametrize(
+    "form",
+    [
+        lambda m: _SubBuiltin(m.name, m.domain, m.fn),
+        lambda m: pushforward(IdentityEncoding(), m, name=m.name),
+        lambda m: _Unchecked(m.name, m.domain, m.fn),
+    ],
+    ids=["subclass", "pushforward", "unchecked"],
+)
+
+
+@_NOT_BUILTIN
+def test_a_fresh_true_where_1_is_expected_is_refused(form):
+    # ispos is only a candidate: its True at 1 is met fresh in the hunt
+    ispos, sign = _ispos_and_sign(form)
+    a = Model("a", Domain.NAT, (ispos,))
+    b = Model("b", Domain.NAT, (sign,))
+    with pytest.raises(DomainMismatch, match="^wrong domain: ispos output expects nat, got True$"):
+        check_simulation(a, b, IdentityEncoding(), TestPlan(inputs=(1,), fuel=10))
+
+
+@_NOT_BUILTIN
+def test_a_remembered_true_where_1_is_expected_is_refused(form):
+    # ispos is also a sampled member, so its True at 1 goes into the
+    # check's memo before any hunt reads it there
+    ispos, sign = _ispos_and_sign(form)
+    model = Model("m", Domain.NAT, (sign, ispos))
+    with pytest.raises(DomainMismatch, match="^wrong domain: ispos output expects nat, got True$"):
+        check_closure(model, TestPlan(inputs=(1,), fuel=10))
+
+
 @_FORMS
 @pytest.mark.parametrize("swap", [False, True])
 def test_maps_agree_refuses_a_result_outside_its_domain(swap, form):
